@@ -1,32 +1,12 @@
-"""Optional thread-pool mapping, sized by the SECUREBC_WORKERS variable.
-
-Results always come back in input order, so output files stay deterministic
-regardless of the pool size.
-"""
+"""In-order mapping used by the region and order sweeps."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_VAR = "SECUREBC_WORKERS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

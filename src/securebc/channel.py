@@ -31,17 +31,15 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPower, LengthMismatch, ParseError
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+from .linalg import frozen
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One problem instance: user channels, eavesdropper channel, power."""
+    """One problem instance: user channels, eavesdropper channel, power.
+
+    Channel entries must be finite; a NaN or Inf raises ParseError.
+    """
 
     user_channels: tuple[np.ndarray, ...]
     eavesdropper: np.ndarray
@@ -49,8 +47,8 @@ class ChannelSet:
 
     def __init__(self, user_channels: Sequence[np.ndarray],
                  eavesdropper: np.ndarray, power: float):
-        users = tuple(_frozen(h) for h in user_channels)
-        eve = _frozen(eavesdropper)
+        users = tuple(frozen(h) for h in user_channels)
+        eve = frozen(eavesdropper)
         if len(users) < 1:
             raise DimensionMismatch("at least one user channel is required")
         for h in users + (eve,):
@@ -64,6 +62,8 @@ class ChannelSet:
         if eve.shape[1] != n_t:
             raise DimensionMismatch(
                 f"eavesdropper has {eve.shape[1]} columns, expected {n_t}")
+        if not all(np.isfinite(h).all() for h in users + (eve,)):
+            raise ParseError("channel entries must be finite (no NaN or Inf)")
         if not np.isfinite(power) or power <= 0:
             raise InvalidPower(f"power must be positive, got {power}")
         object.__setattr__(self, "user_channels", users)
@@ -115,7 +115,7 @@ class WeightVector:
         return np.array(self.weights)
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
+def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
@@ -167,8 +167,8 @@ def save_channel_set(ch: ChannelSet, sink: Union[str, IO]) -> None:
     """Write a ChannelSet in the documented JSON schema."""
     doc = {
         "power": ch.power,
-        "users": [{"H": _matrix_to_json(h)} for h in ch.user_channels],
-        "eavesdropper": _matrix_to_json(ch.eavesdropper),
+        "users": [{"H": matrix_to_json(h)} for h in ch.user_channels],
+        "eavesdropper": matrix_to_json(ch.eavesdropper),
     }
     if isinstance(sink, str):
         with open(sink, "w", encoding="ascii") as fh:

@@ -10,8 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the error class
 name goes to stderr).  CSV numbers carry 10 significant digits; files are
-byte-identical across runs with the same inputs.  Thread count is taken
-from the SECUREBC_WORKERS environment variable (default 1).
+byte-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (WeightVector, load_channel_set, sample_channel_set,
-                      save_channel_set)
+from .channel import (WeightVector, load_channel_set, matrix_to_json,
+                      sample_channel_set, save_channel_set)
 from .duality import duality_property_ensemble
 from .errors import SecureBcError
 from .ordering import compare_orders
@@ -71,7 +70,14 @@ def _load_config(path: Optional[str]) -> Optional[SolverConfig]:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise UsageError(f"config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"config {path}: top-level JSON value must be an object")
+    if "initial_plan" in doc:
+        raise UsageError("initial_plan cannot be given in a config file")
     known = {f.name for f in fields(SolverConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -80,10 +86,6 @@ def _load_config(path: Optional[str]) -> Optional[SolverConfig]:
         return SolverConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _report_json(report: SolverReport, order: EncodingOrder,
@@ -100,7 +102,7 @@ def _report_json(report: SolverReport, order: EncodingOrder,
         "termination": report.termination,
         "objective_trace": list(report.objective_trace),
         "lambda_trace": list(report.lambda_trace),
-        "plan": [_matrix_json(m) for m in report.plan.matrices],
+        "plan": [matrix_to_json(m) for m in report.plan.matrices],
     }
 
 
@@ -135,6 +137,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    if not 0 < args.step <= 1:
+        raise UsageError(f"--step must be in (0, 1], got {args.step}")
     ch = load_channel_set(args.channels)
     if args.policy in (THEOREM, BOTH_CORNERS):
         policy = args.policy

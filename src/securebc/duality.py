@@ -27,8 +27,9 @@ ladder is the one under which the uplink-side weighted objective
 
 equals the downlink weighted secrecy sum of the dual plan, term by term.
 
-Construction is sequential across positions because each ladder depends on
-already-transformed covariances; different instances can run in parallel.
+Both directions run one ladder sweep.  The ladder of the given plan's side
+is summed up front; the other ladder grows from the covariances mapped so
+far, so positions are visited in its direction, one after another.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet, WeightVector, sample_channel_set
-from .errors import DimensionMismatch
 from .linalg import (SvdTriple, herm, hermitize, project_psd, psd_inv_sqrt,
-                     psd_sqrt, random_psd, svd_square_diag)
+                     psd_sqrt, svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, bc_rates,
-                    dpc_secrecy_rates, mac_rates, mac_side_objective,
-                    weighted_sum)
+                    by_position, by_user, dpc_secrecy_rates, mac_rates,
+                    mac_side_objective, random_plan, weighted_sum)
 
 PRECEDING = "preceding"
 FOLLOWING = "following"
@@ -80,8 +80,9 @@ class DualityContext:
 
 
 def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndarray,
-                        q: np.ndarray | None = None, s: np.ndarray | None = None):
-    """Transform one position; exactly one of q (downlink) / s (uplink) is given.
+                        cov: np.ndarray, downlink: bool):
+    """Transform one position's covariance ``cov`` to the other side;
+    ``downlink`` says which side it is on.
 
     Returns (other-side covariance, svd, effective eavesdropper channel).
     """
@@ -92,129 +93,90 @@ def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndar
     svd = svd_square_diag(dm @ herm(hk) @ cm)
     e, f = svd.left, svd.right
     ge = cp @ f @ herm(e) @ dm @ herm(G)
-    if q is not None:
-        out = cm @ f @ herm(e) @ dp @ q @ dp @ e @ herm(f) @ cm
+    if downlink:
+        out = cm @ f @ herm(e) @ dp @ cov @ dp @ e @ herm(f) @ cm
     else:
-        out = dm @ e @ herm(f) @ cp @ s @ cp @ f @ herm(e) @ dm
+        out = dm @ e @ herm(f) @ cp @ cov @ cp @ f @ herm(e) @ dm
     return project_psd(hermitize(out)), svd, ge
 
 
-def _check_sides(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                 side: str, mac_ladder: str):
+def _c_ladder(H: Sequence[np.ndarray], Q: Sequence[np.ndarray]):
+    """(k, C_k) from the last position back; Q[k] is read after C_k is yielded."""
+    tail = np.zeros((H[0].shape[1],) * 2, dtype=complex)
+    for k in range(len(H) - 1, -1, -1):
+        yield k, hermitize(np.eye(H[k].shape[0]) + H[k] @ tail @ herm(H[k]))
+        tail = tail + Q[k]
+
+
+def _d_ladder(H: Sequence[np.ndarray], S: Sequence[np.ndarray], positions):
+    """(k, D_k) along the uplink ladder; S[k] is read after D_k is yielded."""
+    d = np.eye(H[0].shape[1], dtype=complex)
+    for k in positions:
+        yield k, d
+        d = hermitize(d + herm(H[k]) @ S[k] @ H[k])
+
+
+def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
+                  side: str, mac_ladder: str):
+    """Map a ``side`` plan to the other side, one position at a time.
+
+    The ladder of the given side (C for a downlink plan, D for an uplink
+    one) is summed up front.  The other ladder grows from the mapped
+    covariances, so the walk follows its direction: D along ``mac_ladder``,
+    C from the last position back.
+
+    Returns the position-to-user map, the (C, D, svd, effective eavesdropper)
+    lists and the mapped covariances, all by position.
+    """
     if mac_ladder not in (PRECEDING, FOLLOWING):
         raise ValueError(f"unknown mac_ladder {mac_ladder!r}")
-    if plan.side != side:
-        raise DimensionMismatch(f"expected a {side} plan, got {plan.side}")
-    if len(order) != ch.num_users:
-        raise DimensionMismatch(
-            f"order over {len(order)} users but channel set has {ch.num_users}")
-    plan.validate_for(ch)
-
-
-def _sweep_from_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                   mac_ladder: str):
-    """Shared engine behind bc_to_mac / build_context_from_bc."""
-    _check_sides(ch, order, plan, BC, mac_ladder)
-    idx = order.zero_based
-    K = ch.num_users
-    n_t = ch.n_t
-    H = [ch.user_channels[u] for u in idx]
-    Q = [plan.matrices[u] for u in idx]
-    tails = [np.zeros((n_t, n_t), dtype=complex)]
-    for q in reversed(Q):
-        tails.append(tails[-1] + q)
-    tails.reverse()  # tails[k] = sum_{j >= k} Q_j
+    idx, H, given = by_position(ch, order, plan, side)
+    K = len(H)
+    mapped: list = [None] * K
+    along = range(K) if mac_ladder == PRECEDING else range(K - 1, -1, -1)
+    downlink = side == BC
+    if downlink:
+        fixed, walk = dict(_c_ladder(H, given)), _d_ladder(H, mapped, along)
+    else:
+        fixed, walk = dict(_d_ladder(H, given, along)), _c_ladder(H, mapped)
     c_list: list = [None] * K
     d_list: list = [None] * K
     svd_list: list = [None] * K
     eve_list: list = [None] * K
-    s_by_pos: list = [None] * K
-    positions = range(K) if mac_ladder == PRECEDING else range(K - 1, -1, -1)
-    d = np.eye(n_t, dtype=complex)
-    for k in positions:
-        hk = H[k]
-        c = hermitize(np.eye(hk.shape[0]) + hk @ tails[k + 1] @ herm(hk))
-        s, svd, ge = _position_transform(hk, ch.eavesdropper, c, d, q=Q[k])
-        c_list[k], d_list[k], svd_list[k], eve_list[k] = c, d, svd, ge
-        s_by_pos[k] = s
-        d = hermitize(d + herm(hk) @ s @ hk)
-    return idx, (c_list, d_list, svd_list, eve_list), s_by_pos
-
-
-def _sweep_from_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                    mac_ladder: str):
-    """Shared engine behind mac_to_bc / build_context_from_mac."""
-    _check_sides(ch, order, plan, MAC, mac_ladder)
-    idx = order.zero_based
-    K = ch.num_users
-    n_t = ch.n_t
-    H = [ch.user_channels[u] for u in idx]
-    S = [plan.matrices[u] for u in idx]
-    # the uplink ladder only needs the given uplink covariances
-    if mac_ladder == PRECEDING:
-        d = np.eye(n_t, dtype=complex)
-        d_list = []
-        for k in range(K):
-            d_list.append(d)
-            d = hermitize(d + herm(H[k]) @ S[k] @ H[k])
-    else:
-        d = np.eye(n_t, dtype=complex)
-        d_list = [None] * K
-        for k in range(K - 1, -1, -1):
-            d_list[k] = d
-            d = hermitize(d + herm(H[k]) @ S[k] @ H[k])
-    c_list: list = [None] * K
-    svd_list: list = [None] * K
-    eve_list: list = [None] * K
-    q_by_pos: list = [None] * K
-    tail_q = np.zeros((n_t, n_t), dtype=complex)
-    # the downlink ladder needs later-position downlink covariances -> go backwards
-    for k in range(K - 1, -1, -1):
-        hk = H[k]
-        c = hermitize(np.eye(hk.shape[0]) + hk @ tail_q @ herm(hk))
-        q, svd, ge = _position_transform(hk, ch.eavesdropper, c, d_list[k], s=S[k])
-        c_list[k], svd_list[k], eve_list[k] = c, svd, ge
-        q_by_pos[k] = q
-        tail_q = tail_q + q
-    return idx, (c_list, d_list, svd_list, eve_list), q_by_pos
-
-
-def _plan_by_user(side: str, mats_by_pos: Sequence[np.ndarray], idx: np.ndarray
-                  ) -> CovariancePlan:
-    by_user: list = [None] * len(mats_by_pos)
-    for pos, u in enumerate(idx):
-        by_user[u] = mats_by_pos[pos]
-    return CovariancePlan(side, by_user)
+    for k, grown in walk:
+        c, d = (fixed[k], grown) if downlink else (grown, fixed[k])
+        mapped[k], svd_list[k], eve_list[k] = _position_transform(
+            H[k], ch.eavesdropper, c, d, given[k], downlink)
+        c_list[k], d_list[k] = c, d
+    return idx, (c_list, d_list, svd_list, eve_list), mapped
 
 
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map a downlink plan to the rate-equivalent uplink plan."""
-    idx, _, s_by_pos = _sweep_from_bc(ch, order, plan, mac_ladder)
-    return _plan_by_user(MAC, s_by_pos, idx)
+    idx, _, s_by_pos = _ladder_sweep(ch, order, plan, BC, mac_ladder)
+    return CovariancePlan(MAC, by_user(s_by_pos, idx))
 
 
 def mac_to_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map an uplink plan to the rate-equivalent downlink plan."""
-    idx, _, q_by_pos = _sweep_from_mac(ch, order, plan, mac_ladder)
-    return _plan_by_user(BC, q_by_pos, idx)
+    idx, _, q_by_pos = _ladder_sweep(ch, order, plan, MAC, mac_ladder)
+    return CovariancePlan(BC, by_user(q_by_pos, idx))
 
 
 def build_context_from_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                           mac_ladder: str = PRECEDING) -> DualityContext:
     """Ladder matrices, SVDs and effective eavesdropper channels for a downlink plan."""
-    _, (c_list, d_list, svd_list, eve_list), _ = _sweep_from_bc(ch, order, plan, mac_ladder)
-    return DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list),
-                          tuple(svd_list), tuple(eve_list))
+    _, ladders, _ = _ladder_sweep(ch, order, plan, BC, mac_ladder)
+    return DualityContext(order, mac_ladder, *map(tuple, ladders))
 
 
 def build_context_from_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                            mac_ladder: str = PRECEDING) -> DualityContext:
     """Same as build_context_from_bc but starting from an uplink plan."""
-    _, (c_list, d_list, svd_list, eve_list), _ = _sweep_from_mac(ch, order, plan, mac_ladder)
-    return DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list),
-                          tuple(svd_list), tuple(eve_list))
+    _, ladders, _ = _ladder_sweep(ch, order, plan, MAC, mac_ladder)
+    return DualityContext(order, mac_ladder, *map(tuple, ladders))
 
 
 def effective_eve_channels(ctx: DualityContext) -> list[np.ndarray]:
@@ -234,14 +196,6 @@ def wsr_equivalence_pair(ch: ChannelSet, order: EncodingOrder, plan: CovarianceP
     obj = mac_side_objective(ch, order, plan, effective_eve_channels(ctx), w)
     wsr = weighted_sum(dpc_secrecy_rates(ch, order, bc_plan), w)
     return obj, wsr
-
-
-def _random_plan(side: str, dims: Sequence[int], budget: float,
-                 rng: np.random.Generator) -> CovariancePlan:
-    mats = [random_psd(d, rng) for d in dims]
-    total = sum(float(np.trace(m).real) for m in mats)
-    scale = budget * (0.2 + 0.8 * rng.random()) / max(total, 1e-12)
-    return CovariancePlan(side, [m * scale for m in mats])
 
 
 def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
@@ -287,7 +241,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         w = WeightVector(rng.random(K) + 0.05)
 
         if mac_first:
-            plan_mac = _random_plan(MAC, n_k, power, rng)
+            plan_mac = random_plan(MAC, n_k, power, rng)
             plan_bc = mac_to_bc(ch, order, plan_mac)
             plan_mac_rt = bc_to_mac(ch, order, plan_bc)
             r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
@@ -296,7 +250,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
             trace_err = abs(plan_mac.total_trace - plan_bc.total_trace)
             eq_plan = plan_mac
         else:
-            plan_bc = _random_plan(BC, [n_t] * K, power, rng)
+            plan_bc = random_plan(BC, [n_t] * K, power, rng)
             plan_mac = bc_to_mac(ch, order, plan_bc)
             plan_bc_rt = mac_to_bc(ch, order, plan_mac)
             r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)

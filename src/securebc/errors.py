@@ -18,7 +18,8 @@ class DimensionMismatch(SecureBcError):
 
 
 class ParseError(SecureBcError):
-    """A channel file is malformed or does not follow the documented schema."""
+    """Channel data is malformed: a file off the documented schema, or a
+    NaN or Inf channel entry."""
 
 
 class InvalidPower(SecureBcError):

@@ -19,8 +19,13 @@ from .errors import NonPositiveDefinite, SingularMatrix
 PSD_TOL = 1e-10
 # Relative floor below which an eigenvalue is treated as zero for inversion.
 SINGULAR_REL_TOL = 1e-14
-# Per-entry tolerance for "is Hermitian" validation.
-HERMITIAN_TOL = 1e-12
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only complex copy."""
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def herm(m: np.ndarray) -> np.ndarray:
@@ -33,17 +38,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.all(np.abs(m - m.conj().T) <= tol))
-
-
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(m))[0])
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    return is_hermitian(m, tol=1e-8) and min_eigenvalue(m) >= -tol
 
 
 class SvdTriple(NamedTuple):
@@ -80,6 +76,19 @@ def logdet_hpd(m: np.ndarray) -> float:
     return float(np.sum(np.log(w)))
 
 
+def _i_plus_2x2(m: np.ndarray):
+    """Diagonal entries, averaged off-diagonal entry and determinant of I + m.
+
+    Python scalars: numpy's per-element indexing and scalar arithmetic
+    dominated this hot path, and the IEEE results are the same.
+    """
+    (p, q), (r, s) = m.tolist()
+    a = 1.0 + p.real
+    d = 1.0 + s.real
+    b = 0.5 * (q + r.conjugate())
+    return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
+
+
 def logdet_i_plus(m: np.ndarray) -> float:
     """Fast ``log det(I + m)`` for PSD ``m``.
 
@@ -91,14 +100,11 @@ def logdet_i_plus(m: np.ndarray) -> float:
     """
     n = m.shape[0]
     if n == 1:
-        x = float(m[0, 0].real)
+        x = m.item().real
         if x > -1.0:
             return float(np.log1p(x))
     elif n == 2:
-        a = 1.0 + float(m[0, 0].real)
-        d = 1.0 + float(m[1, 1].real)
-        b = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
-        det = a * d - (b.real * b.real + b.imag * b.imag)
+        a, _, _, det = _i_plus_2x2(m)
         if a > 0.0 and det > 0.0:
             return float(np.log(det))
     a = hermitize(np.asarray(m, dtype=complex))
@@ -108,6 +114,19 @@ def logdet_i_plus(m: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         return logdet_hpd(a)
     return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
+
+
+def inv_i_plus(m: np.ndarray) -> np.ndarray:
+    """Inverse of ``I + m`` for PSD ``m``, the gradient partner of
+    :func:`logdet_i_plus`: it reads the same Hermitian part of ``m`` and
+    shares its closed forms at dimensions 1 and 2."""
+    n = m.shape[0]
+    if n == 1:
+        return np.array([[1.0 / (1.0 + m.item().real)]], dtype=complex)
+    if n == 2:
+        a, d, b, det = _i_plus_2x2(m)
+        return np.array([[d, -b], [-b.conjugate(), a]]) / det
+    return np.linalg.inv(np.eye(n) + hermitize(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, LengthMismatch
-from .linalg import PSD_TOL, herm, logdet_i_plus, min_eigenvalue
+from .linalg import (PSD_TOL, frozen, herm, logdet_i_plus, min_eigenvalue,
+                     random_psd)
 
 BC = "bc"
 MAC = "mac"
@@ -64,12 +65,6 @@ class EncodingOrder:
         return "[" + ",".join(str(p) for p in self.permutation) + "]"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class CovariancePlan:
     """Per-user transmit covariance matrices for one side of the duality.
@@ -84,7 +79,7 @@ class CovariancePlan:
     def __init__(self, side: str, matrices: Sequence[np.ndarray]):
         if side not in (BC, MAC):
             raise ValueError(f"side must be {BC!r} or {MAC!r}, got {side!r}")
-        mats = tuple(_frozen(m) for m in matrices)
+        mats = tuple(frozen(m) for m in matrices)
         if not mats:
             raise DimensionMismatch("a plan needs at least one matrix")
         for idx, m in enumerate(mats):
@@ -152,38 +147,33 @@ def _as_weights(w: Union[WeightVector, Sequence[float], None], K: int) -> np.nda
     return arr
 
 
-def _suffix_sums(mats: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
+def suffix_sums(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """suffix[k] = sum of mats[k:], with suffix[K] the zero matrix."""
-    out = [np.zeros((dim, dim), dtype=complex)]
+    out = [np.zeros(mats[0].shape, dtype=complex)]
     for m in reversed(mats):
         out.append(out[-1] + m)
     out.reverse()
     return out
 
 
+def _log_ratios(H: Sequence[np.ndarray], suf: Sequence[np.ndarray]) -> np.ndarray:
+    """Per position k: log det(I + H_k suf[k] H_k^H) - log det(I + H_k suf[k+1] H_k^H)."""
+    return np.array([
+        logdet_i_plus(hk @ suf[k] @ herm(hk)) - logdet_i_plus(hk @ suf[k + 1] @ herm(hk))
+        for k, hk in enumerate(H)])
+
+
 def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
                      q_by_pos: Sequence[np.ndarray]) -> np.ndarray:
     """Secrecy rates by position for position-ordered channels/covariances."""
-    n_t = H[0].shape[1]
-    suf = _suffix_sums(q_by_pos, n_t)
-    rates = np.empty(len(H))
-    for k, hk in enumerate(H):
-        user = (logdet_i_plus(hk @ suf[k] @ herm(hk))
-                - logdet_i_plus(hk @ suf[k + 1] @ herm(hk)))
-        eve = (logdet_i_plus(G @ suf[k] @ herm(G))
-               - logdet_i_plus(G @ suf[k + 1] @ herm(G)))
-        rates[k] = user - eve
-    return rates
+    suf = suffix_sums(q_by_pos)
+    return _log_ratios(H, suf) - _log_ratios([G] * len(H), suf)
 
 
 def bc_rates_arrays(H: Sequence[np.ndarray],
                     q_by_pos: Sequence[np.ndarray]) -> np.ndarray:
     """Downlink rates by position (no eavesdropper term)."""
-    n_t = H[0].shape[1]
-    suf = _suffix_sums(q_by_pos, n_t)
-    return np.array([
-        logdet_i_plus(hk @ suf[k] @ herm(hk)) - logdet_i_plus(hk @ suf[k + 1] @ herm(hk))
-        for k, hk in enumerate(H)])
+    return _log_ratios(H, suffix_sums(q_by_pos))
 
 
 def mac_rates_arrays(H: Sequence[np.ndarray],
@@ -201,7 +191,12 @@ def mac_rates_arrays(H: Sequence[np.ndarray],
     return rates
 
 
-def _permute(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan):
+def by_position(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
+                side: str):
+    """Check a ``side`` plan against the channels and order; return the
+    position-to-user map and the channels and covariances by position."""
+    if plan.side != side:
+        raise DimensionMismatch(f"expected a {side} plan, got {plan.side}")
     if len(order) != ch.num_users or len(plan) != ch.num_users:
         raise DimensionMismatch(
             f"order ({len(order)}), plan ({len(plan)}) and channels "
@@ -213,10 +208,19 @@ def _permute(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan):
     return idx, H, mats
 
 
-def _by_user(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[idx] = values
+def by_user(by_pos: Sequence, idx: np.ndarray) -> list:
+    """Undo the position relabelling: entry ``idx[k]`` of the result is ``by_pos[k]``."""
+    out: list = [None] * len(by_pos)
+    for pos, u in enumerate(idx):
+        out[u] = by_pos[pos]
     return out
+
+
+def _rate_point(by_pos: np.ndarray, idx: np.ndarray,
+                weights: Union[WeightVector, Sequence[float], None]) -> RatePoint:
+    per_user = by_user(by_pos, idx)
+    w = _as_weights(weights, len(per_user))
+    return RatePoint(tuple(per_user), float(w @ per_user))
 
 
 def dpc_secrecy_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -227,35 +231,22 @@ def dpc_secrecy_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan
     ``weights`` only sets the RatePoint's weighted_sum field; when omitted
     the plain sum is stored.
     """
-    if plan.side != BC:
-        raise DimensionMismatch("secrecy rates are evaluated on a downlink plan")
-    idx, H, mats = _permute(ch, order, plan)
-    by_pos = dpc_rates_arrays(H, ch.eavesdropper, mats)
-    per_user = _by_user(by_pos, idx)
-    w = _as_weights(weights, ch.num_users)
-    return RatePoint(tuple(per_user), float(w @ per_user))
+    idx, H, mats = by_position(ch, order, plan, BC)
+    return _rate_point(dpc_rates_arrays(H, ch.eavesdropper, mats), idx, weights)
 
 
 def bc_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
              weights: Union[WeightVector, Sequence[float], None] = None) -> RatePoint:
     """Downlink rates without secrecy (the eavesdropper is ignored)."""
-    if plan.side != BC:
-        raise DimensionMismatch("bc_rates needs a downlink plan")
-    idx, H, mats = _permute(ch, order, plan)
-    per_user = _by_user(bc_rates_arrays(H, mats), idx)
-    w = _as_weights(weights, ch.num_users)
-    return RatePoint(tuple(per_user), float(w @ per_user))
+    idx, H, mats = by_position(ch, order, plan, BC)
+    return _rate_point(bc_rates_arrays(H, mats), idx, weights)
 
 
 def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               weights: Union[WeightVector, Sequence[float], None] = None) -> RatePoint:
     """Rates in the dual uplink under the same position ordering."""
-    if plan.side != MAC:
-        raise DimensionMismatch("mac_rates needs an uplink plan")
-    idx, H, mats = _permute(ch, order, plan)
-    per_user = _by_user(mac_rates_arrays(H, mats), idx)
-    w = _as_weights(weights, ch.num_users)
-    return RatePoint(tuple(per_user), float(w @ per_user))
+    idx, H, mats = by_position(ch, order, plan, MAC)
+    return _rate_point(mac_rates_arrays(H, mats), idx, weights)
 
 
 def weighted_sum(rates: RatePoint, w: WeightVector) -> float:
@@ -280,32 +271,34 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
     by the duality module for this plan and order.  With those channels this
     equals the downlink weighted secrecy sum of the dual plan.
     """
-    if plan.side != MAC:
-        raise DimensionMismatch("the uplink objective needs an uplink plan")
-    idx, H, mats = _permute(ch, order, plan)
+    idx, H, mats = by_position(ch, order, plan, MAC)
     K = ch.num_users
     if len(effective_eve) != K:
         raise DimensionMismatch(
             f"{len(effective_eve)} effective eavesdropper channels for {K} positions")
     weights = _as_weights(w, K)[idx]
-    n_t, n_e = ch.n_t, ch.n_e
+    n_e = ch.n_e
     for k, ge in enumerate(effective_eve):
         if ge.shape != (H[k].shape[0], n_e):
             raise DimensionMismatch(
                 f"position {k + 1}: effective eavesdropper is {ge.shape}, "
                 f"expected {(H[k].shape[0], n_e)}")
     total = 0.0
-    # accumulate interference tails from the last position backwards
-    tail_h: list = [None] * (K + 1)
-    tail_g: list = [None] * (K + 1)
-    tail_h[K] = np.zeros((n_t, n_t), dtype=complex)
-    tail_g[K] = np.zeros((n_e, n_e), dtype=complex)
-    for k in reversed(range(K)):
-        tail_h[k] = tail_h[k + 1] + herm(H[k]) @ mats[k] @ H[k]
-        tail_g[k] = tail_g[k + 1] + herm(effective_eve[k]) @ mats[k] @ effective_eve[k]
+    tail_h = suffix_sums([herm(h) @ s @ h for h, s in zip(H, mats)])
+    tail_g = suffix_sums([herm(ge) @ s @ ge for ge, s in zip(effective_eve, mats)])
     for k in range(K):
         dw = weights[k] - (weights[k - 1] if k > 0 else 0.0)
         if dw == 0.0:
             continue
         total += dw * (logdet_i_plus(tail_h[k]) - logdet_i_plus(tail_g[k]))
     return float(total)
+
+
+def random_plan(side: str, dims: Sequence[int], budget: float,
+                rng: np.random.Generator) -> CovariancePlan:
+    """Random PSD plan, one ``dims[u]``-square matrix per user, whose total
+    trace is a uniform 20-100% share of ``budget``."""
+    mats = [random_psd(d, rng) for d in dims]
+    total = sum(float(np.trace(m).real) for m in mats)
+    scale = budget * (0.2 + 0.8 * rng.random()) / max(total, 1e-12)
+    return CovariancePlan(side, [m * scale for m in mats])

@@ -113,7 +113,7 @@ def trace_region(ch: ChannelSet, step: float,
 
 
 def hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
-    """Convex hull (counterclockwise, monotone chain) of 2-D points.
+    """Convex hull (counterclockwise, Andrew's algorithm) of 2-D points.
 
     Used to post-process two-user traces: the closed region is the convex
     closure of the achieved points together with the origin.

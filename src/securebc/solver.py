@@ -6,8 +6,9 @@ in position space with ascending indices.
 
 Structure:
 
-* an outer bisection on the power price ``lam`` drives the total transmit
-  power onto the budget,
+* a price search bisects the power price ``lam`` until the total transmit
+  power meets the budget; each price evaluation is one :class:`_Eval`
+  record, and the solve returns the best feasible plan among them,
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
   ``lam`` times the power excess) is maximized by cyclic block updates,
 * each block update maximizes a concave surrogate: the block's concave part
@@ -15,9 +16,8 @@ Structure:
   cone, by projected gradient ascent with a backtracking line search.
 
 The surrogate is a global lower bound of the block objective that is tight
-at the expansion point, so every accepted block step is monotone in the true
-penalized objective; that monotonicity is asserted by the test suite rather
-than assumed.
+at the expansion point, so no accepted block step lowers the true penalized
+objective; the test suite asserts this rather than assuming it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import numpy as np
 
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
-from .linalg import herm, hermitize, logdet_i_plus, project_psd
-from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint,
-                    dpc_rates_arrays, dpc_secrecy_rates)
+from .linalg import herm, hermitize, inv_i_plus, logdet_i_plus, project_psd
+from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint, by_user,
+                    dpc_rates_arrays, dpc_secrecy_rates, random_plan,
+                    suffix_sums)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -97,42 +98,6 @@ class _Problem:
         self.n_t = ch.n_t
 
 
-def _ld_hpd(m: np.ndarray) -> float:
-    """log det of a small HPD matrix (closed forms at dims 1 and 2)."""
-    n = m.shape[0]
-    if n == 1:
-        return float(np.log(m[0, 0].real))
-    if n == 2:
-        a = float(m[0, 0].real)
-        d = float(m[1, 1].real)
-        b = m[0, 1]
-        return float(np.log(a * d - (b.real * b.real + b.imag * b.imag)))
-    chol = np.linalg.cholesky(hermitize(m))
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
-
-
-def _inv_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a small HPD matrix (closed forms at dims 1 and 2)."""
-    n = m.shape[0]
-    if n == 1:
-        return np.array([[1.0 / m[0, 0]]])
-    if n == 2:
-        a = m[0, 0]
-        d = m[1, 1]
-        b = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
-        det = (a * d).real - (b.real * b.real + b.imag * b.imag)
-        return np.array([[d, -b], [-np.conj(b), a]]) / det
-    return np.linalg.inv(hermitize(m))
-
-
-def _suffixes(Q: Sequence[np.ndarray], n_t: int) -> list[np.ndarray]:
-    out = [np.zeros((n_t, n_t), dtype=complex)]
-    for q in reversed(Q):
-        out.append(out[-1] + q)
-    out.reverse()
-    return out
-
-
 def _total_trace(Q: Sequence[np.ndarray]) -> float:
     return float(sum(np.trace(q).real for q in Q))
 
@@ -149,7 +114,7 @@ def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
            ) -> tuple[float, float]:
     """(concave, convex) block decomposition of the penalized objective."""
     H, G, w = prob.H, prob.G, prob.w
-    suf = _suffixes(Q, prob.n_t)
+    suf = suffix_sums(Q)
     hk = H[k]
     ccv = w[k] * (logdet_i_plus(hk @ suf[k] @ herm(hk))
                   - logdet_i_plus(hk @ suf[k + 1] @ herm(hk)))
@@ -178,23 +143,14 @@ def _grad_cvx(prob: _Problem, Q: Sequence[np.ndarray], k: int) -> np.ndarray:
     the user log-ratio and the leading eavesdropper log of position j.
     """
     H, G, w = prob.H, prob.G, prob.w
-    suf = _suffixes(Q, prob.n_t)
+    suf = suffix_sums(Q)
     gh = herm(G)
-
-    def g_inv_term(s):
-        m = np.eye(G.shape[0]) + G @ s @ gh
-        return gh @ _inv_hpd(hermitize(m)) @ G
-
-    A = -w[k] * g_inv_term(suf[k])
+    A = -w[k] * (gh @ inv_i_plus(G @ suf[k] @ gh) @ G)
     for j in range(k):
         hj, hjh = H[j], herm(H[j])
-
-        def h_inv_term(s):
-            m = np.eye(hj.shape[0]) + hj @ s @ hjh
-            return hjh @ _inv_hpd(hermitize(m)) @ hj
-
-        A = A + w[j] * (h_inv_term(suf[j]) - h_inv_term(suf[j + 1]))
-        A = A - w[j] * g_inv_term(suf[j])
+        A = A + w[j] * (hjh @ inv_i_plus(hj @ suf[j] @ hjh) @ hj
+                        - hjh @ inv_i_plus(hj @ suf[j + 1] @ hjh) @ hj)
+        A = A - w[j] * (gh @ inv_i_plus(G @ suf[j] @ gh) @ G)
     return hermitize(A)
 
 
@@ -210,28 +166,25 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
     hk, hkh = H[k], herm(H[k])
     gh = herm(G)
     A = _grad_cvx(prob, Q, k)
-    suf = _suffixes(Q, prob.n_t)
-    # interference bases (with the identity folded in) are fixed per block call
-    base_user = hermitize(np.eye(hk.shape[0]) + hk @ suf[k + 1] @ hkh)
-    base_eve = [hermitize(np.eye(G.shape[0]) + G @ (suf[j + 1] - Q[k]) @ gh)
-                for j in range(k)]
+    suf = suffix_sums(Q)
+    # interference bases are fixed per block call
+    base_user = hk @ suf[k + 1] @ hkh
+    base_eve = [G @ (suf[j + 1] - Q[k]) @ gh for j in range(k)]
     lam_eye = lam * np.eye(prob.n_t)
     q0 = Q[k]
 
     def value(x):
-        v = w[k] * _ld_hpd(base_user + hk @ x @ hkh)
+        v = w[k] * logdet_i_plus(base_user + hk @ x @ hkh)
         for j in range(k):
-            v += w[j] * _ld_hpd(base_eve[j] + G @ x @ gh)
+            v += w[j] * logdet_i_plus(base_eve[j] + G @ x @ gh)
         v -= lam * float(np.trace(x).real)
         v += float(np.real(np.trace(A @ (x - q0))))
         return v
 
     def gradient(x):
-        m = base_user + hk @ x @ hkh
-        g = w[k] * (hkh @ _inv_hpd(m) @ hk)
+        g = w[k] * (hkh @ inv_i_plus(base_user + hk @ x @ hkh) @ hk)
         for j in range(k):
-            me = base_eve[j] + G @ x @ gh
-            g = g + w[j] * (gh @ _inv_hpd(me) @ G)
+            g = g + w[j] * (gh @ inv_i_plus(base_eve[j] + G @ x @ gh) @ G)
         g = g - lam_eye
         return hermitize(g + A)
 
@@ -281,15 +234,13 @@ def _bsmm(prob: _Problem, Q: list[np.ndarray], lam: float, cfg: SolverConfig,
     the price is then clearly below the budget-tight one and the caller only
     needs the sign of the power residual, not a converged plan.
 
-    Returns (Q, lagrangian trace, wsr-per-sweep trace, sweeps, hit_cap,
-    stopped_on_power).
+    Returns (Q, lagrangian trace, wsr-per-sweep trace, sweeps, hit_cap).
     """
     lag = _lagrangian(prob, Q, lam)
     lag_trace = [lag]
     wsr_trace = []
     steps = [cfg.inner_step_init] * prob.K
     hit_cap = True
-    stopped = False
     sweeps = 0
     for _ in range(cfg.max_outer_iters):
         for k in range(prob.K):
@@ -303,13 +254,12 @@ def _bsmm(prob: _Problem, Q: list[np.ndarray], lam: float, cfg: SolverConfig,
         wsr_trace.append(_wsr(prob, Q))
         if power_stop is not None and _total_trace(Q) > power_stop:
             hit_cap = False
-            stopped = True
             break
         if abs(new_lag - lag) <= cfg.objective_tol * (1.0 + abs(lag)):
             hit_cap = False
             break
         lag = new_lag
-    return Q, lag_trace, wsr_trace, sweeps, hit_cap, stopped
+    return Q, lag_trace, wsr_trace, sweeps, hit_cap
 
 
 def _initial_blocks(prob: _Problem, cfg: SolverConfig) -> list[np.ndarray]:
@@ -327,11 +277,74 @@ def _initial_blocks(prob: _Problem, cfg: SolverConfig) -> list[np.ndarray]:
     return [scale * np.eye(prob.n_t, dtype=complex) for _ in range(prob.K)]
 
 
-def _plan_from_positions(prob: _Problem, Q: Sequence[np.ndarray]) -> CovariancePlan:
-    by_user: list = [None] * prob.K
-    for pos, u in enumerate(prob.idx):
-        by_user[u] = project_psd(Q[pos])
-    return CovariancePlan(BC, by_user)
+@dataclass(frozen=True)
+class _Eval:
+    """One price evaluation: the plan its sweeps settled on, that plan's
+    power and weighted secrecy sum, and what the sweeps cost."""
+
+    lam: float
+    Q: list
+    power: float
+    wsr: float
+    hit_cap: bool
+    wsr_trace: tuple[float, ...]
+    sweeps: int
+
+
+def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float,
+              Q0: Sequence[np.ndarray], power_stop: Optional[float] = None) -> _Eval:
+    """Block sweeps at price ``lam`` from a copy of ``Q0``."""
+    Q, _, wsr_trace, sweeps, hit_cap = _bsmm(
+        prob, [np.array(q) for q in Q0], lam, cfg, power_stop=power_stop)
+    return _Eval(lam, Q, _total_trace(Q), _wsr(prob, Q), hit_cap,
+                 tuple(wsr_trace), sweeps)
+
+
+def _price_search(prob: _Problem, cfg: SolverConfig
+                  ) -> tuple[list[_Eval], Optional[_Eval]]:
+    """Bisect the power price over ``[lambda_lo, lambda_hi]``.
+
+    Returns every evaluation in the order it was made, and the one whose
+    power met the budget within ``lambda_tol * P`` (None if none did).
+    The top price warm-starts from the bottom price's plan, and each
+    midpoint from the last plan on the feasible side of the bracket.
+    """
+    P = prob.P
+    tol_abs = cfg.lambda_tol * P
+    power_stop = max(2.0 * P, P + 1.0)
+    evals = [_evaluate(prob, cfg, cfg.lambda_lo, _initial_blocks(prob, cfg),
+                       power_stop)]
+    if evals[-1].power - P <= tol_abs:
+        return evals, evals[-1]  # budget inactive (or already tight) at the bottom price
+    warm = _evaluate(prob, cfg, cfg.lambda_hi, evals[-1].Q)
+    evals.append(warm)
+    if abs(warm.power - P) <= tol_abs:
+        return evals, warm
+    if warm.power > P:
+        return evals, None  # even the top price cannot meet the budget
+    # The sweep tolerance bounds how precisely the power at a given price is
+    # resolved, so it tightens as the interval narrows; otherwise the bracket
+    # collapses onto a zero crossing of the coarse residual, which sits a few
+    # 1e-5 off the true one.
+    lo, hi = cfg.lambda_lo, cfg.lambda_hi
+    gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
+    for _ in range(200):
+        if hi - lo <= gap_floor * max(1.0, hi):
+            break
+        gap = (hi - lo) / max(1.0, hi)
+        run_cfg = cfg if gap > 1e-2 else replace(
+            cfg, objective_tol=max(cfg.objective_tol * (1e-3 if gap > 1e-4 else 1e-6),
+                                   5e-15))
+        mid = 0.5 * (lo + hi)
+        ev = _evaluate(prob, run_cfg, mid, warm.Q, power_stop)
+        evals.append(ev)
+        if abs(ev.power - P) <= tol_abs:
+            return evals, ev
+        if ev.power > P:
+            lo = mid
+        else:
+            hi, warm = mid, ev
+    return evals, None
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +359,29 @@ def lagrangian(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     return _lagrangian(prob, [plan.matrices[u] for u in prob.idx], lam)
 
 
-def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                    w: WeightVector, lam: float, k: int) -> tuple[float, float]:
-    """(concave, convex) parts for block k (1-based position); they sum to
-    the full penalized objective."""
+def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
+                w: WeightVector, k: int):
+    """Problem and covariance copies by position for a 1-based block index."""
     prob = _Problem(ch, order, w)
     plan.validate_for(ch)
     if not 1 <= k <= prob.K:
         raise DimensionMismatch(f"block index {k} out of range 1..{prob.K}")
-    return _split(prob, [plan.matrices[u] for u in prob.idx], lam, k - 1)
+    return prob, [np.array(plan.matrices[u]) for u in prob.idx]
+
+
+def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
+                    w: WeightVector, lam: float, k: int) -> tuple[float, float]:
+    """(concave, convex) parts for block k (1-based position); they sum to
+    the full penalized objective."""
+    prob, Q = _block_args(ch, order, plan, w, k)
+    return _split(prob, Q, lam, k - 1)
 
 
 def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                  w: WeightVector, lam: float, k: int) -> np.ndarray:
     """Analytic gradient of the convex block part at the current plan."""
-    prob = _Problem(ch, order, w)
-    plan.validate_for(ch)
-    if not 1 <= k <= prob.K:
-        raise DimensionMismatch(f"block index {k} out of range 1..{prob.K}")
-    return _grad_cvx(prob, [plan.matrices[u] for u in prob.idx], k - 1)
+    prob, Q = _block_args(ch, order, plan, w, k)
+    return _grad_cvx(prob, Q, k - 1)
 
 
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -372,13 +389,8 @@ def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                      cfg: Optional[SolverConfig] = None) -> np.ndarray:
     """One maximizing update of block k's surrogate; other blocks stay fixed."""
     cfg = cfg or SolverConfig()
-    prob = _Problem(ch, order, w)
-    plan.validate_for(ch)
-    if not 1 <= k <= prob.K:
-        raise DimensionMismatch(f"block index {k} out of range 1..{prob.K}")
-    Q = [np.array(plan.matrices[u]) for u in prob.idx]
-    new_block, _ = _block_update(prob, Q, lam, k - 1, cfg, cfg.inner_step_init)
-    return new_block
+    prob, Q = _block_args(ch, order, plan, w, k)
+    return _block_update(prob, Q, lam, k - 1, cfg, cfg.inner_step_init)[0]
 
 
 def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
@@ -395,8 +407,8 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
         Q = [np.array(plan0.matrices[u]) for u in prob.idx]
     else:
         Q = _initial_blocks(prob, cfg)
-    Q, lag_trace, _, _, _, _ = _bsmm(prob, Q, lam, cfg, per_block_trace=per_block_trace)
-    return _plan_from_positions(prob, Q), lag_trace
+    Q, lag_trace, _, _, _ = _bsmm(prob, Q, lam, cfg, per_block_trace=per_block_trace)
+    return CovariancePlan(BC, by_user([project_psd(q) for q in Q], prob.idx)), lag_trace
 
 
 def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
@@ -404,125 +416,33 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
               ) -> SolverReport:
     """Maximize the weighted secrecy sum under the total power budget.
 
-    Outer bisection on the power price, warm-starting each evaluation from
-    the previous plan; the returned plan is the best feasible one seen.
-    The objective trace records the weighted secrecy sum after every sweep
-    of every evaluation (not the penalized objective), and the multiplier
-    trace records each evaluated price.
+    Bisection on the power price (see ``_price_search``); the returned plan
+    is the best feasible one seen.  The objective trace records the weighted
+    secrecy sum after every sweep of every evaluation (not the penalized
+    objective), and the multiplier trace records each evaluated price.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
     prob = _Problem(ch, order, w)
-    P = prob.P
-    tol_abs = cfg.lambda_tol * P
-    power_stop = max(2.0 * P, P + 1.0)
-
-    wsr_all: list[float] = []
-    lam_all: list[float] = []
-    evals: list[dict] = []
-    state = {"sweeps": 0}
-
-    def run(lam: float, Qstart: Sequence[np.ndarray], probe: bool = True,
-            tighten: float = 1.0) -> dict:
-        run_cfg = cfg if tighten == 1.0 else replace(
-            cfg, objective_tol=max(cfg.objective_tol * tighten, 5e-15))
-        Q, _, wsr_tr, sweeps, cap, stopped = _bsmm(
-            prob, [np.array(q) for q in Qstart], lam, run_cfg,
-            power_stop=power_stop if probe else None)
-        state["sweeps"] += sweeps
-        wsr_all.extend(wsr_tr)
-        lam_all.append(lam)
-        ev = {"lam": lam, "Q": Q, "power": _total_trace(Q),
-              "wsr": _wsr(prob, Q), "cap": cap, "stopped": stopped,
-              "tighten": tighten}
-        evals.append(ev)
-        return ev
-
-    Q0 = _initial_blocks(prob, cfg)
-    accepted: Optional[dict] = None
-    e_lo = run(cfg.lambda_lo, Q0)
-    if e_lo["power"] - P <= tol_abs:
-        accepted = e_lo  # budget inactive (or already tight) at the bottom price
-    else:
-        e_hi = run(cfg.lambda_hi, e_lo["Q"], probe=False)
-        if abs(e_hi["power"] - P) <= tol_abs:
-            accepted = e_hi
-        elif e_hi["power"] - P <= tol_abs:
-            # bracket established; start mids from the feasible-side plan.
-            # The sweep tolerance bounds how precisely the power at a given
-            # price is resolved, so it tightens as the interval narrows;
-            # otherwise the bracket collapses onto a zero crossing of the
-            # coarse residual, which sits a few 1e-5 off the true one.
-            warm = e_hi
-            lo, hi = cfg.lambda_lo, cfg.lambda_hi
-            gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
-            for _ in range(200):
-                if accepted is not None or hi - lo <= gap_floor * max(1.0, hi):
-                    break
-                gap = (hi - lo) / max(1.0, hi)
-                tighten = 1.0 if gap > 1e-2 else (1e-3 if gap > 1e-4 else 1e-6)
-                mid = 0.5 * (lo + hi)
-                em = run(mid, warm["Q"], tighten=tighten)
-                resid = em["power"] - P
-                if abs(resid) <= tol_abs:
-                    accepted = em
-                elif resid > 0:
-                    lo = mid
-                else:
-                    hi = mid
-                    warm = em
-        # else: even the top price cannot meet the budget; leave unaccepted
-
-    # power-vs-price monotonicity audit over comparably-converged
-    # evaluations; a clear violation means bisection may have bracketed a
-    # jump, so fall back to a direct search on the feasible achieved
-    # objective
-    settled = sorted((ev for ev in evals
-                      if not ev["stopped"] and ev["tighten"] == 1.0),
-                     key=lambda ev: ev["lam"])
-    slack = 10.0 * tol_abs
-    monotone = all(settled[i]["power"] >= settled[i + 1]["power"] - slack
-                   for i in range(len(settled) - 1))
-    if not monotone:
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-
-        def feasible_wsr(ev):
-            return ev["wsr"] if ev["power"] <= P * (1 + 1e-6) else -np.inf
-
-        a, b = cfg.lambda_lo, cfg.lambda_hi
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = feasible_wsr(run(x1, evals[-1]["Q"], probe=False))
-        f2 = feasible_wsr(run(x2, evals[-1]["Q"], probe=False))
-        for _ in range(25):
-            if f1 >= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = feasible_wsr(run(x1, evals[-1]["Q"], probe=False))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = feasible_wsr(run(x2, evals[-1]["Q"], probe=False))
-
-    feasible = [ev for ev in evals if ev["power"] <= P * (1 + 1e-6)]
-    if not feasible:
-        feasible = [min(evals, key=lambda ev: ev["power"])]
-    best = max(feasible, key=lambda ev: ev["wsr"])
+    evals, accepted = _price_search(prob, cfg)
+    feasible = ([ev for ev in evals if ev.power <= prob.P * (1 + 1e-6)]
+                or [min(evals, key=lambda ev: ev.power)])
+    best = max(feasible, key=lambda ev: ev.wsr)
     if accepted is not None:
-        termination = MAX_ITERS if accepted["cap"] else CONVERGED
+        termination = MAX_ITERS if accepted.hit_cap else CONVERGED
     else:
-        termination = MAX_ITERS if best["cap"] else STALLED
+        termination = MAX_ITERS if best.hit_cap else STALLED
 
-    plan = _plan_from_positions(prob, best["Q"])
+    plan = CovariancePlan(BC, by_user([project_psd(q) for q in best.Q], prob.idx))
     clamped = dpc_secrecy_rates(ch, order, plan).clamped()
     rates = RatePoint(clamped.per_user,
                       float(w.as_array() @ np.array(clamped.per_user)))
     return SolverReport(plan=plan, rates=rates,
-                        objective_trace=tuple(wsr_all),
-                        lambda_trace=tuple(lam_all),
-                        lambda_final=float(best["lam"]),
-                        outer_iters=int(state["sweeps"]),
+                        objective_trace=tuple(v for ev in evals for v in ev.wsr_trace),
+                        lambda_trace=tuple(ev.lam for ev in evals),
+                        lambda_final=float(best.lam),
+                        outer_iters=sum(ev.sweeps for ev in evals),
                         termination=termination)
 
 
@@ -535,16 +455,11 @@ def solve_wsr_multistart(ch: ChannelSet, w: Union[WeightVector, Sequence[float]]
     restarting from random feasible plans and keeping the best weighted sum
     is the standard hedge.  Deterministic given (cfg, starts, seed).
     """
-    from .linalg import random_psd  # local import to avoid cycles at module load
-
     cfg = cfg or SolverConfig()
     best = solve_wsr(ch, w, order, cfg)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, starts - 1)):
-        mats = [random_psd(ch.n_t, rng) for _ in range(ch.num_users)]
-        total = sum(float(np.trace(m).real) for m in mats)
-        scale = ch.power * (0.3 + 0.7 * rng.random()) / max(total, 1e-12)
-        plan0 = CovariancePlan(BC, [m * scale for m in mats])
+        plan0 = random_plan(BC, [ch.n_t] * ch.num_users, ch.power, rng)
         trial = solve_wsr(ch, w, order,
                           replace(cfg, init_scheme="provided", initial_plan=plan0))
         if trial.rates.weighted_sum > best.rates.weighted_sum:

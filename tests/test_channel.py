@@ -38,6 +38,17 @@ class TestChannelSet:
             with pytest.raises(InvalidPower):
                 ChannelSet([np.ones((2, 2))], np.ones((1, 2)), p)
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (float("nan"), float("inf"), complex(0.0, float("-inf"))):
+            h = np.ones((2, 2), dtype=complex)
+            h[1, 0] = bad
+            g = np.ones((1, 2), dtype=complex)
+            g[0, 1] = bad
+            with pytest.raises(ParseError):
+                ChannelSet([h], np.ones((1, 2)), 1.0)
+            with pytest.raises(ParseError):
+                ChannelSet([np.ones((2, 2))], g, 1.0)
+
     def test_arrays_immutable(self):
         ch = example_two_user()
         with pytest.raises(ValueError):
@@ -116,6 +127,14 @@ class TestChannelFileIO:
         }
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_channel_set(str(path))
+
+    def test_non_finite_entry_in_file(self, tmp_path):
+        # Python's json reads the NaN token; the instance must still be refused
+        path = tmp_path / "nan.json"
+        path.write_text('{"power": 1.0, "users": [{"H": [[[NaN, 0], [1, 0]]]}], '
+                        '"eavesdropper": [[[1, 0], [0, 1]]]}')
         with pytest.raises(ParseError):
             load_channel_set(str(path))
 

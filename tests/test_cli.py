@@ -155,6 +155,31 @@ class TestExitCodes:
         assert cli_main(["solve", "--channels", example_file,
                          "--weights", "0.5,0.5", "--config", cfg]) == 1
 
+    def test_usage_error_bad_config_document(self, example_file, tmp_path, capsys):
+        # malformed JSON, a non-object document, and an initial_plan, which a
+        # JSON file cannot express as a CovariancePlan
+        cfg = tmp_path / "cfg.json"
+        for text in ("{not json", "[1, 2]",
+                     json.dumps({"init_scheme": "provided", "initial_plan": [[1]]})):
+            cfg.write_text(text)
+            assert cli_main(["solve", "--channels", example_file,
+                             "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
+            assert "usage error" in capsys.readouterr().err
+
+    def test_usage_error_region_step(self, example_file, capsys):
+        for step in ("0", "-0.5", "1.5", "nan"):
+            assert cli_main(["region", "--channels", example_file,
+                             "--step", step]) == 1
+            assert "usage error" in capsys.readouterr().err
+
+    def test_non_finite_channel_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"power": 1.0, "users": [{"H": [[[NaN, 0], [1, 0]]]}, '
+                        '{"H": [[[1, 0], [0, 1]]]}], "eavesdropper": [[[1, 0], [0, 1]]]}')
+        assert cli_main(["solve", "--channels", str(path),
+                         "--weights", "0.5,0.5"]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
     def test_usage_error_missing_subcommand_args(self):
         assert cli_main(["solve"]) == 1
 

@@ -213,8 +213,8 @@ class TestSurrogateUpdate:
         h = np.array([[1.3, 0.1], [-0.2, 0.9]], dtype=complex)
         ch = ChannelSet([h], np.zeros((1, 2)), 10.0)
         plan = CovariancePlan(BC, [0.3 * np.eye(2)])
-        true_ld = solver_mod._ld_hpd
-        monkeypatch.setattr(solver_mod, "_ld_hpd", lambda m: -true_ld(m))
+        true_ld = solver_mod.logdet_i_plus
+        monkeypatch.setattr(solver_mod, "logdet_i_plus", lambda m: -true_ld(m))
         with pytest.raises(InnerNotImproved):
             surrogate_update(ch, EncodingOrder([1]), plan,
                              WeightVector([1.0]), 0.1, 1)
