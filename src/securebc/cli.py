@@ -27,10 +27,10 @@ from .channel import (WeightVector, load_channel_set, matrix_to_json,
                       sample_channel_set, save_channel_set)
 from .duality import duality_property_ensemble
 from .errors import SecureBcError
-from .ordering import compare_orders
+from .ordering import compare_orders, optimal_order
 from .rates import EncodingOrder
 from .region import BOTH_CORNERS, THEOREM, hull_2d, trace_region
-from .solver import SolverConfig, SolverReport, solve_wsr, solve_wsr_multistart
+from .solver import SolverConfig, SolverReport, solve_wsr_multistart
 
 
 class UsageError(Exception):
@@ -76,8 +76,6 @@ def _load_config(path: Optional[str]) -> Optional[SolverConfig]:
             raise UsageError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path}: top-level JSON value must be an object")
-    if "initial_plan" in doc:
-        raise UsageError("initial_plan cannot be given in a config file")
     known = {f.name for f in fields(SolverConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -117,20 +115,15 @@ def _order_tag(order: EncodingOrder) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.starts < 1:
+        raise UsageError(f"--starts must be at least 1, got {args.starts}")
     ch = load_channel_set(args.channels)
     w = _parse_weights(args.weights)
     if len(w) != ch.num_users:
         raise UsageError(f"{len(w)} weights for {ch.num_users} users")
-    order = _parse_order(args.order, ch.num_users)
-    if order is None:
-        from .ordering import optimal_order
-        order = optimal_order(w)
-    cfg = _load_config(args.config)
-    if args.starts > 1:
-        report = solve_wsr_multistart(ch, w, order, cfg, starts=args.starts,
-                                      seed=args.seed)
-    else:
-        report = solve_wsr(ch, w, order, cfg)
+    order = _parse_order(args.order, ch.num_users) or optimal_order(w)
+    report = solve_wsr_multistart(ch, w, order, _load_config(args.config),
+                                  starts=args.starts, seed=args.seed)
     json.dump(_report_json(report, order, w), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
@@ -201,6 +194,8 @@ def _cmd_compare_orders(args) -> int:
 
 
 def _cmd_duality_check(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     report = duality_property_ensemble(num_instances=args.seeds, seed=args.seed,
                                        tol=args.tol)
     status = "PASS" if report["passed"] else "FAIL"
@@ -221,6 +216,12 @@ def _cmd_gen_channels(args) -> int:
         nk = [int(v) for v in args.nk.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --nk {args.nk!r}") from exc
+    if min([args.K, args.nt, args.ne] + nk) < 1:
+        raise UsageError("--K, --nt, --ne and every --nk entry must be at least 1")
+    if len(nk) not in (1, args.K):
+        raise UsageError(f"--nk has {len(nk)} entries for {args.K} users")
+    if not 0 < args.power < float("inf"):
+        raise UsageError(f"--power must be finite and positive, got {args.power}")
     if len(nk) == 1:
         nk = nk * args.K
     ch = sample_channel_set(args.seed, args.K, args.nt, nk, args.ne, args.power)

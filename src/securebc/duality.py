@@ -151,32 +151,36 @@ def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     return idx, (c_list, d_list, svd_list, eve_list), mapped
 
 
+def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
+           mac_ladder: str = PRECEDING) -> tuple[DualityContext, CovariancePlan]:
+    """The context and the other side's plan from one ladder sweep."""
+    idx, ladders, mapped = _ladder_sweep(ch, order, plan, side, mac_ladder)
+    return (DualityContext(order, mac_ladder, *map(tuple, ladders)),
+            CovariancePlan(MAC if side == BC else BC, by_user(mapped, idx)))
+
+
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map a downlink plan to the rate-equivalent uplink plan."""
-    idx, _, s_by_pos = _ladder_sweep(ch, order, plan, BC, mac_ladder)
-    return CovariancePlan(MAC, by_user(s_by_pos, idx))
+    return _sweep(ch, order, plan, BC, mac_ladder)[1]
 
 
 def mac_to_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map an uplink plan to the rate-equivalent downlink plan."""
-    idx, _, q_by_pos = _ladder_sweep(ch, order, plan, MAC, mac_ladder)
-    return CovariancePlan(BC, by_user(q_by_pos, idx))
+    return _sweep(ch, order, plan, MAC, mac_ladder)[1]
 
 
 def build_context_from_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                           mac_ladder: str = PRECEDING) -> DualityContext:
     """Ladder matrices, SVDs and effective eavesdropper channels for a downlink plan."""
-    _, ladders, _ = _ladder_sweep(ch, order, plan, BC, mac_ladder)
-    return DualityContext(order, mac_ladder, *map(tuple, ladders))
+    return _sweep(ch, order, plan, BC, mac_ladder)[0]
 
 
 def build_context_from_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                            mac_ladder: str = PRECEDING) -> DualityContext:
     """Same as build_context_from_bc but starting from an uplink plan."""
-    _, ladders, _ = _ladder_sweep(ch, order, plan, MAC, mac_ladder)
-    return DualityContext(order, mac_ladder, *map(tuple, ladders))
+    return _sweep(ch, order, plan, MAC, mac_ladder)[0]
 
 
 def effective_eve_channels(ctx: DualityContext) -> list[np.ndarray]:
@@ -191,8 +195,7 @@ def wsr_equivalence_pair(ch: ChannelSet, order: EncodingOrder, plan: CovarianceP
     Uses the "following" ladder, under which the two numbers agree exactly;
     the returned pair is the verification oracle for that equivalence.
     """
-    ctx = build_context_from_mac(ch, order, plan, mac_ladder=FOLLOWING)
-    bc_plan = mac_to_bc(ch, order, plan, mac_ladder=FOLLOWING)
+    ctx, bc_plan = _sweep(ch, order, plan, MAC, FOLLOWING)
     obj = mac_side_objective(ch, order, plan, effective_eve_channels(ctx), w)
     wsr = weighted_sum(dpc_secrecy_rates(ch, order, bc_plan), w)
     return obj, wsr
@@ -243,7 +246,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         if mac_first:
             plan_mac = random_plan(MAC, n_k, power, rng)
             plan_bc = mac_to_bc(ch, order, plan_mac)
-            plan_mac_rt = bc_to_mac(ch, order, plan_bc)
+            ctx, plan_mac_rt = _sweep(ch, order, plan_bc, BC)
             r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
             r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
             r_rt = np.array(mac_rates(ch, order, plan_mac_rt).per_user)
@@ -251,7 +254,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
             eq_plan = plan_mac
         else:
             plan_bc = random_plan(BC, [n_t] * K, power, rng)
-            plan_mac = bc_to_mac(ch, order, plan_bc)
+            ctx, plan_mac = _sweep(ch, order, plan_bc, BC)
             plan_bc_rt = mac_to_bc(ch, order, plan_mac)
             r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
             r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
@@ -264,7 +267,6 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         obj, wsr = wsr_equivalence_pair(ch, order, eq_plan, w)
         eq_err = abs(obj - wsr)
 
-        ctx = build_context_from_bc(ch, order, plan_bc)
         floor = min(min(np.linalg.eigvalsh(c)[0] for c in ctx.c_list),
                     min(np.linalg.eigvalsh(d)[0] for d in ctx.d_list))
 

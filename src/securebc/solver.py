@@ -2,15 +2,18 @@
 
 The optimizer works on the downlink covariances directly.  Users are first
 relabeled so that position k encodes user pi_k; everything below then runs
-in position space with ascending indices.
+in position space with ascending indices; the relabelling also checks that
+every incoming plan is a downlink plan of the right shape.
 
 Structure:
 
-* a price search bisects the power price ``lam`` until the total transmit
-  power meets the budget; each price evaluation is one :class:`_Eval`
-  record, and the solve returns the best feasible plan among them,
+* a price search bisects the power price ``lam`` over ``[LAMBDA_LO,
+  LAMBDA_HI]`` until the total transmit power meets the budget; each price
+  evaluation is one :class:`_Eval` record, and the solve returns the best
+  feasible plan among them,
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
-  ``lam`` times the power excess) is maximized by cyclic block updates,
+  ``lam`` times the power excess) is maximized by cyclic block updates; a
+  sweep computes the weighted sum once and derives the objective from it,
 * each block update maximizes a concave surrogate: the block's concave part
   of the objective plus the tangent plane of its convex part, over the PSD
   cone, by projected gradient ascent with a backtracking line search.
@@ -30,15 +33,18 @@ import numpy as np
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
 from .linalg import herm, hermitize, inv_i_plus, logdet_i_plus, project_psd
-from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint, by_user,
-                    dpc_rates_arrays, dpc_secrecy_rates, random_plan,
+from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint, by_position,
+                    by_user, dpc_rates_arrays, dpc_secrecy_rates, random_plan,
                     suffix_sums)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
 
-_INIT_SCHEMES = ("uniform_identity", "zero", "provided")
+# absolute price bracket, and the opening step of each block's projected ascent
+LAMBDA_LO = 1e-6
+LAMBDA_HI = 1e3
+INNER_STEP_INIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -47,23 +53,16 @@ class SolverConfig:
 
     max_outer_iters: int = 2000
     objective_tol: float = 1e-8
-    lambda_lo: float = 1e-6
-    lambda_hi: float = 1e3
     lambda_tol: float = 1e-6
     inner_max_iters: int = 500
-    inner_step_init: float = 1.0
-    init_scheme: str = "uniform_identity"
-    initial_plan: Optional[CovariancePlan] = None
 
     def __post_init__(self):
-        if min(self.objective_tol, self.lambda_tol, self.inner_step_init) <= 0:
-            raise ValueError("tolerances and the initial step must be positive")
-        if not 0 <= self.lambda_lo < self.lambda_hi:
-            raise ValueError("need 0 <= lambda_lo < lambda_hi")
-        if self.init_scheme not in _INIT_SCHEMES:
-            raise ValueError(f"init_scheme must be one of {_INIT_SCHEMES}")
-        if self.init_scheme == "provided" and self.initial_plan is None:
-            raise ValueError("init_scheme 'provided' needs initial_plan")
+        if not (self.objective_tol > 0 and self.lambda_tol > 0):
+            raise ValueError("tolerances must be positive")
+        for name in ("max_outer_iters", "inner_max_iters"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,14 @@ class SolverReport:
 class _Problem:
     """Channels, weights and budget relabeled into position space."""
 
-    __slots__ = ("H", "G", "w", "P", "K", "n_t", "idx")
+    __slots__ = ("ch", "order", "H", "G", "w", "P", "K", "n_t", "idx")
 
     def __init__(self, ch: ChannelSet, order: EncodingOrder, w: WeightVector):
         if len(order) != ch.num_users or len(w) != ch.num_users:
             raise DimensionMismatch(
                 f"channels ({ch.num_users}), order ({len(order)}) and weights "
                 f"({len(w)}) disagree on the user count")
+        self.ch, self.order = ch, order
         self.idx = order.zero_based
         self.H = [ch.user_channels[u] for u in self.idx]
         self.G = ch.eavesdropper
@@ -96,6 +96,13 @@ class _Problem:
         self.P = ch.power
         self.K = ch.num_users
         self.n_t = ch.n_t
+
+    def blocks(self, plan: Optional[CovariancePlan]) -> list[np.ndarray]:
+        """A downlink plan's covariances by position; None: P/(K n_t) I each."""
+        if plan is None:
+            scale = self.P / (self.K * self.n_t)
+            return [scale * np.eye(self.n_t, dtype=complex) for _ in range(self.K)]
+        return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
 
 
 def _total_trace(Q: Sequence[np.ndarray]) -> float:
@@ -110,32 +117,46 @@ def _lagrangian(prob: _Problem, Q: Sequence[np.ndarray], lam: float) -> float:
     return _wsr(prob, Q) - lam * (_total_trace(Q) - prob.P)
 
 
+def _concave_part(prob: _Problem, Q: Sequence[np.ndarray], suf: Sequence[np.ndarray],
+                  lam: float, k: int):
+    """(value, gradient) in block k's covariance x, other blocks fixed, of
+    w_k logdet(I + H_k (S_{k+1} + x) H_k^H)
+    + sum_{j<k} w_j logdet(I + G (S_{j+1} - Q_k + x) G^H) - lam tr(x),
+    with S_j = ``suf[j]`` the suffix sums of the current blocks."""
+    H, G, w = prob.H, prob.G, prob.w
+    hk, hkh = H[k], herm(H[k])
+    gh = herm(G)
+    base_user = hk @ suf[k + 1] @ hkh
+    base_eve = [G @ (suf[j + 1] - Q[k]) @ gh for j in range(k)]
+    lam_eye = lam * np.eye(prob.n_t)
+
+    def value(x):
+        v = w[k] * logdet_i_plus(base_user + hk @ x @ hkh)
+        for j in range(k):
+            v += w[j] * logdet_i_plus(base_eve[j] + G @ x @ gh)
+        v -= lam * float(np.trace(x).real)
+        return v
+
+    def gradient(x):
+        g = w[k] * (hkh @ inv_i_plus(base_user + hk @ x @ hkh) @ hk)
+        for j in range(k):
+            g = g + w[j] * (gh @ inv_i_plus(base_eve[j] + G @ x @ gh) @ G)
+        return g - lam_eye
+
+    return value, gradient
+
+
 def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
            ) -> tuple[float, float]:
-    """(concave, convex) block decomposition of the penalized objective."""
-    H, G, w = prob.H, prob.G, prob.w
-    suf = suffix_sums(Q)
-    hk = H[k]
-    ccv = w[k] * (logdet_i_plus(hk @ suf[k] @ herm(hk))
-                  - logdet_i_plus(hk @ suf[k + 1] @ herm(hk)))
-    ccv += sum(w[j] * logdet_i_plus(G @ suf[j + 1] @ herm(G)) for j in range(k))
-    ccv -= lam * float(np.trace(Q[k]).real)
-
-    cvx = -w[k] * (logdet_i_plus(G @ suf[k] @ herm(G))
-                   - logdet_i_plus(G @ suf[k + 1] @ herm(G)))
-    for j in range(k):
-        hj = H[j]
-        cvx += w[j] * (logdet_i_plus(hj @ suf[j] @ herm(hj))
-                       - logdet_i_plus(hj @ suf[j + 1] @ herm(hj)))
-        cvx -= w[j] * logdet_i_plus(G @ suf[j] @ herm(G))
-    if k + 1 < prob.K:
-        later = dpc_rates_arrays(H[k + 1:], G, Q[k + 1:])
-        cvx += float(prob.w[k + 1:] @ later)
-    cvx -= lam * (_total_trace(Q) - float(np.trace(Q[k]).real) - prob.P)
-    return float(ccv), float(cvx)
+    """(concave, convex) block decomposition of the penalized objective: the
+    concave part at Q[k] less its constant w_k logdet(I + H_k S_{k+1} H_k^H)."""
+    suf, hk = suffix_sums(Q), prob.H[k]
+    ccv = (_concave_part(prob, Q, suf, lam, k)[0](Q[k])
+           - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ herm(hk)))
+    return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
 
-def _grad_cvx(prob: _Problem, Q: Sequence[np.ndarray], k: int) -> np.ndarray:
+def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Gradient of the convex block part with respect to the k-th covariance.
 
     Only the terms whose interference sums contain position k survive:
@@ -143,7 +164,6 @@ def _grad_cvx(prob: _Problem, Q: Sequence[np.ndarray], k: int) -> np.ndarray:
     the user log-ratio and the leading eavesdropper log of position j.
     """
     H, G, w = prob.H, prob.G, prob.w
-    suf = suffix_sums(Q)
     gh = herm(G)
     A = -w[k] * (gh @ inv_i_plus(G @ suf[k] @ gh) @ G)
     for j in range(k):
@@ -156,37 +176,23 @@ def _grad_cvx(prob: _Problem, Q: Sequence[np.ndarray], k: int) -> np.ndarray:
 
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
                   cfg: SolverConfig, step: float) -> tuple[np.ndarray, float]:
-    """Maximize the block surrogate over PSD matrices by projected ascent.
+    """Maximize the block surrogate (concave part plus the convex part's
+    tangent at Q[k]) over PSD matrices by projected ascent.
 
     Returns the new block and the last successful step size (reused as the
     next call's opening step).  Never returns a block with a lower surrogate
     value than the incoming one.
     """
-    H, G, w = prob.H, prob.G, prob.w
-    hk, hkh = H[k], herm(H[k])
-    gh = herm(G)
-    A = _grad_cvx(prob, Q, k)
     suf = suffix_sums(Q)
-    # interference bases are fixed per block call
-    base_user = hk @ suf[k + 1] @ hkh
-    base_eve = [G @ (suf[j + 1] - Q[k]) @ gh for j in range(k)]
-    lam_eye = lam * np.eye(prob.n_t)
+    A = _grad_cvx(prob, suf, k)
+    ccv_value, ccv_gradient = _concave_part(prob, Q, suf, lam, k)
     q0 = Q[k]
 
     def value(x):
-        v = w[k] * logdet_i_plus(base_user + hk @ x @ hkh)
-        for j in range(k):
-            v += w[j] * logdet_i_plus(base_eve[j] + G @ x @ gh)
-        v -= lam * float(np.trace(x).real)
-        v += float(np.real(np.trace(A @ (x - q0))))
-        return v
+        return ccv_value(x) + float(np.real(np.trace(A @ (x - q0))))
 
     def gradient(x):
-        g = w[k] * (hkh @ inv_i_plus(base_user + hk @ x @ hkh) @ hk)
-        for j in range(k):
-            g = g + w[j] * (gh @ inv_i_plus(base_eve[j] + G @ x @ gh) @ G)
-        g = g - lam_eye
-        return hermitize(g + A)
+        return hermitize(ccv_gradient(x) + A)
 
     x = q0
     u = value(x)
@@ -226,61 +232,10 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
     return x, step
 
 
-def _bsmm(prob: _Problem, Q: list[np.ndarray], lam: float, cfg: SolverConfig,
-          per_block_trace: bool = False, power_stop: Optional[float] = None):
-    """Cyclic block sweeps at fixed multiplier until the objective settles.
-
-    ``power_stop`` aborts the run once the total trace exceeds that level:
-    the price is then clearly below the budget-tight one and the caller only
-    needs the sign of the power residual, not a converged plan.
-
-    Returns (Q, lagrangian trace, wsr-per-sweep trace, sweeps, hit_cap).
-    """
-    lag = _lagrangian(prob, Q, lam)
-    lag_trace = [lag]
-    wsr_trace = []
-    steps = [cfg.inner_step_init] * prob.K
-    hit_cap = True
-    sweeps = 0
-    for _ in range(cfg.max_outer_iters):
-        for k in range(prob.K):
-            Q[k], steps[k] = _block_update(prob, Q, lam, k, cfg, steps[k])
-            if per_block_trace:
-                lag_trace.append(_lagrangian(prob, Q, lam))
-        sweeps += 1
-        new_lag = lag_trace[-1] if per_block_trace else _lagrangian(prob, Q, lam)
-        if not per_block_trace:
-            lag_trace.append(new_lag)
-        wsr_trace.append(_wsr(prob, Q))
-        if power_stop is not None and _total_trace(Q) > power_stop:
-            hit_cap = False
-            break
-        if abs(new_lag - lag) <= cfg.objective_tol * (1.0 + abs(lag)):
-            hit_cap = False
-            break
-        lag = new_lag
-    return Q, lag_trace, wsr_trace, sweeps, hit_cap
-
-
-def _initial_blocks(prob: _Problem, cfg: SolverConfig) -> list[np.ndarray]:
-    if cfg.init_scheme == "zero":
-        return [np.zeros((prob.n_t, prob.n_t), dtype=complex) for _ in range(prob.K)]
-    if cfg.init_scheme == "provided":
-        plan = cfg.initial_plan
-        if (plan.side != BC or len(plan) != prob.K
-                or any(m.shape[0] != prob.n_t for m in plan.matrices)):
-            raise DimensionMismatch(
-                "initial_plan must be a downlink plan with one n_t x n_t "
-                "matrix per user")
-        return [np.array(plan.matrices[u]) for u in prob.idx]
-    scale = prob.P / (prob.K * prob.n_t)
-    return [scale * np.eye(prob.n_t, dtype=complex) for _ in range(prob.K)]
-
-
 @dataclass(frozen=True)
 class _Eval:
-    """One price evaluation: the plan its sweeps settled on, that plan's
-    power and weighted secrecy sum, and what the sweeps cost."""
+    """One run of block sweeps at price ``lam``: the plan it settled on, that
+    plan's power and weighted sum, and the weighted-sum and objective traces."""
 
     lam: float
     Q: list
@@ -288,21 +243,48 @@ class _Eval:
     wsr: float
     hit_cap: bool
     wsr_trace: tuple[float, ...]
-    sweeps: int
+    lag_trace: tuple[float, ...]
 
 
 def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float,
-              Q0: Sequence[np.ndarray], power_stop: Optional[float] = None) -> _Eval:
-    """Block sweeps at price ``lam`` from a copy of ``Q0``."""
-    Q, _, wsr_trace, sweeps, hit_cap = _bsmm(
-        prob, [np.array(q) for q in Q0], lam, cfg, power_stop=power_stop)
-    return _Eval(lam, Q, _total_trace(Q), _wsr(prob, Q), hit_cap,
-                 tuple(wsr_trace), sweeps)
+              Q0: Sequence[np.ndarray], power_stop: Optional[float] = None,
+              per_block_trace: bool = False) -> _Eval:
+    """Cyclic block sweeps at price ``lam`` from a copy of ``Q0`` until the
+    penalized objective (traced per block update if asked) settles.
+
+    ``power_stop`` aborts the run once the total trace exceeds that level:
+    the price is then clearly below the budget-tight one and the caller only
+    needs the sign of the power residual, not a converged plan.
+    """
+    Q = [np.array(q) for q in Q0]
+    lag = _lagrangian(prob, Q, lam)
+    lag_trace = [lag]
+    wsr_trace = []
+    steps = [INNER_STEP_INIT] * prob.K
+    hit_cap = True
+    for _ in range(cfg.max_outer_iters):
+        for k in range(prob.K):
+            Q[k], steps[k] = _block_update(prob, Q, lam, k, cfg, steps[k])
+            if per_block_trace:
+                lag_trace.append(_lagrangian(prob, Q, lam))
+        wsr, power = _wsr(prob, Q), _total_trace(Q)
+        new_lag = wsr - lam * (power - prob.P)
+        if not per_block_trace:
+            lag_trace.append(new_lag)
+        wsr_trace.append(wsr)
+        if power_stop is not None and power > power_stop:
+            hit_cap = False
+            break
+        if abs(new_lag - lag) <= cfg.objective_tol * (1.0 + abs(lag)):
+            hit_cap = False
+            break
+        lag = new_lag
+    return _Eval(lam, Q, power, wsr, hit_cap, tuple(wsr_trace), tuple(lag_trace))
 
 
-def _price_search(prob: _Problem, cfg: SolverConfig
+def _price_search(prob: _Problem, cfg: SolverConfig, Q0: Sequence[np.ndarray]
                   ) -> tuple[list[_Eval], Optional[_Eval]]:
-    """Bisect the power price over ``[lambda_lo, lambda_hi]``.
+    """Bisect the power price over ``[LAMBDA_LO, LAMBDA_HI]`` from ``Q0``.
 
     Returns every evaluation in the order it was made, and the one whose
     power met the budget within ``lambda_tol * P`` (None if none did).
@@ -312,11 +294,10 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     P = prob.P
     tol_abs = cfg.lambda_tol * P
     power_stop = max(2.0 * P, P + 1.0)
-    evals = [_evaluate(prob, cfg, cfg.lambda_lo, _initial_blocks(prob, cfg),
-                       power_stop)]
+    evals = [_evaluate(prob, cfg, LAMBDA_LO, Q0, power_stop)]
     if evals[-1].power - P <= tol_abs:
         return evals, evals[-1]  # budget inactive (or already tight) at the bottom price
-    warm = _evaluate(prob, cfg, cfg.lambda_hi, evals[-1].Q)
+    warm = _evaluate(prob, cfg, LAMBDA_HI, evals[-1].Q)
     evals.append(warm)
     if abs(warm.power - P) <= tol_abs:
         return evals, warm
@@ -326,7 +307,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     # resolved, so it tightens as the interval narrows; otherwise the bracket
     # collapses onto a zero crossing of the coarse residual, which sits a few
     # 1e-5 off the true one.
-    lo, hi = cfg.lambda_lo, cfg.lambda_hi
+    lo, hi = LAMBDA_LO, LAMBDA_HI
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
         if hi - lo <= gap_floor * max(1.0, hi):
@@ -355,18 +336,16 @@ def lagrangian(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                w: WeightVector, lam: float) -> float:
     """Weighted secrecy sum minus ``lam`` times the power excess."""
     prob = _Problem(ch, order, w)
-    plan.validate_for(ch)
-    return _lagrangian(prob, [plan.matrices[u] for u in prob.idx], lam)
+    return _lagrangian(prob, prob.blocks(plan), lam)
 
 
 def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                 w: WeightVector, k: int):
     """Problem and covariance copies by position for a 1-based block index."""
     prob = _Problem(ch, order, w)
-    plan.validate_for(ch)
     if not 1 <= k <= prob.K:
         raise DimensionMismatch(f"block index {k} out of range 1..{prob.K}")
-    return prob, [np.array(plan.matrices[u]) for u in prob.idx]
+    return prob, prob.blocks(plan)
 
 
 def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -381,16 +360,15 @@ def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                  w: WeightVector, lam: float, k: int) -> np.ndarray:
     """Analytic gradient of the convex block part at the current plan."""
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _grad_cvx(prob, Q, k - 1)
+    return _grad_cvx(prob, suffix_sums(Q), k - 1)
 
 
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                      w: WeightVector, lam: float, k: int,
                      cfg: Optional[SolverConfig] = None) -> np.ndarray:
     """One maximizing update of block k's surrogate; other blocks stay fixed."""
-    cfg = cfg or SolverConfig()
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _block_update(prob, Q, lam, k - 1, cfg, cfg.inner_step_init)[0]
+    return _block_update(prob, Q, lam, k - 1, cfg or SolverConfig(), INNER_STEP_INIT)[0]
 
 
 def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
@@ -398,26 +376,24 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
                         plan0: Optional[CovariancePlan] = None,
                         per_block_trace: bool = False
                         ) -> tuple[CovariancePlan, list[float]]:
-    """Fixed-multiplier block-sweep maximization; returns plan and the
-    penalized-objective trace (per block update when requested)."""
-    cfg = cfg or SolverConfig()
+    """Fixed-multiplier block-sweep maximization from ``plan0`` (default:
+    the uniform start); returns plan and the penalized-objective trace (per
+    block update when requested)."""
     prob = _Problem(ch, order, w)
-    if plan0 is not None:
-        plan0.validate_for(ch)
-        Q = [np.array(plan0.matrices[u]) for u in prob.idx]
-    else:
-        Q = _initial_blocks(prob, cfg)
-    Q, lag_trace, _, _, _ = _bsmm(prob, Q, lam, cfg, per_block_trace=per_block_trace)
-    return CovariancePlan(BC, by_user([project_psd(q) for q in Q], prob.idx)), lag_trace
+    ev = _evaluate(prob, cfg or SolverConfig(), lam, prob.blocks(plan0),
+                   per_block_trace=per_block_trace)
+    plan = CovariancePlan(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
+    return plan, list(ev.lag_trace)
 
 
 def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
-              order: EncodingOrder, cfg: Optional[SolverConfig] = None
-              ) -> SolverReport:
+              order: EncodingOrder, cfg: Optional[SolverConfig] = None,
+              plan0: Optional[CovariancePlan] = None) -> SolverReport:
     """Maximize the weighted secrecy sum under the total power budget.
 
-    Bisection on the power price (see ``_price_search``); the returned plan
-    is the best feasible one seen.  The objective trace records the weighted
+    Bisection on the power price (see ``_price_search``) from the downlink
+    plan ``plan0`` (default: the uniform start); the returned plan is the
+    best feasible one seen.  The objective trace records the weighted
     secrecy sum after every sweep of every evaluation (not the penalized
     objective), and the multiplier trace records each evaluated price.
     """
@@ -425,7 +401,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
     prob = _Problem(ch, order, w)
-    evals, accepted = _price_search(prob, cfg)
+    evals, accepted = _price_search(prob, cfg, prob.blocks(plan0))
     feasible = ([ev for ev in evals if ev.power <= prob.P * (1 + 1e-6)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
@@ -442,26 +418,24 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                         objective_trace=tuple(v for ev in evals for v in ev.wsr_trace),
                         lambda_trace=tuple(ev.lam for ev in evals),
                         lambda_final=float(best.lam),
-                        outer_iters=sum(ev.sweeps for ev in evals),
+                        outer_iters=sum(len(ev.wsr_trace) for ev in evals),
                         termination=termination)
 
 
 def solve_wsr_multistart(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                          order: EncodingOrder, cfg: Optional[SolverConfig] = None,
                          starts: int = 1, seed: int = 0) -> SolverReport:
-    """Best of several solves: the configured start plus seeded random ones.
+    """Best of several solves: the uniform start plus seeded random ones.
 
     Block updates only reach stationary points of a nonconvex objective, so
     restarting from random feasible plans and keeping the best weighted sum
     is the standard hedge.  Deterministic given (cfg, starts, seed).
     """
-    cfg = cfg or SolverConfig()
     best = solve_wsr(ch, w, order, cfg)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, starts - 1)):
         plan0 = random_plan(BC, [ch.n_t] * ch.num_users, ch.power, rng)
-        trial = solve_wsr(ch, w, order,
-                          replace(cfg, init_scheme="provided", initial_plan=plan0))
+        trial = solve_wsr(ch, w, order, cfg, plan0=plan0)
         if trial.rates.weighted_sum > best.rates.weighted_sum:
             best = trial
     return best

@@ -172,6 +172,38 @@ class TestExitCodes:
                              "--step", step]) == 1
             assert "usage error" in capsys.readouterr().err
 
+    def test_usage_error_bad_iteration_cap(self, example_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for cap in ("max_outer_iters", "inner_max_iters"):
+            for bad in (1.5, "5", 0, -3, True):
+                cfg.write_text(json.dumps({cap: bad}))
+                assert cli_main(["solve", "--channels", example_file,
+                                 "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
+                err = capsys.readouterr().err
+                assert "usage error" in err and "Traceback" not in err
+
+    def test_usage_error_gen_channel_sizes(self, tmp_path, capsys):
+        out = tmp_path / "ch.json"
+        good = {"--seed": "1", "--K": "2", "--nt": "2", "--nk": "2",
+                "--ne": "1", "--power": "1.0", "--output": str(out)}
+        for key, bad in (("--K", "0"), ("--nt", "0"), ("--ne", "0"),
+                         ("--nk", "2,0"), ("--nk", "0"), ("--nk", "2,2,2"),
+                         ("--power", "0"), ("--power", "-1"), ("--power", "inf"),
+                         ("--power", "nan")):
+            args = dict(good, **{key: bad})
+            argv = ["gen-channels"] + [t for kv in args.items() for t in kv]
+            assert cli_main(argv) == 1, (key, bad)
+            assert "usage error" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_usage_error_counts_below_one(self, example_file, capsys):
+        for argv in (["duality-check", "--seeds", "0"],
+                     ["duality-check", "--seeds", "-2"],
+                     ["solve", "--channels", example_file, "--weights", "0.5,0.5",
+                      "--starts", "0"]):
+            assert cli_main(argv) == 1
+            assert "usage error" in capsys.readouterr().err
+
     def test_non_finite_channel_exit_two(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"power": 1.0, "users": [{"H": [[[NaN, 0], [1, 0]]]}, '

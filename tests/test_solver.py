@@ -29,17 +29,14 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
         assert cfg.max_outer_iters == 2000
-        assert cfg.lambda_lo < cfg.lambda_hi
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(objective_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(lambda_lo=2.0, lambda_hi=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(init_scheme="warm")
-        with pytest.raises(ValueError):
-            SolverConfig(init_scheme="provided")
+        for cap in ("max_outer_iters", "inner_max_iters"):
+            for bad in (0, -3, 1.5, "5", True, None):
+                with pytest.raises(ValueError):
+                    SolverConfig(**{cap: bad})
 
 
 class TestLagrangian:
@@ -300,8 +297,9 @@ class TestSolveWsr:
 
     def test_zero_init_scheme(self):
         ch = sample_channel_set(2, 1, 2, [2], 1, 1.0).with_zero_eavesdropper()
-        cfg = SolverConfig(init_scheme="zero", objective_tol=1e-9)
-        report = solve_wsr(ch, WeightVector([1.0]), EncodingOrder([1]), cfg)
+        cfg = SolverConfig(objective_tol=1e-9)
+        report = solve_wsr(ch, WeightVector([1.0]), EncodingOrder([1]), cfg,
+                           plan0=CovariancePlan.zero(BC, ch))
         ref = waterfilling_capacity(ch.user_channels[0], 1.0)
         assert report.rates.sum_rate == pytest.approx(ref, abs=1e-4)
 
@@ -312,3 +310,23 @@ class TestSolveWsr:
         multi = solve_wsr_multistart(ch, w, EncodingOrder([2, 1]), FAST,
                                      starts=3, seed=5)
         assert multi.rates.weighted_sum >= single.rates.weighted_sum - 1e-12
+
+
+def test_solver_entry_points_reject_uplink_plans():
+    # with n_k = n_t an uplink plan has downlink shapes; it must still be
+    # refused, as dpc_secrecy_rates refuses it
+    from securebc import MAC, DimensionMismatch
+    ch = sample_channel_set(3, 2, 2, [2, 2], 1, 1.0)
+    order, w = EncodingOrder([1, 2]), WeightVector([0.5, 0.5])
+    mac = CovariancePlan(MAC, [0.25 * np.eye(2), 0.25 * np.eye(2)])
+    calls = [
+        lambda: lagrangian(ch, order, mac, w, 0.3),
+        lambda: split_objective(ch, order, mac, w, 0.3, 1),
+        lambda: gradient_cvx(ch, order, mac, w, 0.3, 1),
+        lambda: surrogate_update(ch, order, mac, w, 0.3, 1),
+        lambda: maximize_lagrangian(ch, w, order, 0.3, FAST, plan0=mac),
+        lambda: solve_wsr(ch, w, order, FAST, plan0=mac),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
