@@ -187,15 +187,16 @@ def _cmd_compare_orders(args) -> int:
     finally:
         if close:
             out.close()
-    agree = "yes" if cmp.best_order == cmp.theorem_order or cmp.matches_rule(w) else "no"
     print(f"best order {cmp.best_order}; rule order {cmp.theorem_order}; "
-          f"agreement: {agree}")
+          f"agreement: {'yes' if cmp.matches_rule(w) else 'no'}")
     return 0
 
 
 def _cmd_duality_check(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    if not 0 < args.tol < float("inf"):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     report = duality_property_ensemble(num_instances=args.seeds, seed=args.seed,
                                        tol=args.tol)
     status = "PASS" if report["passed"] else "FAIL"

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
-from .errors import LengthMismatch, TooManyUsers
+from .errors import InnerNotImproved, LengthMismatch, TooManyUsers
 from .rates import EncodingOrder, RatePoint
 from .solver import SolverConfig, SolverReport, solve_wsr
 
@@ -41,12 +41,16 @@ class OrderComparison:
     best_order: EncodingOrder
     theorem_order: EncodingOrder
 
-    def matches_rule(self, w: WeightVector, tol: float = 1e-9) -> bool:
-        """True when the empirically best order is weight-sorted (any tied
-        users may swap)."""
-        weights = w.as_array()
-        best = np.array([weights[u - 1] for u in self.best_order.permutation])
-        return bool(np.all(best[:-1] >= best[1:] - tol))
+    def matches_rule(self, w: WeightVector) -> bool:
+        """True when the empirically best order is weight-sorted."""
+        return is_weight_sorted(self.best_order, w)
+
+
+def is_weight_sorted(order: EncodingOrder, w: WeightVector) -> bool:
+    """True when the weights are nonincreasing along the order's positions
+    (tied users may come in either order)."""
+    seq = [w.weights[u - 1] for u in order.permutation]
+    return all(a >= b for a, b in zip(seq, seq[1:]))
 
 
 def optimal_order(w: WeightVector) -> EncodingOrder:
@@ -71,7 +75,8 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """Solve the weighted problem under every encoding order and rank them.
 
     Solver failures on individual orders are recorded (wsr = -inf) instead
-    of aborting the comparison.  The best order is the achieved-WSR argmax
+    of aborting the comparison, except ``InnerNotImproved``, which marks a
+    bug and propagates.  The best order is the achieved-WSR argmax
     with ties at 1e-6 resolution broken lexicographically.
     """
     if not isinstance(w, WeightVector):
@@ -83,6 +88,8 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     def solve_one(order: EncodingOrder) -> OrderResult:
         try:
             report: SolverReport = solve_wsr(ch, w, order, cfg)
+        except InnerNotImproved:
+            raise
         except Exception as exc:  # recorded, not fatal
             return OrderResult(order, -np.inf, None, f"{type(exc).__name__}: {exc}")
         return OrderResult(order, report.rates.weighted_sum, report.rates)

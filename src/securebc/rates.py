@@ -138,15 +138,6 @@ class RatePoint:
         return RatePoint(tuple(max(0.0, r) for r in self.per_user), self.weighted_sum)
 
 
-def _as_weights(w: Union[WeightVector, Sequence[float], None], K: int) -> np.ndarray:
-    if w is None:
-        return np.ones(K)
-    arr = w.as_array() if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    if arr.size != K:
-        raise LengthMismatch(f"{arr.size} weights for {K} users")
-    return arr
-
-
 def suffix_sums(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """suffix[k] = sum of mats[k:], with suffix[K] the zero matrix."""
     out = [np.zeros(mats[0].shape, dtype=complex)]
@@ -216,37 +207,29 @@ def by_user(by_pos: Sequence, idx: np.ndarray) -> list:
     return out
 
 
-def _rate_point(by_pos: np.ndarray, idx: np.ndarray,
-                weights: Union[WeightVector, Sequence[float], None]) -> RatePoint:
+def _rate_point(by_pos: np.ndarray, idx: np.ndarray) -> RatePoint:
     per_user = by_user(by_pos, idx)
-    w = _as_weights(weights, len(per_user))
-    return RatePoint(tuple(per_user), float(w @ per_user))
+    return RatePoint(tuple(per_user), float(sum(per_user)))
 
 
-def dpc_secrecy_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                      weights: Union[WeightVector, Sequence[float], None] = None
-                      ) -> RatePoint:
-    """Per-user secrecy rates under successive encoding in the given order.
-
-    ``weights`` only sets the RatePoint's weighted_sum field; when omitted
-    the plain sum is stored.
-    """
+def dpc_secrecy_rates(ch: ChannelSet, order: EncodingOrder,
+                      plan: CovariancePlan) -> RatePoint:
+    """Per-user secrecy rates under successive encoding in the given order;
+    the RatePoint's weighted_sum field holds the plain sum."""
     idx, H, mats = by_position(ch, order, plan, BC)
-    return _rate_point(dpc_rates_arrays(H, ch.eavesdropper, mats), idx, weights)
+    return _rate_point(dpc_rates_arrays(H, ch.eavesdropper, mats), idx)
 
 
-def bc_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-             weights: Union[WeightVector, Sequence[float], None] = None) -> RatePoint:
+def bc_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> RatePoint:
     """Downlink rates without secrecy (the eavesdropper is ignored)."""
     idx, H, mats = by_position(ch, order, plan, BC)
-    return _rate_point(bc_rates_arrays(H, mats), idx, weights)
+    return _rate_point(bc_rates_arrays(H, mats), idx)
 
 
-def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-              weights: Union[WeightVector, Sequence[float], None] = None) -> RatePoint:
+def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> RatePoint:
     """Rates in the dual uplink under the same position ordering."""
     idx, H, mats = by_position(ch, order, plan, MAC)
-    return _rate_point(mac_rates_arrays(H, mats), idx, weights)
+    return _rate_point(mac_rates_arrays(H, mats), idx)
 
 
 def weighted_sum(rates: RatePoint, w: WeightVector) -> float:
@@ -276,7 +259,10 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
     if len(effective_eve) != K:
         raise DimensionMismatch(
             f"{len(effective_eve)} effective eavesdropper channels for {K} positions")
-    weights = _as_weights(w, K)[idx]
+    weights = w.as_array() if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
+    if weights.size != K:
+        raise LengthMismatch(f"{weights.size} weights for {K} users")
+    weights = weights[idx]
     n_e = ch.n_e
     for k, ge in enumerate(effective_eve):
         if ge.shape != (H[k].shape[0], n_e):

@@ -17,7 +17,6 @@ Order policies:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -26,7 +25,7 @@ import numpy as np
 from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
 from .errors import UnsupportedK
-from .ordering import optimal_order
+from .ordering import enumerate_orders, is_weight_sorted, optimal_order
 from .rates import EncodingOrder, RatePoint
 from .solver import SolverConfig, solve_wsr
 
@@ -70,17 +69,6 @@ def _weight_grid(K: int, step: float) -> list[tuple[float, ...]]:
     raise UnsupportedK(f"region sweeps support at most 3 users, got {K}")
 
 
-def _sorted_orders(w: WeightVector, tie_tol: float = 1e-12) -> list[EncodingOrder]:
-    """All encoding orders whose weight sequence is nonincreasing."""
-    weights = w.as_array()
-    out = []
-    for perm in itertools.permutations(range(1, len(weights) + 1)):
-        seq = [weights[u - 1] for u in perm]
-        if all(seq[i] >= seq[i + 1] - tie_tol for i in range(len(seq) - 1)):
-            out.append(EncodingOrder(perm))
-    return out
-
-
 def trace_region(ch: ChannelSet, step: float,
                  order_policy: Union[str, EncodingOrder] = THEOREM,
                  cfg: Optional[SolverConfig] = None) -> RegionTrace:
@@ -95,7 +83,7 @@ def trace_region(ch: ChannelSet, step: float,
         elif order_policy == THEOREM:
             orders = [optimal_order(w)]
         elif order_policy == BOTH_CORNERS:
-            orders = _sorted_orders(w)
+            orders = [o for o in enumerate_orders(len(w)) if is_weight_sorted(o, w)]
         else:
             raise ValueError(f"unknown order policy {order_policy!r}")
         for order in orders:

@@ -8,15 +8,21 @@ every incoming plan is a downlink plan of the right shape.
 Structure:
 
 * a price search bisects the power price ``lam`` over ``[LAMBDA_LO,
-  LAMBDA_HI]`` until the total transmit power meets the budget; each price
-  evaluation is one :class:`_Eval` record, and the solve returns the best
-  feasible plan among them,
+  LAMBDA_HI]``; each price evaluation is one :class:`_Eval` record, and the
+  search stops at the first record that passes the budget rule,
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
   ``lam`` times the power excess) is maximized by cyclic block updates; a
   sweep computes the weighted sum once and derives the objective from it,
 * each block update maximizes a concave surrogate: the block's concave part
   of the objective plus the tangent plane of its convex part, over the PSD
   cone, by projected gradient ascent with a backtracking line search.
+
+The budget rule: a record passes when its power is at most
+``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
+or reached at the bottom price ``LAMBDA_LO``, where the budget is slack.
+The solve returns the highest-WSR record within the slack (the lowest-power
+one if none is) and labels that record: ``max_iters`` if its sweeps hit the
+cap, ``converged`` if it passes the rule, ``stalled`` otherwise.
 
 The surrogate is a global lower bound of the block objective that is tight
 at the expansion point, so no accepted block step lowers the true penalized
@@ -45,6 +51,8 @@ STALLED = "stalled"
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e3
 INNER_STEP_INIT = 1.0
+# share of the budget a plan's power may exceed it by and still count as feasible
+BUDGET_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -245,19 +253,33 @@ class _Eval:
     wsr_trace: tuple[float, ...]
     lag_trace: tuple[float, ...]
 
+    @classmethod
+    def cold(cls, prob: _Problem, Q: list) -> "_Eval":
+        """A start record for plan ``Q``: no price and no sweeps yet."""
+        return cls(0.0, Q, _total_trace(Q), _wsr(prob, Q), False, (), ())
 
-def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float,
-              Q0: Sequence[np.ndarray], power_stop: Optional[float] = None,
+    def feasible(self, P: float) -> bool:
+        """Power at most ``(1 + BUDGET_SLACK) P``."""
+        return self.power - P <= BUDGET_SLACK * P
+
+    def passes(self, P: float, cfg: SolverConfig) -> bool:
+        """The budget rule (see the module docstring)."""
+        return self.feasible(P) and (abs(self.power - P) <= cfg.lambda_tol * P
+                                     or self.lam == LAMBDA_LO)
+
+
+def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
+              power_stop: Optional[float] = None,
               per_block_trace: bool = False) -> _Eval:
-    """Cyclic block sweeps at price ``lam`` from a copy of ``Q0`` until the
-    penalized objective (traced per block update if asked) settles.
+    """Cyclic block sweeps at price ``lam`` from a copy of ``start``'s plan
+    until the penalized objective (traced per block update if asked) settles.
 
     ``power_stop`` aborts the run once the total trace exceeds that level:
     the price is then clearly below the budget-tight one and the caller only
     needs the sign of the power residual, not a converged plan.
     """
-    Q = [np.array(q) for q in Q0]
-    lag = _lagrangian(prob, Q, lam)
+    Q = [np.array(q) for q in start.Q]
+    lag = start.wsr - lam * (start.power - prob.P)
     lag_trace = [lag]
     wsr_trace = []
     steps = [INNER_STEP_INIT] * prob.K
@@ -282,27 +304,23 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float,
     return _Eval(lam, Q, power, wsr, hit_cap, tuple(wsr_trace), tuple(lag_trace))
 
 
-def _price_search(prob: _Problem, cfg: SolverConfig, Q0: Sequence[np.ndarray]
-                  ) -> tuple[list[_Eval], Optional[_Eval]]:
-    """Bisect the power price over ``[LAMBDA_LO, LAMBDA_HI]`` from ``Q0``.
+def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval]:
+    """Bisect the power price over ``[LAMBDA_LO, LAMBDA_HI]`` from ``start``.
 
-    Returns every evaluation in the order it was made, and the one whose
-    power met the budget within ``lambda_tol * P`` (None if none did).
-    The top price warm-starts from the bottom price's plan, and each
-    midpoint from the last plan on the feasible side of the bracket.
+    Returns every evaluation in the order it was made; the search stops at
+    the first one that passes the budget rule.  The top price warm-starts
+    from the bottom price's record, and each midpoint from the last record
+    on the feasible side of the bracket.
     """
     P = prob.P
-    tol_abs = cfg.lambda_tol * P
     power_stop = max(2.0 * P, P + 1.0)
-    evals = [_evaluate(prob, cfg, LAMBDA_LO, Q0, power_stop)]
-    if evals[-1].power - P <= tol_abs:
-        return evals, evals[-1]  # budget inactive (or already tight) at the bottom price
-    warm = _evaluate(prob, cfg, LAMBDA_HI, evals[-1].Q)
+    evals = [_evaluate(prob, cfg, LAMBDA_LO, start, power_stop)]
+    if evals[-1].passes(P, cfg):
+        return evals  # budget slack at the bottom price
+    warm = _evaluate(prob, cfg, LAMBDA_HI, evals[-1])
     evals.append(warm)
-    if abs(warm.power - P) <= tol_abs:
-        return evals, warm
-    if warm.power > P:
-        return evals, None  # even the top price cannot meet the budget
+    if warm.passes(P, cfg) or warm.power > P:
+        return evals  # tight at the top price, or even it cannot meet the budget
     # The sweep tolerance bounds how precisely the power at a given price is
     # resolved, so it tightens as the interval narrows; otherwise the bracket
     # collapses onto a zero crossing of the coarse residual, which sits a few
@@ -317,15 +335,15 @@ def _price_search(prob: _Problem, cfg: SolverConfig, Q0: Sequence[np.ndarray]
             cfg, objective_tol=max(cfg.objective_tol * (1e-3 if gap > 1e-4 else 1e-6),
                                    5e-15))
         mid = 0.5 * (lo + hi)
-        ev = _evaluate(prob, run_cfg, mid, warm.Q, power_stop)
+        ev = _evaluate(prob, run_cfg, mid, warm, power_stop)
         evals.append(ev)
-        if abs(ev.power - P) <= tol_abs:
-            return evals, ev
+        if ev.passes(P, cfg):
+            return evals
         if ev.power > P:
             lo = mid
         else:
             hi, warm = mid, ev
-    return evals, None
+    return evals
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +398,8 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
     the uniform start); returns plan and the penalized-objective trace (per
     block update when requested)."""
     prob = _Problem(ch, order, w)
-    ev = _evaluate(prob, cfg or SolverConfig(), lam, prob.blocks(plan0),
-                   per_block_trace=per_block_trace)
+    ev = _evaluate(prob, cfg or SolverConfig(), lam,
+                   _Eval.cold(prob, prob.blocks(plan0)), per_block_trace=per_block_trace)
     plan = CovariancePlan(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
     return plan, list(ev.lag_trace)
 
@@ -392,23 +410,22 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """Maximize the weighted secrecy sum under the total power budget.
 
     Bisection on the power price (see ``_price_search``) from the downlink
-    plan ``plan0`` (default: the uniform start); the returned plan is the
-    best feasible one seen.  The objective trace records the weighted
-    secrecy sum after every sweep of every evaluation (not the penalized
-    objective), and the multiplier trace records each evaluated price.
+    plan ``plan0`` (default: the uniform start); the returned plan and its
+    termination label follow the budget rule in the module docstring.  The
+    objective trace records the weighted secrecy sum after every sweep of
+    every evaluation (not the penalized objective), and the multiplier trace
+    records each evaluated price.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
     prob = _Problem(ch, order, w)
-    evals, accepted = _price_search(prob, cfg, prob.blocks(plan0))
-    feasible = ([ev for ev in evals if ev.power <= prob.P * (1 + 1e-6)]
+    evals = _price_search(prob, cfg, _Eval.cold(prob, prob.blocks(plan0)))
+    feasible = ([ev for ev in evals if ev.feasible(prob.P)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
-    if accepted is not None:
-        termination = MAX_ITERS if accepted.hit_cap else CONVERGED
-    else:
-        termination = MAX_ITERS if best.hit_cap else STALLED
+    termination = (MAX_ITERS if best.hit_cap
+                   else CONVERGED if best.passes(prob.P, cfg) else STALLED)
 
     plan = CovariancePlan(BC, by_user([project_psd(q) for q in best.Q], prob.idx))
     clamped = dpc_secrecy_rates(ch, order, plan).clamped()

@@ -204,6 +204,14 @@ class TestExitCodes:
             assert cli_main(argv) == 1
             assert "usage error" in capsys.readouterr().err
 
+    def test_usage_error_duality_tolerance(self, capsys):
+        # nan would pass every instance (no error exceeds it), and a negative
+        # tolerance would fail every instance as a numerical failure
+        for tol in ("nan", "-1", "0", "inf"):
+            assert cli_main(["duality-check", "--seeds", "2", "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert "usage error" in captured.err and "PASS" not in captured.out
+
     def test_non_finite_channel_exit_two(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"power": 1.0, "users": [{"H": [[[NaN, 0], [1, 0]]]}, '

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import securebc.ordering as ordering_mod
-from securebc import (SolverConfig, TooManyUsers, WeightVector,
-                      compare_orders, enumerate_orders, optimal_order,
-                      sample_channel_set)
+from securebc import (InnerNotImproved, SolverConfig, TooManyUsers,
+                      WeightVector, compare_orders, enumerate_orders,
+                      optimal_order, sample_channel_set)
 
 rng = np.random.default_rng(31)
 
@@ -96,3 +96,17 @@ class TestCompareOrders:
         assert failed[0].order.permutation == (1, 2)
         assert failed[0].wsr == -np.inf
         assert cmp.best_order.permutation == (2, 1)
+
+    def test_inner_not_improved_propagates(self, monkeypatch):
+        # documented as a bug, so it must not be folded into an error string
+        ch = sample_channel_set(43, 2, 2, [2, 2], 1, 1.0)
+        true_solve = ordering_mod.solve_wsr
+
+        def maybe_fail(ch_in, w_in, order, cfg=None):
+            if order.permutation == (2, 1):
+                raise InnerNotImproved("no ascent")
+            return true_solve(ch_in, w_in, order, cfg)
+
+        monkeypatch.setattr(ordering_mod, "solve_wsr", maybe_fail)
+        with pytest.raises(InnerNotImproved):
+            compare_orders(ch, WeightVector([0.3, 0.7]), FAST)

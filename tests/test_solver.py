@@ -257,6 +257,33 @@ class TestSolveWsr:
         assert max(report.rates.per_user) < 1e-6
         assert report.plan.total_trace <= 1e-9 * (1 + 1e-6)
 
+    def test_budget_slack_at_bottom_price(self):
+        # the eavesdropper hears more than the user, so zero power is optimal
+        # and the bottom price already leaves the budget slack
+        ch = ChannelSet([[[1.0]]], [[2.0]], 1.0)
+        report = solve_wsr(ch, WeightVector([1.0]), EncodingOrder([1]))
+        assert report.lambda_trace == (solver_mod.LAMBDA_LO,)
+        assert report.plan.total_trace == 0.0
+        assert report.rates.per_user == (0.0,)
+        assert report.termination == "converged"
+
+    def test_converged_means_power_tight(self):
+        # criterion 6's instances at a loose lambda_tol: a converged report
+        # carries a plan within lambda_tol of the budget, not a bisection
+        # midpoint further below it
+        w = WeightVector([0.3, 0.7])
+        converged = 0
+        for seed in range(4):
+            ch = sample_channel_set(seed, 2, 2, [2, 2], 1, 1.0)
+            for order in (EncodingOrder([2, 1]), EncodingOrder([1, 2])):
+                report = solve_wsr(ch, w, order, FAST)
+                if report.termination == "converged":
+                    converged += 1
+                    power = report.plan.total_trace
+                    assert (ch.power * (1 - FAST.lambda_tol) <= power
+                            <= ch.power * (1 + 1e-6)), (seed, order, power)
+        assert converged > 0
+
     def test_single_user_no_eavesdropper_hits_water_filling(self):
         cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9,
                            inner_max_iters=2000, max_outer_iters=4000)
