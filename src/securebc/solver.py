@@ -15,7 +15,9 @@ Structure:
   sweep computes the weighted sum once and derives the objective from it,
 * each block update maximizes a concave surrogate: the block's concave part
   of the objective plus the tangent plane of its convex part, over the PSD
-  cone, by projected gradient ascent with a backtracking line search.
+  cone.  At encoding position 1 the surrogate is a single log-det less a
+  linear term, solved exactly by generalized water-filling; later positions
+  use projected gradient ascent with a backtracking line search.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -65,8 +67,8 @@ class SolverConfig:
     inner_max_iters: int = 500
 
     def __post_init__(self):
-        if not (self.objective_tol > 0 and self.lambda_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.objective_tol < np.inf and 0 < self.lambda_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
         for name in ("max_outer_iters", "inner_max_iters"):
             cap = getattr(self, name)
             if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
@@ -182,11 +184,31 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     return hermitize(A)
 
 
+def _waterfill(prob: _Problem, suf: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
+    """Maximizer over PSD x of w_1 logdet(B + H_1 x H_1^H) - tr(M x), with
+    B = I + H_1 S_2 H_1^H and M positive definite: water-filling on the
+    eigenvalues s of T = M^{-1/2} H_1^H B^{-1} H_1 M^{-1/2}, with powers
+    (w_1 - 1/s)^+ along T's eigenvectors, mapped back through M^{-1/2}."""
+    h, w = prob.H[0], prob.w[0]
+    m_val, m_vec = np.linalg.eigh(M)
+    m_isqrt = (m_vec / np.sqrt(m_val)) @ herm(m_vec)
+    f = h @ m_isqrt
+    s, v = np.linalg.eigh(hermitize(herm(f) @ inv_i_plus(h @ suf[1] @ herm(h)) @ f))
+    p = np.zeros_like(s)
+    pour = w * s > 1.0
+    p[pour] = w - 1.0 / s[pour]
+    g = m_isqrt @ v
+    return hermitize((g * p) @ herm(g))
+
+
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
                   cfg: SolverConfig, step: float) -> tuple[np.ndarray, float]:
     """Maximize the block surrogate (concave part plus the convex part's
-    tangent at Q[k]) over PSD matrices by projected ascent.
+    tangent at Q[k]) over PSD matrices.
 
+    Position 1 (``k == 0``) has no eavesdropper log in its concave part, so
+    its surrogate is solved in closed form (:func:`_waterfill`); later
+    positions use projected ascent with a backtracking line search.
     Returns the new block and the last successful step size (reused as the
     next call's opening step).  Never returns a block with a lower surrogate
     value than the incoming one.
@@ -202,6 +224,9 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
     def gradient(x):
         return hermitize(ccv_gradient(x) + A)
 
+    if k == 0:
+        x = _waterfill(prob, suf, lam * np.eye(prob.n_t) - A)
+        return (q0 if value(x) < value(q0) else x), step
     x = q0
     u = value(x)
     g = gradient(x)
@@ -381,10 +406,19 @@ def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     return _grad_cvx(prob, suffix_sums(Q), k - 1)
 
 
+def _check_price(lam: float) -> None:
+    """Block updates need a finite positive price: at zero price the
+    position-1 surrogate grows without bound along any direction that the
+    user hears and the eavesdropper does not."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"the power price must be finite and positive, got {lam!r}")
+
+
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                      w: WeightVector, lam: float, k: int,
                      cfg: Optional[SolverConfig] = None) -> np.ndarray:
     """One maximizing update of block k's surrogate; other blocks stay fixed."""
+    _check_price(lam)
     prob, Q = _block_args(ch, order, plan, w, k)
     return _block_update(prob, Q, lam, k - 1, cfg or SolverConfig(), INNER_STEP_INIT)[0]
 
@@ -397,6 +431,7 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
     """Fixed-multiplier block-sweep maximization from ``plan0`` (default:
     the uniform start); returns plan and the penalized-objective trace (per
     block update when requested)."""
+    _check_price(lam)
     prob = _Problem(ch, order, w)
     ev = _evaluate(prob, cfg or SolverConfig(), lam,
                    _Eval.cold(prob, prob.blocks(plan0)), per_block_trace=per_block_trace)

@@ -31,8 +31,10 @@ class TestSolverConfig:
         assert cfg.max_outer_iters == 2000
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(objective_tol=0.0)
+        for tol in ("objective_tol", "lambda_tol"):
+            for bad in (0.0, float("inf"), float("nan")):
+                with pytest.raises(ValueError):
+                    SolverConfig(**{tol: bad})
         for cap in ("max_outer_iters", "inner_max_iters"):
             for bad in (0, -3, 1.5, "5", True, None):
                 with pytest.raises(ValueError):
@@ -206,15 +208,63 @@ class TestSurrogateUpdate:
     def test_inconsistent_gradient_detected(self, monkeypatch):
         # flipping the sign of the inner objective makes it inconsistent
         # with its gradient: the line search cannot ascend while the
-        # gradient mapping stays large, which must be flagged as a bug
-        h = np.array([[1.3, 0.1], [-0.2, 0.9]], dtype=complex)
-        ch = ChannelSet([h], np.zeros((1, 2)), 10.0)
-        plan = CovariancePlan(BC, [0.3 * np.eye(2)])
+        # gradient mapping stays large, which must be flagged as a bug.
+        # Position 2 keeps the iterative path (position 1 is closed form).
+        h1 = np.array([[1.3, 0.1], [-0.2, 0.9]], dtype=complex)
+        h2 = np.array([[0.7, -0.4], [0.3, 1.2]], dtype=complex)
+        ch = ChannelSet([h1, h2], np.zeros((1, 2)), 10.0)
+        plan = CovariancePlan(BC, [0.3 * np.eye(2), 0.3 * np.eye(2)])
         true_ld = solver_mod.logdet_i_plus
         monkeypatch.setattr(solver_mod, "logdet_i_plus", lambda m: -true_ld(m))
-        with pytest.raises(InnerNotImproved):
-            surrogate_update(ch, EncodingOrder([1]), plan,
-                             WeightVector([1.0]), 0.1, 1)
+        with pytest.raises(InnerNotImproved, match="block 2"):
+            surrogate_update(ch, EncodingOrder([1, 2]), plan,
+                             WeightVector([1.0, 1.0]), 0.1, 2)
+
+    def test_position_one_update_is_exact(self):
+        # the position-1 surrogate w_1 logdet(B + H_1 X H_1^H) - tr(M X),
+        # M = lam I - A, is maximized exactly: X is PSD, its gradient
+        # Gamma is negative semidefinite and complementary to X
+        narrow = zeroed = 0
+        for _ in range(60):
+            ch = rand_instance(rng, n_t=int(rng.integers(1, 5)), square=False)
+            K, n_t = ch.num_users, ch.n_t
+            order = EncodingOrder(rng.permutation(K) + 1)
+            w = WeightVector(rng.random(K) + 0.05)
+            plan = rand_bc_plan(rng, ch)
+            lam = float(rng.uniform(0.05, 1.5))
+            x = surrogate_update(ch, order, plan, w, lam, 1)
+            first = order.permutation[0] - 1
+            h = ch.user_channels[first]
+            narrow += h.shape[0] < n_t
+            later = sum((plan.matrices[u - 1] for u in order.permutation[1:]),
+                        np.zeros((n_t, n_t)))
+            b = np.eye(h.shape[0]) + h @ later @ herm(h)
+            m = lam * np.eye(n_t) - gradient_cvx(ch, order, plan, w, lam, 1)
+            gam = w.weights[first] * herm(h) @ np.linalg.inv(b + h @ x @ herm(h)) @ h - m
+            gam = (gam + herm(gam)) / 2
+            assert np.linalg.eigvalsh((x + herm(x)) / 2)[0] >= -1e-12
+            assert np.linalg.eigvalsh(gam)[-1] <= 1e-9
+            assert np.linalg.norm(x @ gam) <= 1e-9
+            if K > 1:
+                zero_w = WeightVector([0.0 if u == first else 1.0 for u in range(K)])
+                assert not np.any(surrogate_update(ch, order, plan, zero_w, lam, 1))
+                zeroed += 1
+        assert narrow > 0 and zeroed > 0
+        h = np.array([[1.1, -0.3], [0.5, 0.8]], dtype=complex)
+        ch = ChannelSet([h], np.zeros((1, 2)), 10.0)
+        out = surrogate_update(ch, EncodingOrder([1]), CovariancePlan(BC, [0.5 * np.eye(2)]),
+                               WeightVector([1.0]), 0.5, 1)
+        assert np.max(np.abs(out - waterfilling_covariance(h, 0.5))) < 1e-12
+
+    def test_rejects_nonpositive_price(self):
+        # at zero price the position-1 surrogate is unbounded along the
+        # directions the eavesdropper cannot see
+        ch, order, w, plan = _rand_setup(K=2)
+        for lam in (0.0, -0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                surrogate_update(ch, order, plan, w, lam, 1)
+            with pytest.raises(ValueError):
+                maximize_lagrangian(ch, w, order, lam, FAST)
 
 
 class TestMaximizeLagrangian:
