@@ -33,6 +33,8 @@ from .linalg import (PSD_TOL, frozen, herm, logdet_i_plus, min_eigenvalue,
 
 BC = "bc"
 MAC = "mac"
+# share of the budget a plan's power may exceed it by and still count as feasible
+BUDGET_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,9 @@ class CovariancePlan:
     def validate_for(self, ch: ChannelSet, check_power: bool = False) -> None:
         """Check shapes against a channel set; optionally the power budget.
 
-        The power check is opt-in because Lagrangian-based optimization
-        legitimately evaluates rates of transiently infeasible plans.
+        A plan may exceed the budget by ``BUDGET_SLACK`` of it.  The power
+        check is opt-in because Lagrangian-based optimization legitimately
+        evaluates rates of transiently infeasible plans.
         """
         if len(self.matrices) != ch.num_users:
             raise DimensionMismatch(
@@ -112,7 +115,7 @@ class CovariancePlan:
                 raise DimensionMismatch(
                     f"user {idx + 1} {self.side} covariance is {m.shape[0]}x{m.shape[0]}, "
                     f"expected {want}x{want}")
-        if check_power and self.total_trace > ch.power + 1e-8:
+        if check_power and self.total_trace - ch.power > BUDGET_SLACK * ch.power:
             raise ValueError(
                 f"total trace {self.total_trace:.6g} exceeds power budget {ch.power:.6g}")
 

@@ -17,7 +17,9 @@ Structure:
   of the objective plus the tangent plane of its convex part, over the PSD
   cone.  At encoding position 1 the surrogate is a single log-det less a
   linear term, solved exactly by generalized water-filling; later positions
-  use projected gradient ascent with a backtracking line search.
+  use projected gradient ascent with a backtracking line search from step
+  1.  An update depends only on the current plan and price, so a sweep is
+  :func:`surrogate_update` on each block in turn.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -41,20 +43,18 @@ import numpy as np
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
 from .linalg import herm, hermitize, inv_i_plus, logdet_i_plus, project_psd
-from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint, by_position,
-                    by_user, dpc_rates_arrays, dpc_secrecy_rates, random_plan,
-                    suffix_sums)
+from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
+                    by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
+                    random_plan, suffix_sums)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
 
-# absolute price bracket, and the opening step of each block's projected ascent
+# absolute price bracket, and the cap on projected-ascent steps per block update
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e3
-INNER_STEP_INIT = 1.0
-# share of the budget a plan's power may exceed it by and still count as feasible
-BUDGET_SLACK = 1e-6
+INNER_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,13 @@ class SolverConfig:
     max_outer_iters: int = 2000
     objective_tol: float = 1e-8
     lambda_tol: float = 1e-6
-    inner_max_iters: int = 500
 
     def __post_init__(self):
         if not (0 < self.objective_tol < np.inf and 0 < self.lambda_tol < np.inf):
             raise ValueError("tolerances must be finite and positive")
-        for name in ("max_outer_iters", "inner_max_iters"):
-            cap = getattr(self, name)
-            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
+        cap = self.max_outer_iters
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -202,16 +200,15 @@ def _waterfill(prob: _Problem, suf: Sequence[np.ndarray], M: np.ndarray) -> np.n
 
 
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
-                  cfg: SolverConfig, step: float) -> tuple[np.ndarray, float]:
+                  cfg: SolverConfig) -> np.ndarray:
     """Maximize the block surrogate (concave part plus the convex part's
     tangent at Q[k]) over PSD matrices.
 
     Position 1 (``k == 0``) has no eavesdropper log in its concave part, so
     its surrogate is solved in closed form (:func:`_waterfill`); later
-    positions use projected ascent with a backtracking line search.
-    Returns the new block and the last successful step size (reused as the
-    next call's opening step).  Never returns a block with a lower surrogate
-    value than the incoming one.
+    positions use at most ``INNER_MAX_ITERS`` projected-ascent steps, each
+    line search opening at twice the last accepted step (step 1 at first).
+    Never returns a block with a lower surrogate value than the incoming one.
     """
     suf = suffix_sums(Q)
     A = _grad_cvx(prob, suf, k)
@@ -226,15 +223,15 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
 
     if k == 0:
         x = _waterfill(prob, suf, lam * np.eye(prob.n_t) - A)
-        return (q0 if value(x) < value(q0) else x), step
+        return q0 if value(x) < value(q0) else x
     x = q0
     u = value(x)
     g = gradient(x)
     ftol = max(1e-16, 1e-2 * cfg.objective_tol)
-    scale_tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
     flat_steps = 0
-    for _ in range(cfg.inner_max_iters):
-        t = step
+    t = 1.0
+    for _ in range(INNER_MAX_ITERS):
+        scale_tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
         accepted = False
         while t >= 1e-14:
             xn = project_psd(x + t * g)
@@ -254,15 +251,14 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
                 raise InnerNotImproved(
                     f"no ascent found for block {k + 1} despite gradient mapping "
                     f"norm {mapping:.3e}")
-            return x, step
+            return x
         flat_steps = flat_steps + 1 if un - u <= ftol * (1.0 + abs(u)) else 0
         x, u = xn, un
         g = gradient(x)
-        step = min(t * 2.0, 1e6)
-        scale_tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
+        t = min(t * 2.0, 1e6)
         if dn <= 1e-10 * (1.0 + float(np.linalg.norm(x))) or flat_steps >= 2:
             break
-    return x, step
+    return x
 
 
 @dataclass(frozen=True)
@@ -307,11 +303,10 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
     lag = start.wsr - lam * (start.power - prob.P)
     lag_trace = [lag]
     wsr_trace = []
-    steps = [INNER_STEP_INIT] * prob.K
     hit_cap = True
     for _ in range(cfg.max_outer_iters):
         for k in range(prob.K):
-            Q[k], steps[k] = _block_update(prob, Q, lam, k, cfg, steps[k])
+            Q[k] = _block_update(prob, Q, lam, k, cfg)
             if per_block_trace:
                 lag_trace.append(_lagrangian(prob, Q, lam))
         wsr, power = _wsr(prob, Q), _total_trace(Q)
@@ -420,7 +415,7 @@ def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     """One maximizing update of block k's surrogate; other blocks stay fixed."""
     _check_price(lam)
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _block_update(prob, Q, lam, k - 1, cfg or SolverConfig(), INNER_STEP_INIT)[0]
+    return _block_update(prob, Q, lam, k - 1, cfg or SolverConfig())
 
 
 def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,

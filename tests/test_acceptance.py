@@ -18,8 +18,7 @@ from securebc import (BC, ChannelSet, CovariancePlan, EncodingOrder,
                       sample_channel_set, solve_wsr, split_objective)
 
 FAST = SolverConfig(objective_tol=1e-7, lambda_tol=1e-4)
-PRECISE = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9,
-                       inner_max_iters=2000, max_outer_iters=4000)
+PRECISE = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9, max_outer_iters=4000)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

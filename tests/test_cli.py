@@ -174,8 +174,7 @@ class TestExitCodes:
 
     def test_usage_error_bad_iteration_cap(self, example_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cases = [(cap, bad) for cap in ("max_outer_iters", "inner_max_iters")
-                 for bad in (1.5, "5", 0, -3, True)]
+        cases = [("max_outer_iters", bad) for bad in (1.5, "5", 0, -3, True)]
         cases += [(tol, bad) for tol in ("objective_tol", "lambda_tol")
                   for bad in (float("inf"), float("nan"))]
         for key, bad in cases:
@@ -184,6 +183,10 @@ class TestExitCodes:
                              "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
             err = capsys.readouterr().err
             assert "usage error" in err and "Traceback" not in err
+        cfg.write_text(json.dumps({"inner_max_iters": 500}))
+        assert cli_main(["solve", "--channels", example_file,
+                         "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_usage_error_gen_channel_sizes(self, tmp_path, capsys):
         out = tmp_path / "ch.json"

@@ -35,10 +35,11 @@ class TestSolverConfig:
             for bad in (0.0, float("inf"), float("nan")):
                 with pytest.raises(ValueError):
                     SolverConfig(**{tol: bad})
-        for cap in ("max_outer_iters", "inner_max_iters"):
-            for bad in (0, -3, 1.5, "5", True, None):
-                with pytest.raises(ValueError):
-                    SolverConfig(**{cap: bad})
+        for bad in (0, -3, 1.5, "5", True, None):
+            with pytest.raises(ValueError):
+                SolverConfig(max_outer_iters=bad)
+        with pytest.raises(TypeError):
+            SolverConfig(inner_max_iters=5)
 
 
 class TestLagrangian:
@@ -186,7 +187,7 @@ class TestSurrogateUpdate:
         ch = ChannelSet([h], np.zeros((1, 2)), 10.0)
         lam = 0.5
         start = CovariancePlan(BC, [0.5 * np.eye(2)])
-        cfg = SolverConfig(objective_tol=1e-12, inner_max_iters=5000)
+        cfg = SolverConfig(objective_tol=1e-12)
         out = surrogate_update(ch, EncodingOrder([1]), start,
                                WeightVector([1.0]), lam, 1, cfg)
         ref = waterfilling_covariance(h, lam)
@@ -278,6 +279,30 @@ class TestMaximizeLagrangian:
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-9)
 
+    def test_sweep_is_cyclic_surrogate_update(self):
+        # a sweep of the fixed-price run is surrogate_update applied to each
+        # block in turn: no line-search state carries over between sweeps
+        local = np.random.default_rng(7)
+        cfg = SolverConfig(max_outer_iters=5)
+        for _ in range(12):
+            ch = rand_instance(local, K=int(local.integers(2, 4)),
+                               n_t=int(local.integers(2, 4)), n_e=1)
+            K = ch.num_users
+            order = EncodingOrder(local.permutation(K) + 1)
+            w = WeightVector(local.random(K) + 0.05)
+            lam = float(0.05 + local.random())
+            out, trace = maximize_lagrangian(ch, w, order, lam, cfg)
+            scale = ch.power / (K * ch.n_t)
+            plan = CovariancePlan(BC, [scale * np.eye(ch.n_t)] * K)
+            for _ in range(len(trace) - 1):
+                for k in range(1, K + 1):
+                    mats = list(plan.matrices)
+                    mats[order.permutation[k - 1] - 1] = surrogate_update(
+                        ch, order, plan, w, lam, k, cfg)
+                    plan = CovariancePlan(BC, mats)
+            for a, b in zip(out.matrices, plan.matrices):
+                assert np.max(np.abs(a - b)) <= 1e-12
+
     def test_warm_start_from_plan(self):
         ch, order, w, plan = _rand_setup(K=2)
         out, trace = maximize_lagrangian(ch, w, order, 0.5, FAST, plan0=plan)
@@ -334,9 +359,21 @@ class TestSolveWsr:
                             <= ch.power * (1 + 1e-6)), (seed, order, power)
         assert converged > 0
 
+    def test_converged_plans_pass_budget_check(self):
+        # the solver's feasibility slack and the plan's own power check agree
+        w = WeightVector([0.3, 0.7])
+        converged = 0
+        for seed in range(6):
+            ch = sample_channel_set(seed, 2, 2, [2, 2], 1, 1.0)
+            for order in (EncodingOrder([2, 1]), EncodingOrder([1, 2])):
+                report = solve_wsr(ch, w, order)
+                if report.termination == "converged":
+                    converged += 1
+                    report.plan.validate_for(ch, check_power=True)
+        assert converged > 0
+
     def test_single_user_no_eavesdropper_hits_water_filling(self):
-        cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9,
-                           inner_max_iters=2000, max_outer_iters=4000)
+        cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9, max_outer_iters=4000)
         ch = sample_channel_set(100, 1, 2, [2], 1, 1.0).with_zero_eavesdropper()
         report = solve_wsr(ch, WeightVector([1.0]), EncodingOrder([1]), cfg)
         ref = waterfilling_capacity(ch.user_channels[0], 1.0)
