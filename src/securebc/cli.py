@@ -288,7 +288,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, or a directory where a file goes
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SecureBcError, np.linalg.LinAlgError) as exc:

@@ -76,8 +76,10 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
 
     Solver failures on individual orders are recorded (wsr = -inf) instead
     of aborting the comparison, except ``InnerNotImproved``, which marks a
-    bug and propagates.  The best order is the achieved-WSR argmax
-    with ties at 1e-6 resolution broken lexicographically.
+    bug and propagates.  The best order is the achieved-WSR argmax at 1e-6
+    resolution; among tied orders a weight-sorted one wins (the rule's
+    order is optimal, so a tie with it is not evidence against it), then
+    the lexicographically first.
     """
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
@@ -96,6 +98,7 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
 
     results = map_ordered(solve_one, orders)
     top = max(r.wsr for r in results)
-    best = next(r.order for r in results if r.wsr >= top - 1e-6)
+    tied = [r.order for r in results if r.wsr >= top - 1e-6]
+    best = next((o for o in tied if is_weight_sorted(o, w)), tied[0])
     return OrderComparison(per_order=tuple(results), best_order=best,
                            theorem_order=optimal_order(w))

@@ -7,9 +7,14 @@ every incoming plan is a downlink plan of the right shape.
 
 Structure:
 
-* a price search bisects the power price ``lam`` over ``[LAMBDA_LO,
-  LAMBDA_HI]``; each price evaluation is one :class:`_Eval` record, and the
-  search stops at the first record that passes the budget rule,
+* a price search finds the budget-tight power price ``lam`` in
+  ``[LAMBDA_LO, LAMBDA_HI]`` by regula falsi (Illinois) on the power
+  residual against ``1/lam``, with bisection fallbacks (see
+  :func:`_price_search`); each price evaluation is one :class:`_Eval`
+  record, and the search stops at the first record that passes the budget
+  rule.  Sweeps run at ``objective_tol`` until a record lands within
+  ``NEAR * P`` of the budget, and are tight (``objective_tol * 1e-6``, at
+  least 5e-15) from that price on,
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
   ``lam`` times the power excess) is maximized by cyclic block updates; a
   sweep computes the weighted sum once and derives the objective from it,
@@ -26,7 +31,8 @@ The budget rule: a record passes when its power is at most
 or reached at the bottom price ``LAMBDA_LO``, where the budget is slack.
 The solve returns the highest-WSR record within the slack (the lowest-power
 one if none is) and labels that record: ``max_iters`` if its sweeps hit the
-cap, ``converged`` if it passes the rule, ``stalled`` otherwise.
+cap, ``converged`` if it passes the rule, ``stalled`` otherwise.  The rule
+and the labels judge the records alone, not how their prices were chosen.
 
 The surrogate is a global lower bound of the block objective that is tight
 at the expansion point, so no accepted block step lowers the true penalized
@@ -55,6 +61,8 @@ STALLED = "stalled"
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e3
 INNER_MAX_ITERS = 500
+# the price search switches to tight sweeps within NEAR * P of the budget
+NEAR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -325,44 +333,76 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
 
 
 def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval]:
-    """Bisect the power price over ``[LAMBDA_LO, LAMBDA_HI]`` from ``start``.
+    """Find the budget-tight power price in ``[LAMBDA_LO, LAMBDA_HI]`` from
+    ``start``.
+
+    After the two end prices, regula falsi (the Illinois variant) on the
+    power residual r = power - P against mu = 1/lam, in which water-filling
+    power sum (w/lam - 1/s)^+ is piecewise linear.  Sweeps run at
+    ``cfg.objective_tol`` until a record lands within ``NEAR * P`` of the
+    budget; that price is re-run once at the tight tolerance
+    ``objective_tol * 1e-6`` (at least 5e-15), and so is every later price,
+    because the loose residual crosses zero a few 1e-5 P off the true root.
+    Once there are two tight records, the secant runs through the last two.
+    Fallbacks: after a zero-power record at the high end, which has no slope
+    to follow, the next price is the geometric midpoint of the bracket; a
+    secant price off the bracket, or a bracket that did not halve in two
+    steps, gives way to the arithmetic midpoint.
 
     Returns every evaluation in the order it was made; the search stops at
-    the first one that passes the budget rule.  The top price warm-starts
-    from the bottom price's record, and each midpoint from the last record
-    on the feasible side of the bracket.
+    the first one that passes the budget rule, or once the bracket is below
+    the gap floor.  The top price warm-starts from the bottom price's record,
+    each later price from the last record on the feasible side of the
+    bracket, and the tight re-run from the loose record at its price.
     """
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
     evals = [_evaluate(prob, cfg, LAMBDA_LO, start, power_stop)]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
-    warm = _evaluate(prob, cfg, LAMBDA_HI, evals[-1])
-    evals.append(warm)
-    if warm.passes(P, cfg) or warm.power > P:
+    hi = _evaluate(prob, cfg, LAMBDA_HI, evals[-1])
+    evals.append(hi)
+    if hi.passes(P, cfg) or hi.power > P:
         return evals  # tight at the top price, or even it cannot meet the budget
-    # The sweep tolerance bounds how precisely the power at a given price is
-    # resolved, so it tightens as the interval narrows; otherwise the bracket
-    # collapses onto a zero crossing of the coarse residual, which sits a few
-    # 1e-5 off the true one.
-    lo, hi = LAMBDA_LO, LAMBDA_HI
+    lam_lo, r_lo, r_hi = LAMBDA_LO, evals[0].power - P, hi.power - P
+    tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-6, 5e-15))
+    run_cfg, side, widths, tight_pts = cfg, 0, (np.inf, np.inf), []
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
-        if hi - lo <= gap_floor * max(1.0, hi):
+        width = hi.lam - lam_lo
+        if width <= gap_floor * max(1.0, hi.lam):
             break
-        gap = (hi - lo) / max(1.0, hi)
-        run_cfg = cfg if gap > 1e-2 else replace(
-            cfg, objective_tol=max(cfg.objective_tol * (1e-3 if gap > 1e-4 else 1e-6),
-                                   5e-15))
-        mid = 0.5 * (lo + hi)
-        ev = _evaluate(prob, run_cfg, mid, warm, power_stop)
+        # secant through the last two tight records, else regula falsi
+        (m1, r1), (m2, r2) = (tight_pts if len(tight_pts) == 2
+                              else [(1.0 / lam_lo, r_lo), (1.0 / hi.lam, r_hi)])
+        mu = m2 - r2 * (m1 - m2) / (r1 - r2) if r1 != r2 else 0.0
+        lam = 1.0 / mu if mu > 0 else 0.0
+        if hi.power == 0.0 and hi.lam < LAMBDA_HI:
+            lam = float(np.sqrt(lam_lo * hi.lam))
+        elif not lam_lo < lam < hi.lam or width > 0.5 * widths[0]:
+            lam = 0.5 * (lam_lo + hi.lam)
+        widths = (widths[1], width)
+        ev = _evaluate(prob, run_cfg, lam, hi, power_stop)
         evals.append(ev)
+        if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
+            run_cfg = tight
+            ev = _evaluate(prob, tight, lam, ev, power_stop)
+            evals.append(ev)
         if ev.passes(P, cfg):
             return evals
-        if ev.power > P:
-            lo = mid
+        r = ev.power - P
+        if run_cfg is tight:
+            tight_pts = (tight_pts + [(1.0 / lam, r)])[-2:]
+        # Illinois: when the same end moves twice running, halve the other
+        # end's residual so the secant cannot creep along one side
+        if r > 0:
+            if side > 0:
+                r_hi *= 0.5
+            lam_lo, r_lo, side = lam, r, 1
         else:
-            hi, warm = mid, ev
+            if side < 0:
+                r_lo *= 0.5
+            hi, r_hi, side = ev, r, -1
     return evals
 
 
@@ -439,12 +479,12 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
               plan0: Optional[CovariancePlan] = None) -> SolverReport:
     """Maximize the weighted secrecy sum under the total power budget.
 
-    Bisection on the power price (see ``_price_search``) from the downlink
-    plan ``plan0`` (default: the uniform start); the returned plan and its
-    termination label follow the budget rule in the module docstring.  The
-    objective trace records the weighted secrecy sum after every sweep of
-    every evaluation (not the penalized objective), and the multiplier trace
-    records each evaluated price.
+    A secant search on the power price (see ``_price_search``) from the
+    downlink plan ``plan0`` (default: the uniform start); the returned plan
+    and its termination label follow the budget rule in the module
+    docstring.  The objective trace records the weighted secrecy sum after
+    every sweep of every evaluation (not the penalized objective), and the
+    multiplier trace records each evaluated price.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(w, WeightVector):

@@ -241,3 +241,34 @@ class TestExitCodes:
         assert cli_main(["solve", "--channels", path,
                          "--weights", "1.0"]) == 2
         assert "DimensionMismatch" in capsys.readouterr().err
+
+
+class TestDirectoryPaths:
+    # a directory where a file path goes is a usage error, not a traceback
+
+    @staticmethod
+    def _usage_error(argv, capsys):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+    def test_solve(self, example_file, tmp_path, capsys):
+        self._usage_error(["solve", "--channels", str(tmp_path),
+                           "--weights", "0.5,0.5"], capsys)
+        self._usage_error(["solve", "--channels", example_file,
+                           "--weights", "0.5,0.5", "--config", str(tmp_path)], capsys)
+
+    def test_region(self, example_file, fast_cfg_file, tmp_path, capsys):
+        self._usage_error(["region", "--channels", example_file, "--step", "1",
+                           "--config", fast_cfg_file, "--output", str(tmp_path)],
+                          capsys)
+
+    def test_compare_orders(self, example_file, fast_cfg_file, tmp_path, capsys):
+        self._usage_error(["compare-orders", "--channels", example_file,
+                           "--weights", "0.3,0.7", "--config", fast_cfg_file,
+                           "--output", str(tmp_path)], capsys)
+
+    def test_gen_channels(self, tmp_path, capsys):
+        self._usage_error(["gen-channels", "--seed", "1", "--K", "2", "--nt", "2",
+                           "--nk", "2", "--ne", "1", "--power", "1",
+                           "--output", str(tmp_path)], capsys)

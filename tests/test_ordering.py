@@ -97,6 +97,25 @@ class TestCompareOrders:
         assert failed[0].wsr == -np.inf
         assert cmp.best_order.permutation == (2, 1)
 
+    def test_tie_goes_to_weight_sorted_order(self, monkeypatch):
+        # every order reaches the same weighted sum to within 7.5e-7, the
+        # rule's order lowest: the tie goes to the weight-sorted order, not
+        # to the lexicographically first
+        from securebc import RatePoint
+        ch = sample_channel_set(43, 3, 2, [2, 2, 2], 1, 1.0)
+        shift = {p: 1.5e-7 * i for i, p in enumerate(
+            [(3, 2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)])}
+
+        class Report:
+            def __init__(self, order):
+                self.rates = RatePoint((0.0, 0.0, 0.0), 1.0 + shift[order.permutation])
+
+        monkeypatch.setattr(ordering_mod, "solve_wsr",
+                            lambda ch_in, w_in, order, cfg=None: Report(order))
+        cmp = compare_orders(ch, WeightVector([0.2, 0.3, 0.5]), FAST)
+        assert cmp.best_order.permutation == (3, 2, 1)
+        assert cmp.matches_rule(WeightVector([0.2, 0.3, 0.5]))
+
     def test_inner_not_improved_propagates(self, monkeypatch):
         # documented as a bug, so it must not be folded into an error string
         ch = sample_channel_set(43, 2, 2, [2, 2], 1, 1.0)

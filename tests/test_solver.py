@@ -6,7 +6,8 @@ from conftest import (fd_gradient, herm, rand_bc_plan, rand_instance,
                       waterfilling_capacity, waterfilling_covariance)
 from securebc import (BC, ChannelSet, CovariancePlan, EncodingOrder,
                       InnerNotImproved, SolverConfig, WeightVector,
-                      dpc_secrecy_rates, gradient_cvx, lagrangian,
+                      dpc_secrecy_rates, example_three_user, example_two_user,
+                      gradient_cvx, lagrangian,
                       maximize_lagrangian, sample_channel_set, solve_wsr,
                       solve_wsr_multistart, split_objective, surrogate_update,
                       weighted_sum)
@@ -371,6 +372,28 @@ class TestSolveWsr:
                     converged += 1
                     report.plan.validate_for(ch, check_power=True)
         assert converged > 0
+
+    def test_price_evaluation_budget(self):
+        # the secant price search meets the budget within a dozen evaluations
+        # on both worked examples (plain bisection of the bracket takes 32-34)
+        from itertools import permutations
+        cases = [(example_two_user(), [0.5, 0.5], permutations([1, 2])),
+                 (example_three_user(), [0.15, 0.2, 0.65], permutations([1, 2, 3]))]
+        for ch, w, orders in cases:
+            for order in orders:
+                report = solve_wsr(ch, WeightVector(w), EncodingOrder(list(order)))
+                assert len(report.lambda_trace) <= 12, (order, report.lambda_trace)
+                assert report.termination == "converged", order
+
+    def test_power_jump_stops_early(self):
+        # the power jumps across the budget near lam = 0.3563 (about 0.80 P on
+        # one side, 1.09 P on the other), so no price meets the budget; the
+        # search must give up within a sweep bound and return a feasible plan
+        ch = sample_channel_set(6, 2, 2, [2, 2], 1, 1.0)
+        report = solve_wsr(ch, WeightVector([0.3, 0.7]), EncodingOrder([1, 2]), FAST)
+        assert report.outer_iters <= 4000
+        assert report.termination != "converged"
+        report.plan.validate_for(ch, check_power=True)
 
     def test_single_user_no_eavesdropper_hits_water_filling(self):
         cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9, max_outer_iters=4000)
