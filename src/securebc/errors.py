@@ -39,7 +39,9 @@ class UnsupportedK(SecureBcError):
 
 
 class InnerNotImproved(SecureBcError):
-    """The inner line search found no ascent despite a non-negligible gradient.
+    """A block update's line search found no ascent although the ascent gap
+    (the directional derivative toward the step's water-fill target) is
+    above round-off.
 
     This indicates an inconsistency between the objective and its gradient,
     i.e. a bug, not a numerical corner case.

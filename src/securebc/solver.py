@@ -18,13 +18,15 @@ Structure:
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
   ``lam`` times the power excess) is maximized by cyclic block updates; a
   sweep computes the weighted sum once and derives the objective from it,
-* each block update maximizes a concave surrogate: the block's concave part
-  of the objective plus the tangent plane of its convex part, over the PSD
-  cone.  At encoding position 1 the surrogate is a single log-det less a
-  linear term, solved exactly by generalized water-filling; later positions
-  use projected gradient ascent with a backtracking line search from step
-  1.  An update depends only on the current plan and price, so a sweep is
-  :func:`surrogate_update` on each block in turn.
+* each block update is one ascent step on a concave surrogate: the block's
+  concave part of the objective plus the tangent plane of its convex part.
+  The step's target maximizes the surrogate with its eavesdropper logs
+  linearized too, by generalized water-filling, and an Armijo search along
+  the segment to it picks the step; the segment stays in the PSD cone.  At
+  encoding position 1 the surrogate has no eavesdropper log, and the full
+  step is its exact maximizer.  An update depends only on the current plan
+  and price, so a sweep is :func:`surrogate_update` on each block in turn.
+  Solves start from the zero plan unless given one.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -57,10 +59,9 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
 
-# absolute price bracket, and the cap on projected-ascent steps per block update
+# absolute price bracket
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e3
-INNER_MAX_ITERS = 500
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
 
@@ -114,10 +115,9 @@ class _Problem:
         self.n_t = ch.n_t
 
     def blocks(self, plan: Optional[CovariancePlan]) -> list[np.ndarray]:
-        """A downlink plan's covariances by position; None: P/(K n_t) I each."""
+        """A downlink plan's covariances by position; None: the zero plan."""
         if plan is None:
-            scale = self.P / (self.K * self.n_t)
-            return [scale * np.eye(self.n_t, dtype=complex) for _ in range(self.K)]
+            return [np.zeros((self.n_t, self.n_t), dtype=complex) for _ in range(self.K)]
         return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
 
 
@@ -133,42 +133,30 @@ def _lagrangian(prob: _Problem, Q: Sequence[np.ndarray], lam: float) -> float:
     return _wsr(prob, Q) - lam * (_total_trace(Q) - prob.P)
 
 
-def _concave_part(prob: _Problem, Q: Sequence[np.ndarray], suf: Sequence[np.ndarray],
-                  lam: float, k: int):
-    """(value, gradient) in block k's covariance x, other blocks fixed, of
+def _concave_value(prob: _Problem, lam: float, k: int, user: np.ndarray,
+                   eve: Sequence[np.ndarray], power: float) -> float:
+    """Block k's concave part at a covariance x of trace ``power``, other
+    blocks fixed:
     w_k logdet(I + H_k (S_{k+1} + x) H_k^H)
     + sum_{j<k} w_j logdet(I + G (S_{j+1} - Q_k + x) G^H) - lam tr(x),
-    with S_j = ``suf[j]`` the suffix sums of the current blocks."""
-    H, G, w = prob.H, prob.G, prob.w
-    hk, hkh = H[k], herm(H[k])
-    gh = herm(G)
-    base_user = hk @ suf[k + 1] @ hkh
-    base_eve = [G @ (suf[j + 1] - Q[k]) @ gh for j in range(k)]
-    lam_eye = lam * np.eye(prob.n_t)
-
-    def value(x):
-        v = w[k] * logdet_i_plus(base_user + hk @ x @ hkh)
-        for j in range(k):
-            v += w[j] * logdet_i_plus(base_eve[j] + G @ x @ gh)
-        v -= lam * float(np.trace(x).real)
-        return v
-
-    def gradient(x):
-        g = w[k] * (hkh @ inv_i_plus(base_user + hk @ x @ hkh) @ hk)
-        for j in range(k):
-            g = g + w[j] * (gh @ inv_i_plus(base_eve[j] + G @ x @ gh) @ G)
-        return g - lam_eye
-
-    return value, gradient
+    from the log-det arguments ``user`` and ``eve[j]`` (S_j the suffix sums of
+    the current blocks)."""
+    v = prob.w[k] * logdet_i_plus(user)
+    for j, e in enumerate(eve):
+        v += prob.w[j] * logdet_i_plus(e)
+    return float(v - lam * power)
 
 
 def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
            ) -> tuple[float, float]:
     """(concave, convex) block decomposition of the penalized objective: the
     concave part at Q[k] less its constant w_k logdet(I + H_k S_{k+1} H_k^H)."""
-    suf, hk = suffix_sums(Q), prob.H[k]
-    ccv = (_concave_part(prob, Q, suf, lam, k)[0](Q[k])
-           - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ herm(hk)))
+    suf, hk, G = suffix_sums(Q), prob.H[k], prob.G
+    hkh, gh = herm(hk), herm(G)
+    ccv = (_concave_value(prob, lam, k, hk @ suf[k] @ hkh,
+                          [G @ suf[j + 1] @ gh for j in range(k)],
+                          float(np.trace(Q[k]).real))
+           - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ hkh))
     return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
 
@@ -190,83 +178,94 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     return hermitize(A)
 
 
-def _waterfill(prob: _Problem, suf: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
-    """Maximizer over PSD x of w_1 logdet(B + H_1 x H_1^H) - tr(M x), with
-    B = I + H_1 S_2 H_1^H and M positive definite: water-filling on the
-    eigenvalues s of T = M^{-1/2} H_1^H B^{-1} H_1 M^{-1/2}, with powers
-    (w_1 - 1/s)^+ along T's eigenvectors, mapped back through M^{-1/2}."""
-    h, w = prob.H[0], prob.w[0]
+def _waterfill(h: np.ndarray, w: float, base: np.ndarray, M: np.ndarray,
+               cap: float) -> np.ndarray:
+    """Maximizer over PSD x of w logdet(I + base + h x h^H) - tr(M x).
+
+    For positive definite M: water-filling on the eigenvalues s of
+    T = M^{-1/2} h^H (I + base)^{-1} h M^{-1/2}, with powers (w - 1/s)^+ along
+    T's eigenvectors, mapped back through M^{-1/2}; a zero weight pours
+    nothing.  Otherwise the maximum is unbounded, and the maximizer under
+    tr(x) <= ``cap`` is returned instead: the water-fill of M + mu I at the
+    least shift mu that meets the cap, found by bisection (with a zero
+    weight, the whole cap along M's lowest eigenvector).
+    """
     m_val, m_vec = np.linalg.eigh(M)
-    m_isqrt = (m_vec / np.sqrt(m_val)) @ herm(m_vec)
-    f = h @ m_isqrt
-    s, v = np.linalg.eigh(hermitize(herm(f) @ inv_i_plus(h @ suf[1] @ herm(h)) @ f))
-    p = np.zeros_like(s)
-    pour = w * s > 1.0
-    p[pour] = w - 1.0 / s[pour]
-    g = m_isqrt @ v
-    return hermitize((g * p) @ herm(g))
+    b_inv = inv_i_plus(base)
+
+    def fill(shift):
+        m_isqrt = (m_vec / np.sqrt(m_val + shift)) @ herm(m_vec)
+        f = h @ m_isqrt
+        s, v = np.linalg.eigh(hermitize(herm(f) @ b_inv @ f))
+        p = np.zeros_like(s)
+        pour = w * s > 1.0
+        p[pour] = w - 1.0 / s[pour]
+        g = m_isqrt @ v
+        return hermitize((g * p) @ herm(g))
+
+    if m_val[0] > 0.0:
+        return fill(0.0)
+    if w == 0.0:
+        return cap * np.outer(m_vec[:, 0], m_vec[:, 0].conj())
+    # bisect on nu, the least eigenvalue of the shifted M: each of the n
+    # powers is at most w / nu, so nu = n w / cap meets the cap
+    m_val = m_val - m_val[0]
+    lo, hi = 0.0, len(m_val) * w / cap
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.trace(fill(mid)).real > cap:
+            lo = mid
+        else:
+            hi = mid
+    return fill(hi)
 
 
-def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int,
-                  cfg: SolverConfig) -> np.ndarray:
-    """Maximize the block surrogate (concave part plus the convex part's
-    tangent at Q[k]) over PSD matrices.
+def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np.ndarray:
+    """One ascent step on block k's surrogate (concave part plus the convex
+    part's tangent at x = Q[k]), other blocks fixed.
 
-    Position 1 (``k == 0``) has no eavesdropper log in its concave part, so
-    its surrogate is solved in closed form (:func:`_waterfill`); later
-    positions use at most ``INNER_MAX_ITERS`` projected-ascent steps, each
-    line search opening at twice the last accepted step (step 1 at first).
-    Never returns a block with a lower surrogate value than the incoming one.
+    The step linearizes the surrogate's eavesdropper logs (positions j < k)
+    at x as well, leaving w_k logdet(I + H_k (S_{k+1} + y) H_k^H) - tr(M y)
+    with M = lam I - A - E, A the convex part's gradient and E that of the
+    eavesdropper logs.  Its maximizer y (:func:`_waterfill`, capped at trace
+    max(2P, tr x) when M is not positive definite) gives the direction
+    d = y - x, whose ascent gap <grad, d> is nonnegative and zero only at a
+    block stationary point.  An Armijo search on t = 1, 1/2, ... along the
+    segment x + t d, which stays PSD, picks the step.  At position 1 there
+    are no eavesdropper logs, so t = 1 is the exact block maximizer.
+
+    Returns Q[k] itself when the gap is at round-off level, and raises
+    :class:`InnerNotImproved` when a larger gap admits no step.
     """
     suf = suffix_sums(Q)
+    hk, G, w = prob.H[k], prob.G, prob.w
+    hkh, gh = herm(hk), herm(G)
+    x = Q[k]
     A = _grad_cvx(prob, suf, k)
-    ccv_value, ccv_gradient = _concave_part(prob, Q, suf, lam, k)
-    q0 = Q[k]
-
-    def value(x):
-        return ccv_value(x) + float(np.real(np.trace(A @ (x - q0))))
-
-    def gradient(x):
-        return hermitize(ccv_gradient(x) + A)
-
-    if k == 0:
-        x = _waterfill(prob, suf, lam * np.eye(prob.n_t) - A)
-        return q0 if value(x) < value(q0) else x
-    x = q0
-    u = value(x)
-    g = gradient(x)
-    ftol = max(1e-16, 1e-2 * cfg.objective_tol)
-    flat_steps = 0
+    user = hk @ suf[k] @ hkh
+    eve = [G @ suf[j + 1] @ gh for j in range(k)]
+    M = lam * np.eye(prob.n_t) - A
+    for j, e in enumerate(eve):
+        M = M - w[j] * (gh @ inv_i_plus(e) @ G)
+    M = hermitize(M)
+    power = float(np.trace(x).real)
+    d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, max(2.0 * prob.P, power)) - x
+    hdh, gdg = hk @ d @ hkh, G @ d @ gh
+    tr_d, tr_ad = float(np.trace(d).real), float(np.vdot(A, d).real)
+    gap = w[k] * float(np.vdot(inv_i_plus(user), hdh).real) - float(np.vdot(M, d).real)
+    u0 = _concave_value(prob, lam, k, user, eve, power)
+    if gap <= np.finfo(float).eps * (1.0 + abs(u0)):
+        return x  # the gap is round-off in the concave value
     t = 1.0
-    for _ in range(INNER_MAX_ITERS):
-        scale_tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))
-        accepted = False
-        while t >= 1e-14:
-            xn = project_psd(x + t * g)
-            d = xn - x
-            dn = float(np.linalg.norm(d))
-            if dn <= scale_tol:
-                break  # projection is a fixed point at this step size
-            lin = float(np.real(np.trace(g @ d)))
-            un = value(xn)
-            if un >= u + 1e-4 * lin:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            mapping = float(np.linalg.norm(project_psd(x + g) - x))
-            if mapping > 1e-6:
-                raise InnerNotImproved(
-                    f"no ascent found for block {k + 1} despite gradient mapping "
-                    f"norm {mapping:.3e}")
-            return x
-        flat_steps = flat_steps + 1 if un - u <= ftol * (1.0 + abs(u)) else 0
-        x, u = xn, un
-        g = gradient(x)
-        t = min(t * 2.0, 1e6)
-        if dn <= 1e-10 * (1.0 + float(np.linalg.norm(x))) or flat_steps >= 2:
-            break
-    return x
+    while t >= 1e-14:
+        u = _concave_value(prob, lam, k, user + t * hdh, [e + t * gdg for e in eve],
+                           power + t * tr_d) + t * tr_ad
+        if u >= u0 + 1e-4 * t * gap:
+            return x + t * d
+        t *= 0.5
+    raise InnerNotImproved(f"no ascent found for block {k + 1} despite ascent gap {gap:.3e}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
     hit_cap = True
     for _ in range(cfg.max_outer_iters):
         for k in range(prob.K):
-            Q[k] = _block_update(prob, Q, lam, k, cfg)
+            Q[k] = _block_update(prob, Q, lam, k)
             if per_block_trace:
                 lag_trace.append(_lagrangian(prob, Q, lam))
         wsr, power = _wsr(prob, Q), _total_trace(Q)
@@ -346,8 +345,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval
     Once there are two tight records, the secant runs through the last two.
     Fallbacks: after a zero-power record at the high end, which has no slope
     to follow, the next price is the geometric midpoint of the bracket; a
-    secant price off the bracket, or a bracket that did not halve in two
-    steps, gives way to the arithmetic midpoint.
+    secant price off the bracket gives way to the arithmetic midpoint.
 
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
@@ -366,7 +364,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval
         return evals  # tight at the top price, or even it cannot meet the budget
     lam_lo, r_lo, r_hi = LAMBDA_LO, evals[0].power - P, hi.power - P
     tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-6, 5e-15))
-    run_cfg, side, widths, tight_pts = cfg, 0, (np.inf, np.inf), []
+    run_cfg, side, tight_pts = cfg, 0, []
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
         width = hi.lam - lam_lo
@@ -379,9 +377,8 @@ def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval
         lam = 1.0 / mu if mu > 0 else 0.0
         if hi.power == 0.0 and hi.lam < LAMBDA_HI:
             lam = float(np.sqrt(lam_lo * hi.lam))
-        elif not lam_lo < lam < hi.lam or width > 0.5 * widths[0]:
+        elif not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
-        widths = (widths[1], width)
         ev = _evaluate(prob, run_cfg, lam, hi, power_stop)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
@@ -450,12 +447,12 @@ def _check_price(lam: float) -> None:
 
 
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                     w: WeightVector, lam: float, k: int,
-                     cfg: Optional[SolverConfig] = None) -> np.ndarray:
-    """One maximizing update of block k's surrogate; other blocks stay fixed."""
+                     w: WeightVector, lam: float, k: int) -> np.ndarray:
+    """One ascent step on block k's surrogate (see :func:`_block_update`);
+    other blocks stay fixed.  At position 1 it is the exact maximizer."""
     _check_price(lam)
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _block_update(prob, Q, lam, k - 1, cfg or SolverConfig())
+    return _block_update(prob, Q, lam, k - 1)
 
 
 def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
@@ -464,7 +461,7 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
                         per_block_trace: bool = False
                         ) -> tuple[CovariancePlan, list[float]]:
     """Fixed-multiplier block-sweep maximization from ``plan0`` (default:
-    the uniform start); returns plan and the penalized-objective trace (per
+    the zero plan); returns plan and the penalized-objective trace (per
     block update when requested)."""
     _check_price(lam)
     prob = _Problem(ch, order, w)
@@ -480,7 +477,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """Maximize the weighted secrecy sum under the total power budget.
 
     A secant search on the power price (see ``_price_search``) from the
-    downlink plan ``plan0`` (default: the uniform start); the returned plan
+    downlink plan ``plan0`` (default: the zero plan); the returned plan
     and its termination label follow the budget rule in the module
     docstring.  The objective trace records the weighted secrecy sum after
     every sweep of every evaluation (not the penalized objective), and the
@@ -512,7 +509,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
 def solve_wsr_multistart(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                          order: EncodingOrder, cfg: Optional[SolverConfig] = None,
                          starts: int = 1, seed: int = 0) -> SolverReport:
-    """Best of several solves: the uniform start plus seeded random ones.
+    """Best of several solves: the zero start plus seeded random ones.
 
     Block updates only reach stationary points of a nonconvex objective, so
     restarting from random feasible plans and keeping the best weighted sum

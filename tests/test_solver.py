@@ -188,9 +188,8 @@ class TestSurrogateUpdate:
         ch = ChannelSet([h], np.zeros((1, 2)), 10.0)
         lam = 0.5
         start = CovariancePlan(BC, [0.5 * np.eye(2)])
-        cfg = SolverConfig(objective_tol=1e-12)
         out = surrogate_update(ch, EncodingOrder([1]), start,
-                               WeightVector([1.0]), lam, 1, cfg)
+                               WeightVector([1.0]), lam, 1)
         ref = waterfilling_covariance(h, lam)
         assert np.max(np.abs(out - ref)) < 1e-6
 
@@ -258,6 +257,23 @@ class TestSurrogateUpdate:
                                WeightVector([1.0]), 0.5, 1)
         assert np.max(np.abs(out - waterfilling_covariance(h, 0.5))) < 1e-12
 
+    def test_indefinite_model_is_trace_capped(self):
+        # with user 1 along the eavesdropper row and a low price, the model
+        # matrix lam I - A - E of position 2 is indefinite, so the step's
+        # water-fill is unbounded unless its trace is capped
+        ch = example_two_user()
+        order, w, lam = EncodingOrder([1, 2]), WeightVector([0.5, 0.1]), 0.1
+        plan = CovariancePlan(BC, [np.array([[0.2, -0.4], [-0.4, 0.8]]), np.zeros((2, 2))])
+        g = ch.eavesdropper
+        m = (lam * np.eye(2) - gradient_cvx(ch, order, plan, w, lam, 2)
+             - w.weights[0] * herm(g) @ g)
+        assert np.linalg.eigvalsh(m)[0] < -0.3
+        out = surrogate_update(ch, order, plan, w, lam, 2)
+        assert np.linalg.eigvalsh((out + herm(out)) / 2)[0] >= -1e-12
+        after = CovariancePlan(BC, [plan.matrices[0], out])
+        gain = lagrangian(ch, order, after, w, lam) - lagrangian(ch, order, plan, w, lam)
+        assert gain > 0.1
+
     def test_rejects_nonpositive_price(self):
         # at zero price the position-1 surrogate is unbounded along the
         # directions the eavesdropper cannot see
@@ -292,14 +308,14 @@ class TestMaximizeLagrangian:
             order = EncodingOrder(local.permutation(K) + 1)
             w = WeightVector(local.random(K) + 0.05)
             lam = float(0.05 + local.random())
-            out, trace = maximize_lagrangian(ch, w, order, lam, cfg)
             scale = ch.power / (K * ch.n_t)
             plan = CovariancePlan(BC, [scale * np.eye(ch.n_t)] * K)
+            out, trace = maximize_lagrangian(ch, w, order, lam, cfg, plan0=plan)
             for _ in range(len(trace) - 1):
                 for k in range(1, K + 1):
                     mats = list(plan.matrices)
                     mats[order.permutation[k - 1] - 1] = surrogate_update(
-                        ch, order, plan, w, lam, k, cfg)
+                        ch, order, plan, w, lam, k)
                     plan = CovariancePlan(BC, mats)
             for a, b in zip(out.matrices, plan.matrices):
                 assert np.max(np.abs(a - b)) <= 1e-12
@@ -394,6 +410,18 @@ class TestSolveWsr:
         assert report.outer_iters <= 4000
         assert report.termination != "converged"
         report.plan.validate_for(ch, check_power=True)
+
+    def test_snr_range(self):
+        # -30 to +70 dB on one K = 2, n_t = 4 instance: no solve raises, every
+        # plan is within the budget, and up to +40 dB every solve meets it
+        base = sample_channel_set(449948378, 2, 4, 2, 2, 1.0)
+        w, order = WeightVector([0.3, 0.7]), EncodingOrder([2, 1])
+        for power in (1e-3, 1.0, 1e2, 1e4, 1e7):
+            ch = ChannelSet(list(base.user_channels), base.eavesdropper, power)
+            report = solve_wsr(ch, w, order)
+            report.plan.validate_for(ch, check_power=True)
+            if power <= 1e4:
+                assert report.termination == "converged", (power, report.termination)
 
     def test_single_user_no_eavesdropper_hits_water_filling(self):
         cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9, max_outer_iters=4000)
