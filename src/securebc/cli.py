@@ -30,7 +30,7 @@ from .errors import SecureBcError
 from .ordering import compare_orders, optimal_order
 from .rates import EncodingOrder
 from .region import BOTH_CORNERS, THEOREM, hull_2d, trace_region
-from .solver import SolverConfig, SolverReport, solve_wsr_multistart
+from .solver import SolverConfig, SolverReport, solve_wsr
 
 
 class UsageError(Exception):
@@ -115,15 +115,12 @@ def _order_tag(order: EncodingOrder) -> str:
 
 
 def _cmd_solve(args) -> int:
-    if args.starts < 1:
-        raise UsageError(f"--starts must be at least 1, got {args.starts}")
     ch = load_channel_set(args.channels)
     w = _parse_weights(args.weights)
     if len(w) != ch.num_users:
         raise UsageError(f"{len(w)} weights for {ch.num_users} users")
     order = _parse_order(args.order, ch.num_users) or optimal_order(w)
-    report = solve_wsr_multistart(ch, w, order, _load_config(args.config),
-                                  starts=args.starts, seed=args.seed)
+    report = solve_wsr(ch, w, order, _load_config(args.config))
     json.dump(_report_json(report, order, w), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
@@ -240,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="comma-separated, e.g. 0.5,0.5")
     p.add_argument("--order", default="theorem", help="'theorem' or e.g. 2,1")
     p.add_argument("--config", default=None)
-    p.add_argument("--starts", type=int, default=1, help="random restarts")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("region", help="trace the rate region over a weight grid")

@@ -140,17 +140,14 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
-def psd_inv_sqrt(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Inverse Hermitian square root, with an optional eigenvalue ridge.
+def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Inverse Hermitian square root.
 
     Raises:
-        SingularMatrix: if any (ridged) eigenvalue is at or below
+        SingularMatrix: if any eigenvalue is at or below
             ``SINGULAR_REL_TOL`` times the largest.
     """
-    if ridge < 0.0:
-        raise ValueError("ridge must be nonnegative")
     w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
-    w = w + ridge
     largest = w[-1]
     if largest <= 0.0 or w[0] <= SINGULAR_REL_TOL * largest:
         raise SingularMatrix(
@@ -159,31 +156,8 @@ def psd_inv_sqrt(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept.
-
-    Dimensions 1 and 2 use the closed-form eigensystem.
-    """
+    """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept."""
     h = hermitize(np.asarray(m, dtype=complex))
-    n = h.shape[0]
-    if n == 1:
-        return np.array([[complex(max(h[0, 0].real, 0.0))]])
-    if n == 2:
-        a = float(h[0, 0].real)
-        d = float(h[1, 1].real)
-        b = h[0, 1]
-        mid = 0.5 * (a + d)
-        r = float(np.hypot(0.5 * (a - d), abs(b)))
-        if mid - r >= 0.0:
-            return h
-        if mid + r <= 0.0:
-            return np.zeros((2, 2), dtype=complex)
-        if abs(b) == 0.0:
-            return np.array([[complex(max(a, 0.0)), 0.0],
-                             [0.0, complex(max(d, 0.0))]])
-        hi = mid + r
-        v = np.array([b, hi - a], dtype=complex)
-        v = v / np.linalg.norm(v)
-        return hi * np.outer(v, v.conj())
     w, v = np.linalg.eigh(h)
     if w[0] >= 0.0:
         return h

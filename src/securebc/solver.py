@@ -7,14 +7,15 @@ every incoming plan is a downlink plan of the right shape.
 
 Structure:
 
-* a price search finds the budget-tight power price ``lam`` in
-  ``[LAMBDA_LO, LAMBDA_HI]`` by regula falsi (Illinois) on the power
-  residual against ``1/lam``, with bisection fallbacks (see
-  :func:`_price_search`); each price evaluation is one :class:`_Eval`
-  record, and the search stops at the first record that passes the budget
-  rule.  Sweeps run at ``objective_tol`` until a record lands within
-  ``NEAR * P`` of the budget, and are tight (``objective_tol * 1e-6``, at
-  least 5e-15) from that price on,
+* a price search finds the budget-tight power price ``lam`` between
+  ``LAMBDA_LO`` and the instance's top price, above which the zero plan is
+  stationary (see :func:`_top_price`), by regula falsi (Illinois) on the
+  power residual against ``1/lam`` (see :func:`_price_search`); each price
+  evaluation is one :class:`_Eval` record, and the search stops at the
+  first record that passes the budget rule.  Sweeps run at
+  ``objective_tol`` until a record lands within ``NEAR * P`` of the
+  budget, and are tight (``objective_tol * 1e-6``, at least 5e-15) from
+  that price on,
 * at fixed ``lam`` the penalized objective (weighted secrecy sum minus
   ``lam`` times the power excess) is maximized by cyclic block updates; a
   sweep computes the weighted sum once and derives the objective from it,
@@ -26,7 +27,7 @@ Structure:
   encoding position 1 the surrogate has no eavesdropper log, and the full
   step is its exact maximizer.  An update depends only on the current plan
   and price, so a sweep is :func:`surrogate_update` on each block in turn.
-  Solves start from the zero plan unless given one.
+  Solves start from the zero plan.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -53,15 +54,14 @@ from .errors import DimensionMismatch, InnerNotImproved
 from .linalg import herm, hermitize, inv_i_plus, logdet_i_plus, project_psd
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
-                    random_plan, suffix_sums)
+                    suffix_sums)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
 
-# absolute price bracket
+# bottom of the price bracket
 LAMBDA_LO = 1e-6
-LAMBDA_HI = 1e3
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
 
@@ -331,53 +331,65 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
     return _Eval(lam, Q, power, wsr, hit_cap, tuple(wsr_trace), tuple(lag_trace))
 
 
-def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval]:
-    """Find the budget-tight power price in ``[LAMBDA_LO, LAMBDA_HI]`` from
-    ``start``.
+def _top_price(prob: _Problem) -> float:
+    """The least price at which the zero plan is a fixed point of every block
+    update: max_k w_k lam_max(H_k^H H_k - G^H G).
 
-    After the two end prices, regula falsi (the Illinois variant) on the
-    power residual r = power - P against mu = 1/lam, in which water-filling
-    power sum (w/lam - 1/s)^+ is piecewise linear.  Sweeps run at
+    At the zero plan, block k's model matrix is lam I + w_k G^H G at every
+    position, so its water-fill pours nothing exactly when
+    lam I - w_k (H_k^H H_k - G^H G) is positive semidefinite.
+    """
+    G = prob.G
+    ggh = herm(G) @ G
+    return max(float(np.linalg.eigvalsh(w * (herm(h) @ h - ggh))[-1])
+               for h, w in zip(prob.H, prob.w))
+
+
+def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
+    """Find the budget-tight power price between ``LAMBDA_LO`` and the top
+    price :func:`_top_price`, starting from the zero plan.
+
+    The bottom price is evaluated first.  The top of the bracket is the zero
+    plan itself, placed at the top price without an evaluation: no price
+    above it moves the zero plan, so its power residual there is -P.  (A top
+    price at or below ``LAMBDA_LO`` needs no case of its own: the bottom
+    evaluation then returns the zero plan, which passes the budget rule.)
+    Then regula falsi (the Illinois variant) on the power residual
+    r = power - P against mu = 1/lam, in which water-filling power
+    sum (w/lam - 1/s)^+ is piecewise linear; a secant price that rounds off
+    the bracket gives way to the arithmetic midpoint.  Sweeps run at
     ``cfg.objective_tol`` until a record lands within ``NEAR * P`` of the
     budget; that price is re-run once at the tight tolerance
     ``objective_tol * 1e-6`` (at least 5e-15), and so is every later price,
     because the loose residual crosses zero a few 1e-5 P off the true root.
-    Once there are two tight records, the secant runs through the last two.
-    Fallbacks: after a zero-power record at the high end, which has no slope
-    to follow, the next price is the geometric midpoint of the bracket; a
-    secant price off the bracket gives way to the arithmetic midpoint.
 
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
-    the gap floor.  The top price warm-starts from the bottom price's record,
-    each later price from the last record on the feasible side of the
-    bracket, and the tight re-run from the loose record at its price.
+    the gap floor.  Each price after the bottom one warm-starts from the
+    record at the bracket's top (the zero plan, until a later record lands
+    on the feasible side), and the tight re-run from the loose record at its
+    price.
     """
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
-    evals = [_evaluate(prob, cfg, LAMBDA_LO, start, power_stop)]
+    zero = _Eval.cold(prob, prob.blocks(None))
+    evals = [_evaluate(prob, cfg, LAMBDA_LO, zero, power_stop)]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
-    hi = _evaluate(prob, cfg, LAMBDA_HI, evals[-1])
-    evals.append(hi)
-    if hi.passes(P, cfg) or hi.power > P:
-        return evals  # tight at the top price, or even it cannot meet the budget
-    lam_lo, r_lo, r_hi = LAMBDA_LO, evals[0].power - P, hi.power - P
+    hi = replace(zero, lam=_top_price(prob))
+    lam_lo, r_lo, r_hi = LAMBDA_LO, evals[0].power - P, -P
     tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-6, 5e-15))
-    run_cfg, side, tight_pts = cfg, 0, []
+    run_cfg, side = cfg, 0
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
         width = hi.lam - lam_lo
         if width <= gap_floor * max(1.0, hi.lam):
             break
-        # secant through the last two tight records, else regula falsi
-        (m1, r1), (m2, r2) = (tight_pts if len(tight_pts) == 2
-                              else [(1.0 / lam_lo, r_lo), (1.0 / hi.lam, r_hi)])
-        mu = m2 - r2 * (m1 - m2) / (r1 - r2) if r1 != r2 else 0.0
-        lam = 1.0 / mu if mu > 0 else 0.0
-        if hi.power == 0.0 and hi.lam < LAMBDA_HI:
-            lam = float(np.sqrt(lam_lo * hi.lam))
-        elif not lam_lo < lam < hi.lam:
+        # r_lo > 0 > r_hi, so the secant root lies inside the bracket up to
+        # rounding
+        m_lo, m_hi = 1.0 / lam_lo, 1.0 / hi.lam
+        lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
+        if not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
         ev = _evaluate(prob, run_cfg, lam, hi, power_stop)
         evals.append(ev)
@@ -388,8 +400,6 @@ def _price_search(prob: _Problem, cfg: SolverConfig, start: _Eval) -> list[_Eval
         if ev.passes(P, cfg):
             return evals
         r = ev.power - P
-        if run_cfg is tight:
-            tight_pts = (tight_pts + [(1.0 / lam, r)])[-2:]
         # Illinois: when the same end moves twice running, halve the other
         # end's residual so the secant cannot creep along one side
         if r > 0:
@@ -472,22 +482,21 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
 
 
 def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
-              order: EncodingOrder, cfg: Optional[SolverConfig] = None,
-              plan0: Optional[CovariancePlan] = None) -> SolverReport:
+              order: EncodingOrder, cfg: Optional[SolverConfig] = None) -> SolverReport:
     """Maximize the weighted secrecy sum under the total power budget.
 
-    A secant search on the power price (see ``_price_search``) from the
-    downlink plan ``plan0`` (default: the zero plan); the returned plan
-    and its termination label follow the budget rule in the module
-    docstring.  The objective trace records the weighted secrecy sum after
-    every sweep of every evaluation (not the penalized objective), and the
-    multiplier trace records each evaluated price.
+    A secant search on the power price from the zero plan (see
+    ``_price_search``); the returned plan and its termination label follow
+    the budget rule in the module docstring.  The objective trace records
+    the weighted secrecy sum after every sweep of every evaluation (not the
+    penalized objective), and the multiplier trace records each evaluated
+    price.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
     prob = _Problem(ch, order, w)
-    evals = _price_search(prob, cfg, _Eval.cold(prob, prob.blocks(plan0)))
+    evals = _price_search(prob, cfg)
     feasible = ([ev for ev in evals if ev.feasible(prob.P)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
@@ -504,22 +513,3 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                         lambda_final=float(best.lam),
                         outer_iters=sum(len(ev.wsr_trace) for ev in evals),
                         termination=termination)
-
-
-def solve_wsr_multistart(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
-                         order: EncodingOrder, cfg: Optional[SolverConfig] = None,
-                         starts: int = 1, seed: int = 0) -> SolverReport:
-    """Best of several solves: the zero start plus seeded random ones.
-
-    Block updates only reach stationary points of a nonconvex objective, so
-    restarting from random feasible plans and keeping the best weighted sum
-    is the standard hedge.  Deterministic given (cfg, starts, seed).
-    """
-    best = solve_wsr(ch, w, order, cfg)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, starts - 1)):
-        plan0 = random_plan(BC, [ch.n_t] * ch.num_users, ch.power, rng)
-        trial = solve_wsr(ch, w, order, cfg, plan0=plan0)
-        if trial.rates.weighted_sum > best.rates.weighted_sum:
-            best = trial
-    return best

@@ -68,14 +68,6 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["order"] == [2, 1]
 
-    def test_multistart(self, example_file, fast_cfg_file, capsys):
-        assert cli_main(["solve", "--channels", example_file,
-                         "--weights", "0.5,0.5", "--order", "1,2",
-                         "--config", fast_cfg_file,
-                         "--starts", "2", "--seed", "3"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["sum_rate"] == pytest.approx(1.5977, abs=1e-2)
-
 
 class TestRegion:
     def test_csv_deterministic_with_header(self, example_file, fast_cfg_file,
@@ -204,9 +196,7 @@ class TestExitCodes:
 
     def test_usage_error_counts_below_one(self, example_file, capsys):
         for argv in (["duality-check", "--seeds", "0"],
-                     ["duality-check", "--seeds", "-2"],
-                     ["solve", "--channels", example_file, "--weights", "0.5,0.5",
-                      "--starts", "0"]):
+                     ["duality-check", "--seeds", "-2"]):
             assert cli_main(argv) == 1
             assert "usage error" in capsys.readouterr().err
 
@@ -272,3 +262,21 @@ class TestDirectoryPaths:
         self._usage_error(["gen-channels", "--seed", "1", "--K", "2", "--nt", "2",
                            "--nk", "2", "--ne", "1", "--power", "1",
                            "--output", str(tmp_path)], capsys)
+
+
+def test_readme_cli_lines_parse():
+    # every command in README's CLI block parses, so a removed flag cannot
+    # linger in the docs
+    import shlex
+    from pathlib import Path
+
+    from securebc.cli import build_parser
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.startswith("securebc ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
