@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet, WeightVector, sample_channel_set
-from .linalg import (SvdTriple, herm, hermitize, project_psd, psd_inv_sqrt,
-                     psd_sqrt, svd_square_diag)
+from .linalg import (SvdTriple, herm, hermitize, project_psd, sqrt_pair,
+                     svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, bc_rates,
                     by_position, by_user, dpc_secrecy_rates, mac_rates,
                     mac_side_objective, random_plan, weighted_sum)
@@ -86,10 +86,8 @@ def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndar
 
     Returns (other-side covariance, svd, effective eavesdropper channel).
     """
-    dm = psd_inv_sqrt(D)
-    dp = psd_sqrt(D)
-    cm = psd_inv_sqrt(C)
-    cp = psd_sqrt(C)
+    dp, dm = sqrt_pair(D)
+    cp, cm = sqrt_pair(C)
     svd = svd_square_diag(dm @ herm(hk) @ cm)
     e, f = svd.left, svd.right
     ge = cp @ f @ herm(e) @ dm @ herm(G)

@@ -141,7 +141,15 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse Hermitian square root.
+    """Inverse Hermitian square root; raises ``SingularMatrix`` as
+    :func:`sqrt_pair` does."""
+    return sqrt_pair(m)[1]
+
+
+def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(square root, inverse square root) of a Hermitian positive definite
+    matrix from one eigendecomposition; the square root equals
+    :func:`psd_sqrt`'s.
 
     Raises:
         SingularMatrix: if any eigenvalue is at or below
@@ -152,7 +160,8 @@ def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     if largest <= 0.0 or w[0] <= SINGULAR_REL_TOL * largest:
         raise SingularMatrix(
             f"eigenvalue range [{w[0]:.3e}, {largest:.3e}] cannot be inverted")
-    return hermitize((v / np.sqrt(w)) @ v.conj().T)
+    r = np.sqrt(w)
+    return hermitize((v * r) @ v.conj().T), hermitize((v / r) @ v.conj().T)
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ Structure:
   encoding position 1 the surrogate has no eavesdropper log, and the full
   step is its exact maximizer.  An update depends only on the current plan
   and price, so a sweep is :func:`surrogate_update` on each block in turn.
-  Solves start from the zero plan.
+  Solves start from the zero plan,
+* the price search's loose evaluations over-relax every sweep that creeps
+  (its objective gain exceeds half the previous sweep's): they keep the
+  best of Q + beta (Q - Q_before), beta = 1, 2, 4, ..., by penalized
+  objective, stopping at the first beta that does not raise it (see
+  :func:`_extrapolate`).  Tight re-runs and :func:`maximize_lagrangian`
+  sweep plainly.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -39,7 +45,8 @@ and the labels judge the records alone, not how their prices were chosen.
 
 The surrogate is a global lower bound of the block objective that is tight
 at the expansion point, so no accepted block step lowers the true penalized
-objective; the test suite asserts this rather than assuming it.
+objective, and an over-relaxed plan is kept only when it raises that
+objective; the test suite asserts both rather than assuming them.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ import numpy as np
 
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
-from .linalg import herm, hermitize, inv_i_plus, logdet_i_plus, project_psd
+from .linalg import (PSD_TOL, herm, hermitize, inv_i_plus, logdet_i_plus,
+                     min_eigenvalue, project_psd)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
                     suffix_sums)
@@ -296,38 +304,81 @@ class _Eval:
                                      or self.lam == LAMBDA_LO)
 
 
+def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
+                 power: float, lag: float, power_stop: float
+                 ) -> tuple[list, float, float, float]:
+    """Over-relax a sweep: the best of Q + beta (Q - before), beta = 1, 2,
+    4, ..., by penalized objective, or the sweep's own plan if none beats it.
+
+    The search stops at the first beta whose candidate has a block that is
+    not PSD within ``PSD_TOL * max(1, tr)``, has power above ``power_stop``
+    or does not raise the objective, so every accepted plan is a valid plan
+    that ascends.  It ends for any step: a step of positive total trace
+    eventually crosses ``power_stop``, and any other nonzero step has a
+    block of trace at most zero, which leaves the PSD cone.  Returns (plan,
+    weighted sum, power, objective).
+    """
+    step = [q - b for q, b in zip(Q, before)]
+    best = (Q, wsr, power, lag)
+    beta = 1.0
+    while True:
+        cand = [q + beta * d for q, d in zip(Q, step)]
+        power = _total_trace(cand)
+        if power > power_stop or any(
+                min_eigenvalue(c) < -PSD_TOL * max(1.0, float(np.trace(c).real))
+                for c in cand):
+            return best
+        wsr = _wsr(prob, cand)
+        lag = wsr - lam * (power - prob.P)
+        if not lag > best[3]:
+            return best
+        best = (cand, wsr, power, lag)
+        beta *= 2.0
+
+
 def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
-              power_stop: Optional[float] = None,
-              per_block_trace: bool = False) -> _Eval:
+              power_stop: Optional[float] = None, per_block_trace: bool = False,
+              extrapolate: bool = False) -> _Eval:
     """Cyclic block sweeps at price ``lam`` from a copy of ``start``'s plan
     until the penalized objective (traced per block update if asked) settles.
 
     ``power_stop`` aborts the run once the total trace exceeds that level:
     the price is then clearly below the budget-tight one and the caller only
     needs the sign of the power residual, not a converged plan.
+
+    ``extrapolate`` (which needs ``power_stop``) over-relaxes every sweep
+    that creeps, one whose objective gain exceeds half the previous sweep's
+    and does not settle, by :func:`_extrapolate`.  The stop test reads each
+    sweep's own gain, before extrapolation, and the traces record the plan
+    kept.
     """
     Q = [np.array(q) for q in start.Q]
     lag = start.wsr - lam * (start.power - prob.P)
     lag_trace = [lag]
     wsr_trace = []
     hit_cap = True
+    prev_gain = np.inf
     for _ in range(cfg.max_outer_iters):
+        before = list(Q)
         for k in range(prob.K):
             Q[k] = _block_update(prob, Q, lam, k)
             if per_block_trace:
                 lag_trace.append(_lagrangian(prob, Q, lam))
         wsr, power = _wsr(prob, Q), _total_trace(Q)
         new_lag = wsr - lam * (power - prob.P)
+        gain = new_lag - lag
+        done = ((power_stop is not None and power > power_stop)
+                or abs(gain) <= cfg.objective_tol * (1.0 + abs(lag)))
+        if extrapolate and not done and gain > 0.5 * prev_gain:
+            Q, wsr, power, new_lag = _extrapolate(prob, lam, Q, before, wsr, power,
+                                                  new_lag, power_stop)
         if not per_block_trace:
             lag_trace.append(new_lag)
         wsr_trace.append(wsr)
-        if power_stop is not None and power > power_stop:
+        if done:
             hit_cap = False
             break
-        if abs(new_lag - lag) <= cfg.objective_tol * (1.0 + abs(lag)):
-            hit_cap = False
-            break
-        lag = new_lag
+        lag, prev_gain = new_lag, gain
     return _Eval(lam, Q, power, wsr, hit_cap, tuple(wsr_trace), tuple(lag_trace))
 
 
@@ -358,10 +409,13 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
     r = power - P against mu = 1/lam, in which water-filling power
     sum (w/lam - 1/s)^+ is piecewise linear; a secant price that rounds off
     the bracket gives way to the arithmetic midpoint.  Sweeps run at
-    ``cfg.objective_tol`` until a record lands within ``NEAR * P`` of the
-    budget; that price is re-run once at the tight tolerance
-    ``objective_tol * 1e-6`` (at least 5e-15), and so is every later price,
-    because the loose residual crosses zero a few 1e-5 P off the true root.
+    ``cfg.objective_tol``, extrapolated, until a record lands within
+    ``NEAR * P`` of the budget; that price is re-run once at the tight
+    tolerance ``objective_tol * 1e-6`` (at least 5e-15), and so is every
+    later price, because the loose residual crosses zero a few 1e-5 P off
+    the true root.  Tight sweeps are plain: extrapolating them moved the
+    settled power by up to about 1e-5 P, enough to leave solves ``stalled``
+    off the budget.
 
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
@@ -373,7 +427,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
     zero = _Eval.cold(prob, prob.blocks(None))
-    evals = [_evaluate(prob, cfg, LAMBDA_LO, zero, power_stop)]
+    evals = [_evaluate(prob, cfg, LAMBDA_LO, zero, power_stop, extrapolate=True)]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
     hi = replace(zero, lam=_top_price(prob))
@@ -391,7 +445,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
         lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
         if not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
-        ev = _evaluate(prob, run_cfg, lam, hi, power_stop)
+        ev = _evaluate(prob, run_cfg, lam, hi, power_stop, extrapolate=run_cfg is cfg)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
             run_cfg = tight

@@ -5,6 +5,7 @@ from conftest import herm, rand_complex, rand_hermitian, rand_hpd
 from securebc import (NonPositiveDefinite, SingularMatrix, logdet_hpd,
                       project_psd, psd_inv_sqrt, psd_sqrt, random_psd,
                       svd_square_diag)
+from securebc.linalg import sqrt_pair
 
 rng = np.random.default_rng(42)
 
@@ -79,6 +80,17 @@ class TestPsdInvSqrt:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             psd_inv_sqrt(np.diag([1.0, 0.0]))
+        with pytest.raises(SingularMatrix):
+            sqrt_pair(np.diag([1.0, 0.0]))
+
+    def test_pair_matches_square_root(self):
+        # the duality transform takes both roots from one eigendecomposition
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            m = rand_hpd(rng, n, scale=float(n))
+            root, inv_root = sqrt_pair(m)
+            assert np.array_equal(root, psd_sqrt(m))
+            assert np.linalg.norm(root @ inv_root - np.eye(n)) < 1e-9
 
 
 class TestProjectPsd:

@@ -356,6 +356,64 @@ class TestMaximizeLagrangian:
         assert out.side == BC
 
 
+class TestExtrapolatedSweeps:
+    def test_extrapolated_evaluations_ascend_within_limits(self, monkeypatch):
+        # loose price evaluations over-relax creeping sweeps; every plan an
+        # over-relaxation keeps must be PSD within the plan tolerance, stay
+        # at or below power_stop and not lower the penalized objective, and
+        # the objective trace of every such evaluation must not fall
+        real_extrapolate, real_evaluate = solver_mod._extrapolate, solver_mod._evaluate
+        moved = []
+        traces = []
+
+        def spy_extrapolate(prob, lam, Q, before, wsr, power, lag, power_stop):
+            out = real_extrapolate(prob, lam, Q, before, wsr, power, lag, power_stop)
+            plan, _, out_power, out_lag = out
+            for q in plan:
+                tol = 1e-10 * max(1.0, float(np.trace(q).real))
+                assert np.linalg.eigvalsh((q + herm(q)) / 2)[0] >= -tol
+            assert out_power <= power_stop
+            assert out_power == pytest.approx(sum(np.trace(q).real for q in plan),
+                                              rel=1e-12)
+            assert out_lag >= lag
+            moved.append(plan is not Q)
+            return out
+
+        def spy_evaluate(*args, **kwargs):
+            ev = real_evaluate(*args, **kwargs)
+            if kwargs.get("extrapolate"):
+                traces.append(ev.lag_trace)
+            return ev
+
+        monkeypatch.setattr(solver_mod, "_extrapolate", spy_extrapolate)
+        monkeypatch.setattr(solver_mod, "_evaluate", spy_evaluate)
+        local = np.random.default_rng(5)
+        for power in (1e-3, 1.0, 1e7):
+            for _ in range(3):
+                K = int(local.integers(2, 4))
+                ch = sample_channel_set(int(local.integers(2 ** 31)), K,
+                                        int(local.integers(2, 4)), 2, 1, power)
+                order = EncodingOrder(local.permutation(K) + 1)
+                w = WeightVector(local.random(K) + 0.05)
+                report = solve_wsr(ch, w, order)
+                report.plan.validate_for(ch, check_power=True)
+        assert traces and sum(moved) >= 10, (len(traces), sum(moved))
+        for trace in traces:
+            t = np.array(trace)
+            assert np.all(np.diff(t) >= -1e-9 * (1.0 + np.abs(t[:-1])))
+
+    def test_high_snr_bottom_price_sweeps(self):
+        # at P = 1e7 the bottom price lies above the budget-tight one, so the
+        # solve is one loose evaluation; its position-2 block creeps toward
+        # a water-fill target a few units ahead, 1,237 plain sweeps
+        ch = sample_channel_set(208090601, 2, 4, 2, 2, 1e7)
+        report = solve_wsr(ch, WeightVector([0.3, 0.7]), EncodingOrder([2, 1]))
+        assert len(report.lambda_trace) == 1
+        assert report.termination == "converged"
+        assert report.outer_iters <= 700
+        assert report.rates.weighted_sum == pytest.approx(19.86739, abs=1e-4)
+
+
 class TestSolveWsr:
     def test_two_user_benchmark_both_orders(self):
         ch = ChannelSet([np.array([[1.0, -0.5], [0.5, 2.0]]),
