@@ -27,8 +27,8 @@ from .rates import (BC, MAC, CovariancePlan, EncodingOrder, RatePoint,
                     mac_side_objective, weighted_sum)
 from .region import RegionPoint, RegionTrace, hull_2d, trace_region
 from .solver import (SolverConfig, SolverReport, gradient_cvx, lagrangian,
-                     maximize_lagrangian, solve_wsr, split_objective,
-                     surrogate_update)
+                     maximize_lagrangian, solve_wsr, solve_wsr_batch,
+                     split_objective, surrogate_update)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "bc_to_mac", "mac_to_bc", "build_context_from_bc", "build_context_from_mac",
     "effective_eve_channels", "wsr_equivalence_pair", "duality_property_ensemble",
     "lagrangian", "split_objective", "gradient_cvx", "surrogate_update",
-    "maximize_lagrangian", "solve_wsr",
+    "maximize_lagrangian", "solve_wsr", "solve_wsr_batch",
     "optimal_order", "enumerate_orders", "compare_orders",
     "trace_region", "hull_2d",
 ]

@@ -18,7 +18,7 @@ from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
 from .errors import InnerNotImproved, LengthMismatch, TooManyUsers
 from .rates import EncodingOrder, RatePoint
-from .solver import SolverConfig, SolverReport, solve_wsr
+from .solver import SolverConfig, solve_wsr_batch
 
 MAX_ENUMERATED_USERS = 6
 
@@ -72,7 +72,8 @@ def enumerate_orders(K: int) -> list[EncodingOrder]:
 
 def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                    cfg: Optional[SolverConfig] = None) -> OrderComparison:
-    """Solve the weighted problem under every encoding order and rank them.
+    """Solve the weighted problem under every encoding order, in one
+    :func:`~securebc.solver.solve_wsr_batch`, and rank them.
 
     Solver failures on individual orders are recorded (wsr = -inf) instead
     of aborting the comparison, except ``InnerNotImproved``, which marks a
@@ -87,16 +88,16 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
         raise LengthMismatch(f"{len(w)} weights for {ch.num_users} users")
     orders = enumerate_orders(ch.num_users)
 
-    def solve_one(order: EncodingOrder) -> OrderResult:
-        try:
-            report: SolverReport = solve_wsr(ch, w, order, cfg)
-        except InnerNotImproved:
-            raise
-        except Exception as exc:  # recorded, not fatal
-            return OrderResult(order, -np.inf, None, f"{type(exc).__name__}: {exc}")
+    def result(outcome) -> OrderResult:
+        order, report = outcome
+        if isinstance(report, InnerNotImproved):
+            raise report
+        if isinstance(report, Exception):  # recorded, not fatal
+            return OrderResult(order, -np.inf, None, f"{type(report).__name__}: {report}")
         return OrderResult(order, report.rates.weighted_sum, report.rates)
 
-    results = map_ordered(solve_one, orders)
+    reports = solve_wsr_batch([(ch, w, order) for order in orders], cfg)
+    results = map_ordered(result, list(zip(orders, reports)))
     top = max(r.wsr for r in results)
     tied = [r.order for r in results if r.wsr >= top - 1e-6]
     best = next((o for o in tied if is_weight_sorted(o, w)), tied[0])

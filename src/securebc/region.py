@@ -27,7 +27,7 @@ from .channel import ChannelSet, WeightVector
 from .errors import UnsupportedK
 from .ordering import enumerate_orders, is_weight_sorted, optimal_order
 from .rates import EncodingOrder, RatePoint
-from .solver import SolverConfig, solve_wsr
+from .solver import SolverConfig, solve_wsr_batch
 
 THEOREM = "theorem"
 BOTH_CORNERS = "both_corners"
@@ -72,8 +72,10 @@ def _weight_grid(K: int, step: float) -> list[tuple[float, ...]]:
 def trace_region(ch: ChannelSet, step: float,
                  order_policy: Union[str, EncodingOrder] = THEOREM,
                  cfg: Optional[SolverConfig] = None) -> RegionTrace:
-    """Solve the weighted problem across the weight grid and collect the
-    rate points (clamped at zero), each tagged with the order actually used."""
+    """Solve the weighted problem across the weight grid, in one
+    :func:`~securebc.solver.solve_wsr_batch`, and collect the rate points
+    (clamped at zero), each tagged with the order actually used.  The first
+    grid point whose solve fails raises its error."""
     grid = _weight_grid(ch.num_users, step)
     tasks: list[tuple[WeightVector, EncodingOrder]] = []
     for raw in grid:
@@ -89,13 +91,15 @@ def trace_region(ch: ChannelSet, step: float,
         for order in orders:
             tasks.append((w, order))
 
-    def solve_one(task: tuple[WeightVector, EncodingOrder]) -> RegionPoint:
-        w, order = task
-        report = solve_wsr(ch, w, order, cfg)
+    def point(outcome) -> RegionPoint:
+        (w, order), report = outcome
+        if isinstance(report, Exception):
+            raise report
         return RegionPoint(weights=w, order=order, rates=report.rates,
                            wsr=report.rates.weighted_sum)
 
-    points = map_ordered(solve_one, tasks)
+    reports = solve_wsr_batch([(ch, w, order) for w, order in tasks], cfg)
+    points = map_ordered(point, list(zip(tasks, reports)))
     spec = f"K={ch.num_users} step=1/{max(1, round(1.0 / step))} policy={order_policy}"
     return RegionTrace(points=tuple(points), sweep_spec=spec)
 

@@ -33,7 +33,18 @@ Structure:
   best of Q + beta (Q - Q_before), beta = 1, 2, 4, ..., by penalized
   objective, stopping at the first beta that does not raise it (see
   :func:`_extrapolate`).  Tight re-runs and :func:`maximize_lagrangian`
-  sweep plainly.
+  sweep plainly,
+* the price search is a generator that asks for one evaluation at a time,
+  and a sweep's stop test and over-relaxation verdict are one
+  :class:`_Sweeps` record, so the search and its rules are written once
+  for two drivers: :func:`solve_wsr` runs each evaluation by
+  :func:`_evaluate`, and :func:`solve_wsr_batch` first advances the
+  searches of problems of one shape in lockstep, one sweep of every
+  pending evaluation per tick, on (B, n, n) stacks (module
+  ``securebc._lockstep``), then hands each search's evaluations to
+  :func:`solve_wsr` for its report.  The stacked twins of the sweep's
+  functions repeat them row by row, and their results equal the
+  per-problem ones bit for bit.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -51,8 +62,9 @@ objective; the test suite asserts both rather than assuming them.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,6 +84,10 @@ STALLED = "stalled"
 LAMBDA_LO = 1e-6
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
+# solve_wsr_batch runs the searches of a shape group in lockstep from this
+# many tasks on; smaller groups take the per-problem path (groups of two
+# timed no faster in lockstep, groups of three about a tenth faster)
+LOCKSTEP_MIN = 3
 
 
 @dataclass(frozen=True)
@@ -304,6 +320,56 @@ class _Eval:
                                      or self.lam == LAMBDA_LO)
 
 
+class _Run(NamedTuple):
+    """An evaluation the price search asks for: sweeps at price ``lam`` from
+    ``start``'s plan under ``cfg``, aborted above ``power_stop``, over-relaxed
+    if ``extrapolate`` (see :func:`_evaluate`)."""
+
+    lam: float
+    start: _Eval
+    cfg: SolverConfig
+    power_stop: Optional[float]
+    extrapolate: bool
+
+
+class _Sweeps:
+    """The sweep loop of one :class:`_Run` (see :func:`_evaluate`): each
+    sweep's stop test and over-relaxation verdict, and the traces.  The
+    lockstep batches judge their rows' sweeps by it too."""
+
+    __slots__ = ("run", "lag", "prev_gain", "wsr_trace", "lag_trace")
+
+    def __init__(self, run: _Run, P: float):
+        start = run.start
+        self.run = run
+        self.lag = start.wsr - run.lam * (start.power - P)
+        self.lag_trace, self.wsr_trace = [self.lag], []
+        self.prev_gain = np.inf
+
+    def judge(self, lag: float, power: float) -> tuple[float, bool, bool]:
+        """A sweep that reached objective ``lag`` at ``power``: (its gain,
+        whether the run is done, whether to over-relax the sweep)."""
+        gain = lag - self.lag
+        run = self.run
+        done = ((run.power_stop is not None and power > run.power_stop)
+                or abs(gain) <= run.cfg.objective_tol * (1.0 + abs(self.lag)))
+        return gain, done, run.extrapolate and not done and gain > 0.5 * self.prev_gain
+
+    def record(self, Q: list, wsr: float, power: float, lag: float, gain: float,
+               done: bool, per_block_trace: bool = False) -> Optional[_Eval]:
+        """Keep the plan a sweep settled on (after any over-relaxation);
+        returns the evaluation once the run ends, at ``done`` or the
+        sweep cap.  A per-block objective trace is the caller's to keep."""
+        if not per_block_trace:
+            self.lag_trace.append(lag)
+        self.wsr_trace.append(wsr)
+        if done or len(self.wsr_trace) == self.run.cfg.max_outer_iters:
+            return _Eval(self.run.lam, Q, power, wsr, not done,
+                         tuple(self.wsr_trace), tuple(self.lag_trace))
+        self.lag, self.prev_gain = lag, gain
+        return None
+
+
 def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
                  power: float, lag: float, power_stop: float
                  ) -> tuple[list, float, float, float]:
@@ -352,34 +418,23 @@ def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
     sweep's own gain, before extrapolation, and the traces record the plan
     kept.
     """
+    sweeps = _Sweeps(_Run(lam, start, cfg, power_stop, extrapolate), prob.P)
     Q = [np.array(q) for q in start.Q]
-    lag = start.wsr - lam * (start.power - prob.P)
-    lag_trace = [lag]
-    wsr_trace = []
-    hit_cap = True
-    prev_gain = np.inf
-    for _ in range(cfg.max_outer_iters):
+    while True:
         before = list(Q)
         for k in range(prob.K):
             Q[k] = _block_update(prob, Q, lam, k)
             if per_block_trace:
-                lag_trace.append(_lagrangian(prob, Q, lam))
+                sweeps.lag_trace.append(_lagrangian(prob, Q, lam))
         wsr, power = _wsr(prob, Q), _total_trace(Q)
-        new_lag = wsr - lam * (power - prob.P)
-        gain = new_lag - lag
-        done = ((power_stop is not None and power > power_stop)
-                or abs(gain) <= cfg.objective_tol * (1.0 + abs(lag)))
-        if extrapolate and not done and gain > 0.5 * prev_gain:
-            Q, wsr, power, new_lag = _extrapolate(prob, lam, Q, before, wsr, power,
-                                                  new_lag, power_stop)
-        if not per_block_trace:
-            lag_trace.append(new_lag)
-        wsr_trace.append(wsr)
-        if done:
-            hit_cap = False
-            break
-        lag, prev_gain = new_lag, gain
-    return _Eval(lam, Q, power, wsr, hit_cap, tuple(wsr_trace), tuple(lag_trace))
+        lag = wsr - lam * (power - prob.P)
+        gain, done, relax = sweeps.judge(lag, power)
+        if relax:
+            Q, wsr, power, lag = _extrapolate(prob, lam, Q, before, wsr, power, lag,
+                                              power_stop)
+        ev = sweeps.record(Q, wsr, power, lag, gain, done, per_block_trace)
+        if ev is not None:
+            return ev
 
 
 def _top_price(prob: _Problem) -> float:
@@ -396,7 +451,8 @@ def _top_price(prob: _Problem) -> float:
                for h, w in zip(prob.H, prob.w))
 
 
-def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
+def _price_search(prob: _Problem, cfg: SolverConfig
+                  ) -> Generator[_Run, _Eval, list[_Eval]]:
     """Find the budget-tight power price between ``LAMBDA_LO`` and the top
     price :func:`_top_price`, starting from the zero plan.
 
@@ -417,6 +473,9 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
     settled power by up to about 1e-5 P, enough to leave solves ``stalled``
     off the budget.
 
+    A generator: it yields each :class:`_Run` it needs and is sent back the
+    resulting :class:`_Eval`, so one search can run alone
+    (:func:`_search_alone`) or in lockstep with others (:func:`solve_wsr_batch`).
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
     the gap floor.  Each price after the bottom one warm-starts from the
@@ -427,7 +486,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
     zero = _Eval.cold(prob, prob.blocks(None))
-    evals = [_evaluate(prob, cfg, LAMBDA_LO, zero, power_stop, extrapolate=True)]
+    evals = [(yield _Run(LAMBDA_LO, zero, cfg, power_stop, True))]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
     hi = replace(zero, lam=_top_price(prob))
@@ -445,11 +504,11 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
         lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
         if not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
-        ev = _evaluate(prob, run_cfg, lam, hi, power_stop, extrapolate=run_cfg is cfg)
+        ev = yield _Run(lam, hi, run_cfg, power_stop, run_cfg is cfg)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
             run_cfg = tight
-            ev = _evaluate(prob, tight, lam, ev, power_stop)
+            ev = yield _Run(lam, ev, tight, power_stop, False)
             evals.append(ev)
         if ev.passes(P, cfg):
             return evals
@@ -465,6 +524,20 @@ def _price_search(prob: _Problem, cfg: SolverConfig) -> list[_Eval]:
                 r_lo *= 0.5
             hi, r_hi, side = ev, r, -1
     return evals
+
+
+def _search_alone(prob: _Problem, search: Generator[_Run, _Eval, list[_Eval]],
+                  run: Optional[_Run] = None) -> list[_Eval]:
+    """Drive a price search to its end, each evaluation by :func:`_evaluate`,
+    from ``run`` if the search already asked for it."""
+    run = run or next(search)
+    while True:
+        ev = _evaluate(prob, run.cfg, run.lam, run.start, run.power_stop,
+                       extrapolate=run.extrapolate)
+        try:
+            run = search.send(ev)
+        except StopIteration as stop:
+            return stop.value
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +620,16 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     price.
     """
     cfg = cfg or SolverConfig()
+    ahead, task = _made_ahead.get(), (ch, w, order, cfg)
     if not isinstance(w, WeightVector):
         w = WeightVector(w)
     prob = _Problem(ch, order, w)
-    evals = _price_search(prob, cfg)
+    if ahead is not None and all(a is b for a, b in zip(ahead[0], task)):
+        evals = ahead[1]
+        if isinstance(evals, Exception):
+            raise evals
+    else:
+        evals = _search_alone(prob, _price_search(prob, cfg))
     feasible = ([ev for ev in evals if ev.feasible(prob.P)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
@@ -567,3 +646,56 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                         lambda_final=float(best.lam),
                         outer_iters=sum(len(ev.wsr_trace) for ev in evals),
                         termination=termination)
+
+
+# The price search that solve_wsr_batch made ahead for the task it is
+# passing to solve_wsr: ((channels, weights, order, cfg), its evaluations or
+# the error it raised).  solve_wsr takes it up only for those very objects.
+# A context variable, so solve_wsr keeps its signature and a batch in one
+# thread never hands a search to another.
+_made_ahead: ContextVar[Optional[tuple[tuple, Union[list[_Eval], Exception]]]] = \
+    ContextVar("_made_ahead", default=None)
+
+
+def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequence[float]],
+                                          EncodingOrder]],
+                    cfg: Optional[SolverConfig] = None
+                    ) -> list[Union[SolverReport, Exception]]:
+    """:func:`solve_wsr` on each ``(channels, weights, order)`` task, in
+    task order: entry i is the report ``solve_wsr`` returns for task i, or
+    the exception it raises.
+
+    Groups of at least ``LOCKSTEP_MIN`` tasks whose problems share a shape
+    (antenna counts by position) first run their price searches in
+    lockstep on stacked arrays (see ``securebc._lockstep``), which spreads
+    numpy's per-call cost over the group.  Each task then goes through
+    ``solve_wsr``, which builds the report from the search made ahead, so
+    every solve still passes through ``solve_wsr`` (and through whatever
+    wraps it) with its own report, equal bit for bit to a solve alone.
+    Other tasks, and any the lockstep could not finish, are solved there
+    on the per-problem path.
+    """
+    from ._lockstep import lockstep  # it builds on this module
+
+    cfg = cfg or SolverConfig()
+    groups: dict = {}
+    for i, (ch, w, order) in enumerate(tasks):
+        try:
+            prob = _Problem(ch, order, w if isinstance(w, WeightVector) else WeightVector(w))
+        except Exception:
+            continue  # solve_wsr raises it again
+        groups.setdefault((prob.G.shape, tuple(h.shape for h in prob.H)), []).append((i, prob))
+    ahead: dict = {}
+    for members in groups.values():
+        if len(members) >= LOCKSTEP_MIN:
+            ahead.update(lockstep(members, cfg))
+    out: list = []
+    for i, (ch, w, order) in enumerate(tasks):
+        token = _made_ahead.set(((ch, w, order, cfg), ahead[i]) if i in ahead else None)
+        try:
+            out.append(solve_wsr(ch, w, order, cfg))
+        except Exception as exc:
+            out.append(exc)
+        finally:
+            _made_ahead.reset(token)
+    return out

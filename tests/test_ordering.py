@@ -11,6 +11,18 @@ rng = np.random.default_rng(31)
 FAST = SolverConfig(objective_tol=1e-7, lambda_tol=1e-4)
 
 
+def failing_batch(permutation, exc):
+    """A stand-in for the batch solver in which the task with this encoding
+    order ends in ``exc``."""
+    true_batch = ordering_mod.solve_wsr_batch
+
+    def batch(tasks, cfg=None):
+        out = true_batch(tasks, cfg)
+        return [exc if order.permutation == permutation else rep
+                for (_, _, order), rep in zip(tasks, out)]
+    return batch
+
+
 class TestOptimalOrder:
     def test_published_weight_triples(self):
         assert optimal_order(WeightVector([0.15, 0.2, 0.65])).permutation == (3, 2, 1)
@@ -82,14 +94,8 @@ class TestCompareOrders:
 
     def test_solver_failure_recorded_not_fatal(self, monkeypatch):
         ch = sample_channel_set(43, 2, 2, [2, 2], 1, 1.0)
-        true_solve = ordering_mod.solve_wsr
-
-        def maybe_fail(ch_in, w_in, order, cfg=None):
-            if order.permutation == (1, 2):
-                raise RuntimeError("boom")
-            return true_solve(ch_in, w_in, order, cfg)
-
-        monkeypatch.setattr(ordering_mod, "solve_wsr", maybe_fail)
+        monkeypatch.setattr(ordering_mod, "solve_wsr_batch",
+                            failing_batch((1, 2), RuntimeError("boom")))
         cmp = compare_orders(ch, WeightVector([0.3, 0.7]), FAST)
         failed = [r for r in cmp.per_order if r.error is not None]
         assert len(failed) == 1
@@ -110,8 +116,8 @@ class TestCompareOrders:
             def __init__(self, order):
                 self.rates = RatePoint((0.0, 0.0, 0.0), 1.0 + shift[order.permutation])
 
-        monkeypatch.setattr(ordering_mod, "solve_wsr",
-                            lambda ch_in, w_in, order, cfg=None: Report(order))
+        monkeypatch.setattr(ordering_mod, "solve_wsr_batch",
+                            lambda tasks, cfg=None: [Report(order) for _, _, order in tasks])
         cmp = compare_orders(ch, WeightVector([0.2, 0.3, 0.5]), FAST)
         assert cmp.best_order.permutation == (3, 2, 1)
         assert cmp.matches_rule(WeightVector([0.2, 0.3, 0.5]))
@@ -119,13 +125,7 @@ class TestCompareOrders:
     def test_inner_not_improved_propagates(self, monkeypatch):
         # documented as a bug, so it must not be folded into an error string
         ch = sample_channel_set(43, 2, 2, [2, 2], 1, 1.0)
-        true_solve = ordering_mod.solve_wsr
-
-        def maybe_fail(ch_in, w_in, order, cfg=None):
-            if order.permutation == (2, 1):
-                raise InnerNotImproved("no ascent")
-            return true_solve(ch_in, w_in, order, cfg)
-
-        monkeypatch.setattr(ordering_mod, "solve_wsr", maybe_fail)
+        monkeypatch.setattr(ordering_mod, "solve_wsr_batch",
+                            failing_batch((2, 1), InnerNotImproved("no ascent")))
         with pytest.raises(InnerNotImproved):
             compare_orders(ch, WeightVector([0.3, 0.7]), FAST)
