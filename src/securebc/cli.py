@@ -194,6 +194,8 @@ def _cmd_duality_check(args) -> int:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     if not 0 < args.tol < float("inf"):
         raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     report = duality_property_ensemble(num_instances=args.seeds, seed=args.seed,
                                        tol=args.tol)
     status = "PASS" if report["passed"] else "FAIL"
@@ -220,6 +222,8 @@ def _cmd_gen_channels(args) -> int:
         raise UsageError(f"--nk has {len(nk)} entries for {args.K} users")
     if not 0 < args.power < float("inf"):
         raise UsageError(f"--power must be finite and positive, got {args.power}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if len(nk) == 1:
         nk = nk * args.K
     ch = sample_channel_set(args.seed, args.K, args.nt, nk, args.ne, args.power)

@@ -29,13 +29,19 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Average a nominally Hermitian matrix with its conjugate transpose."""
-    return (m + m.conj().T) / 2
+    """Average a nominally Hermitian matrix (or each one in a stack) with its
+    conjugate transpose."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def real_trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix, or of every matrix in a stack."""
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -96,8 +102,11 @@ def logdet_i_plus(m: np.ndarray) -> float:
     the argument is I plus a PSD product and positive definiteness is
     structural.  Dimensions 1 and 2 use the closed-form determinant (exact
     at that size); larger matrices go through Cholesky with an eigenvalue
-    fallback for inputs that round-off pushed slightly indefinite.
+    fallback for inputs that round-off pushed slightly indefinite.  A stack
+    of matrices gives one log-det per matrix (see :func:`_logdet_i_plus_stack`).
     """
+    if m.ndim > 2:
+        return _logdet_i_plus_stack(m)
     n = m.shape[0]
     if n == 1:
         x = m.item().real
@@ -119,7 +128,10 @@ def logdet_i_plus(m: np.ndarray) -> float:
 def inv_i_plus(m: np.ndarray) -> np.ndarray:
     """Inverse of ``I + m`` for PSD ``m``, the gradient partner of
     :func:`logdet_i_plus`: it reads the same Hermitian part of ``m`` and
-    shares its closed forms at dimensions 1 and 2."""
+    shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
+    one inverse per matrix (see :func:`_inv_i_plus_stack`)."""
+    if m.ndim > 2:
+        return _inv_i_plus_stack(m)
     n = m.shape[0]
     if n == 1:
         return np.array([[1.0 / (1.0 + m.item().real)]], dtype=complex)
@@ -127,21 +139,6 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
         a, d, b, det = _i_plus_2x2(m)
         return np.array([[d, -b], [-b.conjugate(), a]]) / det
     return np.linalg.inv(np.eye(n) + hermitize(m))
-
-
-def herm_stack(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a (..., r, c) stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
-def hermitize_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`hermitize` of every matrix in a stack."""
-    return (m + herm_stack(m)) / 2
-
-
-def trace_stack(m: np.ndarray) -> np.ndarray:
-    """Real part of the trace of every matrix in a (B, n, n) stack."""
-    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 def _i_plus_2x2_stack(m: np.ndarray):
@@ -152,7 +149,7 @@ def _i_plus_2x2_stack(m: np.ndarray):
     return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
 
 
-def logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
+def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
     """:func:`logdet_i_plus` of every matrix in a (B, n, n) stack, equal to
     it bit for bit: the same closed forms elementwise, Cholesky per slice
     above dimension 2, and the per-matrix routine for rows that leave the
@@ -160,7 +157,7 @@ def logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     if n > 2:
         try:
-            chol = np.linalg.cholesky(hermitize_stack(m) + np.eye(n))
+            chol = np.linalg.cholesky(hermitize(m) + np.eye(n))
         except np.linalg.LinAlgError:
             return np.array([logdet_i_plus(x) for x in m])
         return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
@@ -178,7 +175,7 @@ def logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
+def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
     """:func:`inv_i_plus` of every matrix in a (B, n, n) stack, bit for bit."""
     n = m.shape[-1]
     if n == 1:
@@ -188,7 +185,7 @@ def inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
         out = np.empty(m.shape, dtype=complex)
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d, -b, -b.conj(), a
         return out / det[:, None, None]
-    return np.linalg.inv(np.eye(n) + hermitize_stack(m))
+    return np.linalg.inv(np.eye(n) + hermitize(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

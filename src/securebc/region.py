@@ -57,6 +57,8 @@ def _weight_grid(K: int, step: float) -> list[tuple[float, ...]]:
     if K == 1:
         return [(1.0,)]
     if K == 2:
+        if step < 1e-4:
+            raise UnsupportedK("two-user sweeps support step >= 1e-4 only")
         return [(i / n, (n - i) / n) for i in range(n + 1)]
     if K == 3:
         if step < 0.05:

@@ -36,15 +36,18 @@ Structure:
   sweep plainly,
 * the price search is a generator that asks for one evaluation at a time,
   and a sweep's stop test and over-relaxation verdict are one
-  :class:`_Sweeps` record, so the search and its rules are written once
-  for two drivers: :func:`solve_wsr` runs each evaluation by
-  :func:`_evaluate`, and :func:`solve_wsr_batch` first advances the
-  searches of problems of one shape in lockstep, one sweep of every
-  pending evaluation per tick, on (B, n, n) stacks (module
-  ``securebc._lockstep``), then hands each search's evaluations to
-  :func:`solve_wsr` for its report.  The stacked twins of the sweep's
-  functions repeat them row by row, and their results equal the
-  per-problem ones bit for bit.
+  :class:`_Sweeps` record, so the search and its rules are written once.
+  One tick loop (``securebc._lockstep.lockstep``) drives every search: a
+  single problem's for :func:`solve_wsr`, and those of a group of
+  problems of one shape for :func:`solve_wsr_batch`, which then hands
+  each search's evaluations to :func:`solve_wsr` for its report.  Each
+  tick sweeps every pending evaluation once, by one rule: on (B, n, n)
+  stacks when at least ``LOCKSTEP_MIN`` are pending, otherwise one by one
+  by :func:`_sweep`.  The two sweeps are equal bit for bit, so a search
+  may change sides at any tick.  The objective pieces here broadcast over
+  a leading row axis; the block update, the water-fill and the
+  over-relaxation keep stacked twins, because their control flow differs
+  by row.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -71,7 +74,7 @@ import numpy as np
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
 from .linalg import (PSD_TOL, herm, hermitize, inv_i_plus, logdet_i_plus,
-                     min_eigenvalue, project_psd)
+                     min_eigenvalue, project_psd, real_trace)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
                     suffix_sums)
@@ -84,10 +87,6 @@ STALLED = "stalled"
 LAMBDA_LO = 1e-6
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
-# solve_wsr_batch runs the searches of a shape group in lockstep from this
-# many tasks on; smaller groups take the per-problem path (groups of two
-# timed no faster in lockstep, groups of three about a tenth faster)
-LOCKSTEP_MIN = 3
 
 
 @dataclass(frozen=True)
@@ -145,30 +144,39 @@ class _Problem:
         return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
 
 
-def _total_trace(Q: Sequence[np.ndarray]) -> float:
-    return float(sum(np.trace(q).real for q in Q))
+# _total_trace, _wsr, _concave_value and _grad_cvx take one problem and
+# plan, or problems of one shape stacked along a leading row axis (a
+# securebc._lockstep.Stack) with their plans stacked the same way; then
+# they give one value per row.
 
 
-def _wsr(prob: _Problem, Q: Sequence[np.ndarray]) -> float:
-    return float(prob.w @ dpc_rates_arrays(prob.H, prob.G, Q))
+def _total_trace(Q: Sequence[np.ndarray]) -> float | np.ndarray:
+    return sum(real_trace(q) for q in Q)
+
+
+def _wsr(prob: _Problem, Q: Sequence[np.ndarray]) -> float | np.ndarray:
+    rates = np.ascontiguousarray(dpc_rates_arrays(prob.H, prob.G, Q).T)
+    # a (1, K) @ (K, 1) product per row takes the 1-D dot product's own sum
+    return (prob.w[..., None, :] @ rates[..., :, None])[..., 0, 0]
 
 
 def _lagrangian(prob: _Problem, Q: Sequence[np.ndarray], lam: float) -> float:
-    return _wsr(prob, Q) - lam * (_total_trace(Q) - prob.P)
+    return float(_wsr(prob, Q) - lam * (_total_trace(Q) - prob.P))
 
 
-def _concave_value(prob: _Problem, lam: float, k: int, user: np.ndarray,
-                   eve: Sequence[np.ndarray], power: float) -> float:
+def _concave_value(w: np.ndarray, lam: float, k: int, user: np.ndarray,
+                   eve: Sequence[np.ndarray], power: float) -> float | np.ndarray:
     """Block k's concave part at a covariance x of trace ``power``, other
     blocks fixed:
     w_k logdet(I + H_k (S_{k+1} + x) H_k^H)
     + sum_{j<k} w_j logdet(I + G (S_{j+1} - Q_k + x) G^H) - lam tr(x),
-    from the log-det arguments ``user`` and ``eve[j]`` (S_j the suffix sums of
-    the current blocks)."""
-    v = prob.w[k] * logdet_i_plus(user)
+    from the weights by position and the log-det arguments ``user`` and
+    ``eve[j]`` (S_j the suffix sums of the current blocks)."""
+    w = w.T  # by position, then row
+    v = w[k] * logdet_i_plus(user)
     for j, e in enumerate(eve):
-        v += prob.w[j] * logdet_i_plus(e)
-    return float(v - lam * power)
+        v += w[j] * logdet_i_plus(e)
+    return v - lam * power
 
 
 def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
@@ -177,7 +185,7 @@ def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
     concave part at Q[k] less its constant w_k logdet(I + H_k S_{k+1} H_k^H)."""
     suf, hk, G = suffix_sums(Q), prob.H[k], prob.G
     hkh, gh = herm(hk), herm(G)
-    ccv = (_concave_value(prob, lam, k, hk @ suf[k] @ hkh,
+    ccv = (_concave_value(prob.w, lam, k, hk @ suf[k] @ hkh,
                           [G @ suf[j + 1] @ gh for j in range(k)],
                           float(np.trace(Q[k]).real))
            - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ hkh))
@@ -191,7 +199,8 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     the block's own eavesdropper term and, for every earlier position j < k,
     the user log-ratio and the leading eavesdropper log of position j.
     """
-    H, G, w = prob.H, prob.G, prob.w
+    H, G = prob.H, prob.G
+    w = prob.w.T[..., None, None]  # by position, then row
     gh = herm(G)
     A = -w[k] * (gh @ inv_i_plus(G @ suf[k] @ gh) @ G)
     for j in range(k):
@@ -279,12 +288,12 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np
     hdh, gdg = hk @ d @ hkh, G @ d @ gh
     tr_d, tr_ad = float(np.trace(d).real), float(np.vdot(A, d).real)
     gap = w[k] * float(np.vdot(inv_i_plus(user), hdh).real) - float(np.vdot(M, d).real)
-    u0 = _concave_value(prob, lam, k, user, eve, power)
+    u0 = _concave_value(w, lam, k, user, eve, power)
     if gap <= np.finfo(float).eps * (1.0 + abs(u0)):
         return x  # the gap is round-off in the concave value
     t = 1.0
     while t >= 1e-14:
-        u = _concave_value(prob, lam, k, user + t * hdh, [e + t * gdg for e in eve],
+        u = _concave_value(w, lam, k, user + t * hdh, [e + t * gdg for e in eve],
                            power + t * tr_d) + t * tr_ad
         if u >= u0 + 1e-4 * t * gap:
             return x + t * d
@@ -308,7 +317,7 @@ class _Eval:
     @classmethod
     def cold(cls, prob: _Problem, Q: list) -> "_Eval":
         """A start record for plan ``Q``: no price and no sweeps yet."""
-        return cls(0.0, Q, _total_trace(Q), _wsr(prob, Q), False, (), ())
+        return cls(0.0, Q, float(_total_trace(Q)), float(_wsr(prob, Q)), False, (), ())
 
     def feasible(self, P: float) -> bool:
         """Power at most ``(1 + BUDGET_SLACK) P``."""
@@ -321,9 +330,18 @@ class _Eval:
 
 
 class _Run(NamedTuple):
-    """An evaluation the price search asks for: sweeps at price ``lam`` from
-    ``start``'s plan under ``cfg``, aborted above ``power_stop``, over-relaxed
-    if ``extrapolate`` (see :func:`_evaluate`)."""
+    """An evaluation the price search asks for: cyclic block sweeps at price
+    ``lam`` from ``start``'s plan under ``cfg`` until the penalized
+    objective settles.
+
+    ``power_stop`` aborts the run once the total trace exceeds that level:
+    the price is then clearly below the budget-tight one and the search
+    only needs the sign of the power residual, not a converged plan.
+    ``extrapolate`` (which needs ``power_stop``) over-relaxes every sweep
+    that creeps, one whose objective gain exceeds half the previous sweep's
+    and does not settle, by :func:`_extrapolate`.  The stop test reads each
+    sweep's own gain, before extrapolation, and the traces record the plan
+    kept."""
 
     lam: float
     start: _Eval
@@ -333,15 +351,16 @@ class _Run(NamedTuple):
 
 
 class _Sweeps:
-    """The sweep loop of one :class:`_Run` (see :func:`_evaluate`): each
+    """The sweep loop of one :class:`_Run`: the plan it has reached, each
     sweep's stop test and over-relaxation verdict, and the traces.  The
-    lockstep batches judge their rows' sweeps by it too."""
+    per-problem sweep (:func:`_sweep`) and the stacked one both keep their
+    state here, so a run may move between them from one sweep to the next."""
 
-    __slots__ = ("run", "lag", "prev_gain", "wsr_trace", "lag_trace")
+    __slots__ = ("run", "Q", "lag", "prev_gain", "wsr_trace", "lag_trace")
 
     def __init__(self, run: _Run, P: float):
         start = run.start
-        self.run = run
+        self.run, self.Q = run, start.Q
         self.lag = start.wsr - run.lam * (start.power - P)
         self.lag_trace, self.wsr_trace = [self.lag], []
         self.prev_gain = np.inf
@@ -366,7 +385,7 @@ class _Sweeps:
         if done or len(self.wsr_trace) == self.run.cfg.max_outer_iters:
             return _Eval(self.run.lam, Q, power, wsr, not done,
                          tuple(self.wsr_trace), tuple(self.lag_trace))
-        self.lag, self.prev_gain = lag, gain
+        self.Q, self.lag, self.prev_gain = Q, lag, gain
         return None
 
 
@@ -389,12 +408,12 @@ def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
     beta = 1.0
     while True:
         cand = [q + beta * d for q, d in zip(Q, step)]
-        power = _total_trace(cand)
+        power = float(_total_trace(cand))
         if power > power_stop or any(
                 min_eigenvalue(c) < -PSD_TOL * max(1.0, float(np.trace(c).real))
                 for c in cand):
             return best
-        wsr = _wsr(prob, cand)
+        wsr = float(_wsr(prob, cand))
         lag = wsr - lam * (power - prob.P)
         if not lag > best[3]:
             return best
@@ -402,37 +421,32 @@ def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
         beta *= 2.0
 
 
-def _evaluate(prob: _Problem, cfg: SolverConfig, lam: float, start: _Eval,
-              power_stop: Optional[float] = None, per_block_trace: bool = False,
-              extrapolate: bool = False) -> _Eval:
-    """Cyclic block sweeps at price ``lam`` from a copy of ``start``'s plan
-    until the penalized objective (traced per block update if asked) settles.
+def _sweep(prob: _Problem, sweeps: _Sweeps, per_block_trace: bool = False
+           ) -> Optional[_Eval]:
+    """One sweep of a run from the plan it has reached: a block update at
+    every position in turn, then the stop test and any over-relaxation (see
+    :class:`_Run`).  Returns the evaluation once the run ends.  The
+    objective is traced per block update if asked."""
+    lam = sweeps.run.lam
+    Q = list(sweeps.Q)
+    for k in range(prob.K):
+        Q[k] = _block_update(prob, Q, lam, k)
+        if per_block_trace:
+            sweeps.lag_trace.append(_lagrangian(prob, Q, lam))
+    wsr, power = float(_wsr(prob, Q)), float(_total_trace(Q))
+    lag = wsr - lam * (power - prob.P)
+    gain, done, relax = sweeps.judge(lag, power)
+    if relax:
+        Q, wsr, power, lag = _extrapolate(prob, lam, Q, sweeps.Q, wsr, power, lag,
+                                          sweeps.run.power_stop)
+    return sweeps.record(Q, wsr, power, lag, gain, done, per_block_trace)
 
-    ``power_stop`` aborts the run once the total trace exceeds that level:
-    the price is then clearly below the budget-tight one and the caller only
-    needs the sign of the power residual, not a converged plan.
 
-    ``extrapolate`` (which needs ``power_stop``) over-relaxes every sweep
-    that creeps, one whose objective gain exceeds half the previous sweep's
-    and does not settle, by :func:`_extrapolate`.  The stop test reads each
-    sweep's own gain, before extrapolation, and the traces record the plan
-    kept.
-    """
-    sweeps = _Sweeps(_Run(lam, start, cfg, power_stop, extrapolate), prob.P)
-    Q = [np.array(q) for q in start.Q]
+def _evaluate(prob: _Problem, run: _Run, per_block_trace: bool = False) -> _Eval:
+    """A whole run by :func:`_sweep`, for :func:`maximize_lagrangian`."""
+    sweeps = _Sweeps(run, prob.P)
     while True:
-        before = list(Q)
-        for k in range(prob.K):
-            Q[k] = _block_update(prob, Q, lam, k)
-            if per_block_trace:
-                sweeps.lag_trace.append(_lagrangian(prob, Q, lam))
-        wsr, power = _wsr(prob, Q), _total_trace(Q)
-        lag = wsr - lam * (power - prob.P)
-        gain, done, relax = sweeps.judge(lag, power)
-        if relax:
-            Q, wsr, power, lag = _extrapolate(prob, lam, Q, before, wsr, power, lag,
-                                              power_stop)
-        ev = sweeps.record(Q, wsr, power, lag, gain, done, per_block_trace)
+        ev = _sweep(prob, sweeps, per_block_trace)
         if ev is not None:
             return ev
 
@@ -474,8 +488,8 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     off the budget.
 
     A generator: it yields each :class:`_Run` it needs and is sent back the
-    resulting :class:`_Eval`, so one search can run alone
-    (:func:`_search_alone`) or in lockstep with others (:func:`solve_wsr_batch`).
+    resulting :class:`_Eval`, so one tick loop drives a single search or
+    many together (``securebc._lockstep.lockstep``).
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
     the gap floor.  Each price after the bottom one warm-starts from the
@@ -524,20 +538,6 @@ def _price_search(prob: _Problem, cfg: SolverConfig
                 r_lo *= 0.5
             hi, r_hi, side = ev, r, -1
     return evals
-
-
-def _search_alone(prob: _Problem, search: Generator[_Run, _Eval, list[_Eval]],
-                  run: Optional[_Run] = None) -> list[_Eval]:
-    """Drive a price search to its end, each evaluation by :func:`_evaluate`,
-    from ``run`` if the search already asked for it."""
-    run = run or next(search)
-    while True:
-        ev = _evaluate(prob, run.cfg, run.lam, run.start, run.power_stop,
-                       extrapolate=run.extrapolate)
-        try:
-            run = search.send(ev)
-        except StopIteration as stop:
-            return stop.value
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +602,8 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
     block update when requested)."""
     _check_price(lam)
     prob = _Problem(ch, order, w)
-    ev = _evaluate(prob, cfg or SolverConfig(), lam,
-                   _Eval.cold(prob, prob.blocks(plan0)), per_block_trace=per_block_trace)
+    run = _Run(lam, _Eval.cold(prob, prob.blocks(plan0)), cfg or SolverConfig(), None, False)
+    ev = _evaluate(prob, run, per_block_trace)
     plan = CovariancePlan(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
     return plan, list(ev.lag_trace)
 
@@ -626,10 +626,11 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     prob = _Problem(ch, order, w)
     if ahead is not None and all(a is b for a, b in zip(ahead[0], task)):
         evals = ahead[1]
-        if isinstance(evals, Exception):
-            raise evals
     else:
-        evals = _search_alone(prob, _price_search(prob, cfg))
+        from ._lockstep import lockstep  # it builds on this module
+        evals = lockstep([(0, prob)], cfg)[0]
+    if isinstance(evals, Exception):
+        raise evals
     feasible = ([ev for ev in evals if ev.feasible(prob.P)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
@@ -665,15 +666,14 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
     task order: entry i is the report ``solve_wsr`` returns for task i, or
     the exception it raises.
 
-    Groups of at least ``LOCKSTEP_MIN`` tasks whose problems share a shape
-    (antenna counts by position) first run their price searches in
-    lockstep on stacked arrays (see ``securebc._lockstep``), which spreads
-    numpy's per-call cost over the group.  Each task then goes through
-    ``solve_wsr``, which builds the report from the search made ahead, so
-    every solve still passes through ``solve_wsr`` (and through whatever
-    wraps it) with its own report, equal bit for bit to a solve alone.
-    Other tasks, and any the lockstep could not finish, are solved there
-    on the per-problem path.
+    The tasks whose problems share a shape (antenna counts by position)
+    first run their price searches together in one tick loop (see
+    ``securebc._lockstep``), whose stacked ticks spread numpy's per-call
+    cost over the group.  Each task then goes through ``solve_wsr``, which
+    builds the report from the search made ahead, so every solve still
+    passes through ``solve_wsr`` (and through whatever wraps it) with its
+    own report, equal bit for bit to a solve alone.  A task the group could
+    not finish is solved there alone.
     """
     from ._lockstep import lockstep  # it builds on this module
 
@@ -687,8 +687,7 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
         groups.setdefault((prob.G.shape, tuple(h.shape for h in prob.H)), []).append((i, prob))
     ahead: dict = {}
     for members in groups.values():
-        if len(members) >= LOCKSTEP_MIN:
-            ahead.update(lockstep(members, cfg))
+        ahead.update(lockstep(members, cfg))
     out: list = []
     for i, (ch, w, order) in enumerate(tasks):
         token = _made_ahead.set(((ch, w, order, cfg), ahead[i]) if i in ahead else None)

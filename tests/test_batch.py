@@ -12,8 +12,7 @@ from securebc import (BC, CovariancePlan, DimensionMismatch, EncodingOrder,
                       enumerate_orders, example_three_user, example_two_user,
                       sample_channel_set, solve_wsr, solve_wsr_batch,
                       trace_region)
-from securebc.linalg import (herm_stack, inv_i_plus, inv_i_plus_stack, logdet_i_plus,
-                             logdet_i_plus_stack)
+from securebc.linalg import herm, inv_i_plus, logdet_i_plus
 from securebc.rates import random_plan
 
 
@@ -43,7 +42,8 @@ def batch_spy(monkeypatch, module):
 
 
 def group_spy(monkeypatch):
-    """Record the size of every lockstep group."""
+    """Record the size of every group the tick loop runs (a single solve
+    is a group of one)."""
     sizes = []
     true_lockstep = lockstep_mod.lockstep
 
@@ -53,6 +53,19 @@ def group_spy(monkeypatch):
 
     monkeypatch.setattr(lockstep_mod, "lockstep", spy)
     return sizes
+
+
+def stack_spy(monkeypatch):
+    """Record the row count of every stacked block update."""
+    rows = []
+    true_update = lockstep_mod.block_update_stack
+
+    def spy(st, Q, k):
+        rows.append(len(st.lam))
+        return true_update(st, Q, k)
+
+    monkeypatch.setattr(lockstep_mod, "block_update_stack", spy)
+    return rows
 
 
 def assert_equals_solo(seen):
@@ -73,9 +86,10 @@ class TestEqualsSolo:
         # own, so each task is a group of one and takes the per-problem path
         ch = sample_channel_set(7, 3, 3, [1, 2, 3], 1, 1.0)
         sizes = group_spy(monkeypatch)
+        stacked = stack_spy(monkeypatch)
         seen = batch_spy(monkeypatch, ordering_mod)
         compare_orders(ch, WeightVector([0.2, 0.3, 0.5]))
-        assert len(seen) == 6 and sizes == []
+        assert len(seen) == 6 and sizes == [1] * 6 and stacked == []
         assert_equals_solo(seen)
 
     def test_shape_groups_with_one_and_three_antennas(self, monkeypatch):
@@ -86,8 +100,11 @@ class TestEqualsSolo:
         tasks = [(ch, WeightVector(w), order) for w in ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2))
                  for order in enumerate_orders(3)]
         sizes = group_spy(monkeypatch)
+        stacked = stack_spy(monkeypatch)
         out = solve_wsr_batch(tasks)
         assert sizes == [4, 4, 4]
+        # ticks with fewer pending rows sweep them one by one
+        assert stacked and min(stacked) >= lockstep_mod.LOCKSTEP_MIN
         monkeypatch.undo()
         assert_equals_solo(list(zip(tasks, out)))
 
@@ -186,15 +203,15 @@ def test_stacked_block_update_row_by_row(monkeypatch):
 def test_stacked_log_dets_and_inverses(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-    m = a @ herm_stack(a)
-    got = logdet_i_plus_stack(m)
+    m = a @ herm(a)
+    got = logdet_i_plus(m)
     assert np.array_equal(got, [logdet_i_plus(x) for x in m])
     # a row with I + m indefinite leaves the closed forms (and, at n > 2,
     # Cholesky) for the per-matrix routine, which rejects it
     m[3] = -2.0 * np.eye(n)
     with pytest.raises(NonPositiveDefinite):
-        logdet_i_plus_stack(m)
-    inv = inv_i_plus_stack(m)
+        logdet_i_plus(m)
+    inv = inv_i_plus(m)
     for row, x in enumerate(m):
         assert np.array_equal(inv[row], inv_i_plus(x))
 
@@ -239,7 +256,8 @@ def test_search_made_ahead_only_for_its_task(monkeypatch):
     tasks = [(ch, WeightVector([a, 1 - a]), order) for a in (0.3, 0.6)
              for order in enumerate_orders(2)]
     out = solve_wsr_batch(tasks)
-    assert sizes == [4]
+    # the group of four, then a search of its own for each wrapped solve
+    assert sizes == [4, 1, 1, 1, 1]
     monkeypatch.undo()
     for (_, w, order), report in zip(tasks, out):
         assert_same_report(report, solve_wsr(ch, WeightVector(w.weights[::-1]), order))
@@ -290,7 +308,7 @@ class TestFailureIsolation:
     def test_trace_region_raises_first_failing_task(self, monkeypatch):
         # the later task fails first in time; the earlier one in task order
         # is raised
-        self.fail_rows(monkeypatch, {(0.25, 0.75): 40, (0.75, 0.25): 3})
+        self.fail_rows(monkeypatch, {(0.25, 0.75): 30, (0.75, 0.25): 3})
         with pytest.raises(InnerNotImproved, match=r"\(0.25, 0.75\)"):
             trace_region(example_two_user(), 0.25, EncodingOrder([1, 2]))
 
@@ -330,17 +348,15 @@ class TestFailureIsolation:
             assert r.rates == solve_wsr(ch, w, r.order).rates
 
     def test_small_groups_take_the_per_problem_path(self, monkeypatch):
-        def broken(*args):
-            raise AssertionError("a group below LOCKSTEP_MIN does not stack")
-
-        monkeypatch.setattr(lockstep_mod, "lockstep", broken)
+        stacked = stack_spy(monkeypatch)
         w = WeightVector([0.4, 0.6])
         # two groups of one, then a group of two
         tasks = [(ch, w, o) for ch in (sample_channel_set(5, 2, 2, [1, 2], 1, 1.0),
                                        sample_channel_set(5, 2, 2, [2, 2], 1, 1.0))
                  for o in enumerate_orders(2)]
-        assert solver_mod.LOCKSTEP_MIN > 2
+        assert lockstep_mod.LOCKSTEP_MIN > 2
         out = solve_wsr_batch(tasks)
+        assert stacked == []
         monkeypatch.undo()
         for task, report in zip(tasks, out):
             assert_same_report(report, solve_wsr(*task))

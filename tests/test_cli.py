@@ -194,6 +194,21 @@ class TestExitCodes:
             assert "usage error" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_usage_error_negative_seed(self, tmp_path, capsys):
+        # numpy's generators refuse a negative seed with a traceback
+        out = tmp_path / "ch.json"
+        for argv in (["gen-channels", "--seed", "-1", "--K", "2", "--nt", "2", "--nk", "2",
+                      "--ne", "1", "--power", "1", "--output", str(out)],
+                     ["duality-check", "--seeds", "1", "--seed", "-1"]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: --seed") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_region_step_below_two_user_floor(self, example_file, capsys):
+        assert cli_main(["region", "--channels", example_file, "--step", "1e-9"]) == 2
+        assert "UnsupportedK" in capsys.readouterr().err
+
     def test_usage_error_counts_below_one(self, example_file, capsys):
         for argv in (["duality-check", "--seeds", "0"],
                      ["duality-check", "--seeds", "-2"]):

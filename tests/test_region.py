@@ -31,6 +31,13 @@ class TestWeightGrid:
         with pytest.raises(UnsupportedK):
             _weight_grid(2, 0.0)
 
+    def test_two_user_smallest_step(self):
+        # 1e-4 is the finest two-user grid; a finer step is refused before
+        # any grid is built (1e-9 would make 10^9 points)
+        assert len(_weight_grid(2, 1e-4)) == 10001
+        with pytest.raises(UnsupportedK, match="step >= 1e-4"):
+            trace_region(example_two_user(), 1e-9)
+
 
 class TestTraceRegion:
     def test_degenerate_sweep_single_user_points(self):

@@ -362,7 +362,7 @@ class TestExtrapolatedSweeps:
         # over-relaxation keeps must be PSD within the plan tolerance, stay
         # at or below power_stop and not lower the penalized objective, and
         # the objective trace of every such evaluation must not fall
-        real_extrapolate, real_evaluate = solver_mod._extrapolate, solver_mod._evaluate
+        real_extrapolate, real_record = solver_mod._extrapolate, solver_mod._Sweeps.record
         moved = []
         traces = []
 
@@ -379,14 +379,14 @@ class TestExtrapolatedSweeps:
             moved.append(plan is not Q)
             return out
 
-        def spy_evaluate(*args, **kwargs):
-            ev = real_evaluate(*args, **kwargs)
-            if kwargs.get("extrapolate"):
+        def spy_record(sweeps, *args, **kwargs):
+            ev = real_record(sweeps, *args, **kwargs)
+            if ev is not None and sweeps.run.extrapolate:
                 traces.append(ev.lag_trace)
             return ev
 
         monkeypatch.setattr(solver_mod, "_extrapolate", spy_extrapolate)
-        monkeypatch.setattr(solver_mod, "_evaluate", spy_evaluate)
+        monkeypatch.setattr(solver_mod._Sweeps, "record", spy_record)
         local = np.random.default_rng(5)
         for power in (1e-3, 1.0, 1e7):
             for _ in range(3):
