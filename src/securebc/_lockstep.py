@@ -5,19 +5,21 @@ counts by position) together: a single problem's for
 :func:`securebc.solver.solve_wsr`, a shape group's for
 :func:`securebc.solver.solve_wsr_batch`.  Each tick sweeps every pending
 evaluation once, by one rule: with at least ``LOCKSTEP_MIN`` rows pending
-it sweeps them on (B, n, n) stacks, with fewer it sweeps each row by the
-per-problem :func:`~securebc.solver._sweep`.  Then each row's stop test and
-over-relaxation run, and an evaluation that ends goes back to its search.
+their block updates run on (B, n, n) stacks, with fewer each row sweeps by
+the per-problem :func:`~securebc.solver._sweep`.  Either way each row then
+finishes its sweep by :meth:`~securebc.solver._Sweeps.finish` (stop test,
+over-relaxation, traces), and an evaluation that ends goes back to its
+search.
 
 The stacked sweep equals the per-problem one bit for bit, so a row may
-change sides at any tick.  The solver's objective pieces broadcast over the
-row axis; the three functions here are stacked twins of the per-problem
-ones, because their control flow differs by row: the Armijo search of the
-block update, the capped water-fill of a row whose model matrix is not
-positive definite, and the over-relaxation's beta.  They take the same
-closed forms elementwise, one LAPACK call per slice, and the same sums in
-the same order, with inner products taken by ``np.vdot`` per row.  Nothing
-here takes a log, root or reciprocal of an entry it then discards.
+change sides at any tick.  The block update's set-up, the positive
+definite water-fill and the objective pieces broadcast over the row axis
+in :mod:`securebc.solver`; the two functions here keep only the control
+flow that differs by row: the Armijo search, in which each row stops at its
+own step, and the split between rows that water-fill together and capped
+rows, which go one by one.  Inner products are taken by ``np.vdot`` per
+row, and nothing here takes a log, root or reciprocal of an entry it then
+discards.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import InnerNotImproved
-from .linalg import PSD_TOL, herm, hermitize, inv_i_plus, real_trace
-from .rates import suffix_sums
-from .solver import (SolverConfig, _concave_value, _Eval, _grad_cvx, _price_search,
-                     _Problem, _sweep, _Sweeps, _total_trace, _waterfill, _wsr)
+from .linalg import inv_i_plus
+from .solver import (SolverConfig, _block_step, _concave_value, _Eval, _fill,
+                     _price_search, _Problem, _sweep, _Sweeps, _total_trace, _waterfill,
+                     _wsr)
 
-# a tick stacks its sweeps from this many pending rows on; fewer rows sweep
-# one by one (a stack of one took about twice as long as the per-problem
-# sweep, two rows timed no faster stacked, three about a tenth faster)
+# a tick stacks its block updates from this many pending rows on; fewer
+# rows sweep one by one, and every row finishes its own sweep (a stack of
+# one took about twice as long as the per-problem sweep, two rows timed no
+# faster stacked, three about a tenth faster)
 LOCKSTEP_MIN = 3
 
 
@@ -59,18 +62,11 @@ def waterfill_stack(h: np.ndarray, w: np.ndarray, base: np.ndarray, M: np.ndarra
     path one by one."""
     m_val, m_vec = np.linalg.eigh(M)
     pd = m_val[:, 0] > 0.0
+    if pd.all():
+        return _fill(h, w[:, None], inv_i_plus(base), m_val, m_vec)
     out = np.empty(M.shape, dtype=complex)
     if pd.any():
-        hp, wp, bp, m_val, m_vec = ((h, w, base, m_val, m_vec) if pd.all() else
-                                    (h[pd], w[pd], base[pd], m_val[pd], m_vec[pd]))
-        m_isqrt = (m_vec / np.sqrt(m_val)[:, None, :]) @ herm(m_vec)
-        f = hp @ m_isqrt
-        s, v = np.linalg.eigh(hermitize(herm(f) @ inv_i_plus(bp) @ f))
-        wp = wp[:, None]
-        pour = wp * s > 1.0
-        p = np.where(pour, wp - np.divide(1.0, s, out=np.ones_like(s), where=pour), 0.0)
-        g = m_isqrt @ v
-        out[pd] = hermitize((g * p[:, None, :]) @ herm(g))
+        out[pd] = _fill(h[pd], w[pd, None], inv_i_plus(base[pd]), m_val[pd], m_vec[pd])
     for r in np.flatnonzero(~pd):
         out[r] = _waterfill(h[r], w[r], base[r], M[r], float(cap[r]))
     return out
@@ -78,32 +74,13 @@ def waterfill_stack(h: np.ndarray, w: np.ndarray, base: np.ndarray, M: np.ndarra
 
 def block_update_stack(st: Stack, Q: list[np.ndarray], k: int
                        ) -> tuple[np.ndarray, dict]:
-    """:func:`~securebc.solver._block_update` of block k on every row.
-    Returns the new blocks and, by row, the :class:`InnerNotImproved` of
-    each row that admits no step; such a row keeps its block."""
-    suf = suffix_sums(Q)
-    hk, G, w, lam = st.H[k], st.G, st.w, st.lam
-    hkh, gh = herm(hk), herm(G)
-    x = Q[k]
-    A = _grad_cvx(st, suf, k)
-    user = hk @ suf[k] @ hkh
-    eve = [G @ suf[j + 1] @ gh for j in range(k)]
-    M = lam[:, None, None] * np.eye(x.shape[-1]) - A
-    for j, e in enumerate(eve):
-        M = M - w[:, j, None, None] * (gh @ inv_i_plus(e) @ G)
-    M = hermitize(M)
-    power = real_trace(x)
-    d = waterfill_stack(hk, w[:, k], hk @ suf[k + 1] @ hkh, M,
-                        np.maximum(2.0 * st.P, power)) - x
-    hdh, gdg = hk @ d @ hkh, G @ d @ gh
-    tr_d = real_trace(d)
-    # inner products by np.vdot row by row, whose sums the per-problem
-    # update takes
-    tr_ad = np.array([np.vdot(a, b).real for a, b in zip(A, d)])
-    gap = (w[:, k] * np.array([np.vdot(a, b).real
-                               for a, b in zip(inv_i_plus(user), hdh)])
-           - np.array([np.vdot(a, b).real for a, b in zip(M, d)]))
-    u0 = _concave_value(w, lam, k, user, eve, power)
+    """:func:`~securebc.solver._block_update` of block k on every row, each
+    row's Armijo search stopping at its own step.  Returns the new blocks
+    and, by row, the :class:`InnerNotImproved` of each row that admits no
+    step; such a row keeps its block."""
+    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(
+        st, Q, st.lam, k, waterfill_stack)
+    w, lam = st.w, st.lam
     new = x.copy()
     # the rows whose gap is not round-off in the concave value (a NaN gap
     # searches too, as in the per-problem update)
@@ -119,38 +96,6 @@ def block_update_stack(st: Stack, Q: list[np.ndarray], k: int
         t *= 0.5
     return new, {i: InnerNotImproved(f"no ascent found for block {k + 1} despite "
                                      f"ascent gap {gap[i]:.3e}") for i in r.tolist()}
-
-
-def extrapolate_stack(st: Stack, Q: list, before: list, wsr: np.ndarray,
-                      power: np.ndarray, lag: np.ndarray, power_stop: np.ndarray
-                      ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`~securebc.solver._extrapolate` on every row, each row
-    stopping at its own beta."""
-    step = [q - b for q, b in zip(Q, before)]
-    best = [q.copy() for q in Q]
-    wsr, power, lag = wsr.copy(), power.copy(), lag.copy()
-    r = np.arange(len(wsr))
-    beta = 1.0
-    while r.size:
-        cand = [q[r] + beta * d[r] for q, d in zip(Q, step)]
-        cand_power = _total_trace(cand)
-        bad = cand_power > power_stop[r]
-        for c in cand:
-            bad |= (np.linalg.eigvalsh(hermitize(c))[:, 0]
-                    < -PSD_TOL * np.maximum(1.0, real_trace(c)))
-        r, cand, cand_power = r[~bad], [c[~bad] for c in cand], cand_power[~bad]
-        if not r.size:
-            break
-        sub = st.rows(r)
-        cand_wsr = _wsr(sub, cand)
-        cand_lag = cand_wsr - sub.lam * (cand_power - sub.P)
-        up = cand_lag > lag[r]
-        r = r[up]
-        for b, c in zip(best, cand):
-            b[r] = c[up]
-        wsr[r], power[r], lag[r] = cand_wsr[up], cand_power[up], cand_lag[up]
-        beta *= 2.0
-    return best, wsr, power, lag
 
 
 class Row:
@@ -183,32 +128,21 @@ def _sweep_alone(row: Row) -> Union[Optional[_Eval], Exception]:
 
 
 def _sweep_stacked(group: Stack, rows: list[Row]) -> list[Union[Optional[_Eval], Exception]]:
-    """:func:`~securebc.solver._sweep` of every row on stacks taken from
-    the group's: a stacked block update at every position, then each row's
-    stop test and any over-relaxation.  Returns by row what the per-problem
-    sweep returns, or the error of a row that admits no step."""
+    """:func:`~securebc.solver._sweep` of every row: the block updates on
+    stacks taken from the group's, then each row's
+    :meth:`~securebc.solver._Sweeps.finish`.  Returns by row what the
+    per-problem sweep returns, or the error of a row that admits no step."""
     st = group.rows(np.array([row.j for row in rows]))._replace(
         lam=np.array([row.sweeps.run.lam for row in rows]))
     Q = [np.stack(q) for q in zip(*(row.sweeps.Q for row in rows))]
-    before, failed = list(Q), {}
+    failed: dict = {}
     for k in range(len(Q)):
         Q[k], errors = block_update_stack(st, Q, k)
         failed = {**errors, **failed}  # a row's first error stands
-    wsr, power = _wsr(st, Q), _total_trace(Q)
-    lag = wsr - st.lam * (power - st.P)
-    verdicts = [row.sweeps.judge(g, p) for row, g, p in zip(rows, lag.tolist(), power.tolist())]
-    c = np.array([b for b, v in enumerate(verdicts) if v[2]], dtype=int)
-    if c.size:
-        moved = extrapolate_stack(
-            st.rows(c), [q[c] for q in Q], [q[c] for q in before], wsr[c], power[c],
-            lag[c], np.array([rows[b].sweeps.run.power_stop for b in c]))
-        for q, m in zip(Q, moved[0]):
-            q[c] = m
-        wsr[c], power[c], lag[c] = moved[1:]
     return [failed[b] if b in failed else
-            row.sweeps.record([q[b] for q in Q], v, pw, g, gain, done)
-            for b, (row, (gain, done, _), v, pw, g) in enumerate(
-                zip(rows, verdicts, wsr.tolist(), power.tolist(), lag.tolist()))]
+            row.sweeps.finish(row.prob, [q[b] for q in Q], wsr, power)
+            for b, (row, wsr, power) in enumerate(
+                zip(rows, _wsr(st, Q).tolist(), _total_trace(Q).tolist()))]
 
 
 def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig

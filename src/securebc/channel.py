@@ -25,6 +25,7 @@ variance (real and imaginary parts each carry variance 1/2).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Union
 
@@ -119,19 +120,24 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _is_pair(v) -> bool:
+    """An entry [re, im]: a list of exactly two JSON numbers, not booleans."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
+
+
 def _matrix_from_json(obj, what: str) -> np.ndarray:
-    try:
-        rows = []
-        for row in obj:
-            rows.append([complex(float(v[0]), float(v[1])) for v in row])
-        m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{what}: entries must be [re, im] pairs in row-major rows") from exc
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if not (isinstance(obj, list) and obj and all(isinstance(row, list) and row for row in obj)):
         raise ParseError(f"{what}: expected a nonempty 2-D matrix")
     if len({len(row) for row in obj}) != 1:
         raise ParseError(f"{what}: rows have inconsistent lengths")
-    return m
+    bad = f"{what}: entries must be [re, im] pairs of numbers in row-major rows"
+    if not all(_is_pair(v) for row in obj for v in row):
+        raise ParseError(bad)
+    try:
+        return np.array([[complex(float(v[0]), float(v[1])) for v in row] for row in obj])
+    except OverflowError as exc:  # an integer too large for a float
+        raise ParseError(bad) from exc
 
 
 def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
@@ -142,7 +148,7 @@ def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
                 doc = json.load(fh)
         else:
             doc = json.load(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text encoding
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -158,7 +164,8 @@ def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
         users.append(_matrix_from_json(entry["H"], f"user {idx + 1} H"))
     eve = _matrix_from_json(doc["eavesdropper"], "eavesdropper")
     power = doc["power"]
-    if not isinstance(power, (int, float)) or isinstance(power, bool):
+    if (not isinstance(power, (int, float)) or isinstance(power, bool)
+            or abs(power) > sys.float_info.max):  # an integer too large for a float
         raise InvalidPower(f"power must be a number, got {power!r}")
     return ChannelSet(users, eve, float(power))
 

@@ -35,19 +35,22 @@ Structure:
   :func:`_extrapolate`).  Tight re-runs and :func:`maximize_lagrangian`
   sweep plainly,
 * the price search is a generator that asks for one evaluation at a time,
-  and a sweep's stop test and over-relaxation verdict are one
-  :class:`_Sweeps` record, so the search and its rules are written once.
+  and every sweep ends in :meth:`_Sweeps.finish` (stop test,
+  over-relaxation, traces), so the search and its rules are written once.
   One tick loop (``securebc._lockstep.lockstep``) drives every search: a
   single problem's for :func:`solve_wsr`, and those of a group of
   problems of one shape for :func:`solve_wsr_batch`, which then hands
   each search's evaluations to :func:`solve_wsr` for its report.  Each
-  tick sweeps every pending evaluation once, by one rule: on (B, n, n)
-  stacks when at least ``LOCKSTEP_MIN`` are pending, otherwise one by one
-  by :func:`_sweep`.  The two sweeps are equal bit for bit, so a search
-  may change sides at any tick.  The objective pieces here broadcast over
-  a leading row axis; the block update, the water-fill and the
-  over-relaxation keep stacked twins, because their control flow differs
-  by row.
+  tick sweeps every pending evaluation once, by one rule: its block
+  updates run on (B, n, n) stacks when at least ``LOCKSTEP_MIN`` are
+  pending, otherwise one by one by :func:`_sweep`; either way each row
+  then finishes its own sweep by :meth:`_Sweeps.finish`.  The two sweeps
+  are equal bit for bit, so a search may change sides at any tick.  The
+  objective pieces, the block update's set-up (:func:`_block_step`) and
+  the positive definite water-fill (:func:`_fill`) broadcast over a
+  leading row axis; only the Armijo search and the split between capped
+  and positive definite water-fills keep stacked twins, because their
+  control flow differs by row.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -211,33 +214,37 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     return hermitize(A)
 
 
+def _fill(h: np.ndarray, w: float | np.ndarray, b_inv: np.ndarray, m_val: np.ndarray,
+          m_vec: np.ndarray) -> np.ndarray:
+    """:func:`_waterfill` for a positive definite M = m_vec diag(m_val) m_vec^H,
+    from b_inv = (I + base)^{-1}; broadcasts over a leading row axis, with
+    the weights of a stack as a (B, 1) column."""
+    m_isqrt = (m_vec / np.sqrt(m_val)[..., None, :]) @ herm(m_vec)
+    f = h @ m_isqrt
+    s, v = np.linalg.eigh(hermitize(herm(f) @ b_inv @ f))
+    pour = w * s > 1.0
+    # where nothing pours, w - w = +0.0
+    p = w - np.divide(1.0, s, out=np.full_like(s, w), where=pour)
+    g = m_isqrt @ v
+    return hermitize((g * p[..., None, :]) @ herm(g))
+
+
 def _waterfill(h: np.ndarray, w: float, base: np.ndarray, M: np.ndarray,
                cap: float) -> np.ndarray:
     """Maximizer over PSD x of w logdet(I + base + h x h^H) - tr(M x).
 
     For positive definite M: water-filling on the eigenvalues s of
     T = M^{-1/2} h^H (I + base)^{-1} h M^{-1/2}, with powers (w - 1/s)^+ along
-    T's eigenvectors, mapped back through M^{-1/2}; a zero weight pours
-    nothing.  Otherwise the maximum is unbounded, and the maximizer under
-    tr(x) <= ``cap`` is returned instead: the water-fill of M + mu I at the
-    least shift mu that meets the cap, found by bisection (with a zero
-    weight, the whole cap along M's lowest eigenvector).
+    T's eigenvectors, mapped back through M^{-1/2} (:func:`_fill`); a zero
+    weight pours nothing.  Otherwise the maximum is unbounded, and the
+    maximizer under tr(x) <= ``cap`` is returned instead: the water-fill of
+    M + mu I at the least shift mu that meets the cap, found by bisection
+    (with a zero weight, the whole cap along M's lowest eigenvector).
     """
     m_val, m_vec = np.linalg.eigh(M)
     b_inv = inv_i_plus(base)
-
-    def fill(shift):
-        m_isqrt = (m_vec / np.sqrt(m_val + shift)) @ herm(m_vec)
-        f = h @ m_isqrt
-        s, v = np.linalg.eigh(hermitize(herm(f) @ b_inv @ f))
-        p = np.zeros_like(s)
-        pour = w * s > 1.0
-        p[pour] = w - 1.0 / s[pour]
-        g = m_isqrt @ v
-        return hermitize((g * p) @ herm(g))
-
     if m_val[0] > 0.0:
-        return fill(0.0)
+        return _fill(h, w, b_inv, m_val, m_vec)
     if w == 0.0:
         return cap * np.outer(m_vec[:, 0], m_vec[:, 0].conj())
     # bisect on nu, the least eigenvalue of the shifted M: each of the n
@@ -248,11 +255,42 @@ def _waterfill(h: np.ndarray, w: float, base: np.ndarray, M: np.ndarray,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if np.trace(fill(mid)).real > cap:
+        if np.trace(_fill(h, w, b_inv, m_val + mid, m_vec)).real > cap:
             lo = mid
         else:
             hi = mid
-    return fill(hi)
+    return _fill(h, w, b_inv, m_val + hi, m_vec)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Re <a, b> by ``np.vdot``: of two matrices, or row by row of stacks."""
+    if a.ndim > 2:
+        return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
+    return np.vdot(a, b).real
+
+
+def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int, fill) -> tuple:
+    """The set-up of block k's update (see :func:`_block_update`), by the
+    water-fill ``fill``: (x, d, user, eve, hdh, gdg, tr x, tr d, <A, d>,
+    ascent gap, concave value at x).  Takes a stack and its prices too, as
+    :func:`_grad_cvx` does."""
+    suf = suffix_sums(Q)
+    hk, G, w = prob.H[k], prob.G, prob.w.T  # weights by position, then row
+    hkh, gh = herm(hk), herm(G)
+    x = Q[k]
+    A = _grad_cvx(prob, suf, k)
+    user = hk @ suf[k] @ hkh
+    eve = [G @ suf[j + 1] @ gh for j in range(k)]
+    M = np.multiply.outer(lam, np.eye(x.shape[-1])) - A
+    for j, e in enumerate(eve):
+        M = M - w[j, ..., None, None] * (gh @ inv_i_plus(e) @ G)
+    M = hermitize(M)
+    power = real_trace(x)
+    d = fill(hk, w[k], hk @ suf[k + 1] @ hkh, M, np.fmax(2.0 * prob.P, power)) - x
+    hdh, gdg = hk @ d @ hkh, G @ d @ gh
+    gap = w[k] * _inner(inv_i_plus(user), hdh) - _inner(M, d)
+    return (x, d, user, eve, hdh, gdg, power, real_trace(d), _inner(A, d), gap,
+            _concave_value(prob.w, lam, k, user, eve, power))
 
 
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np.ndarray:
@@ -272,28 +310,13 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np
     Returns Q[k] itself when the gap is at round-off level, and raises
     :class:`InnerNotImproved` when a larger gap admits no step.
     """
-    suf = suffix_sums(Q)
-    hk, G, w = prob.H[k], prob.G, prob.w
-    hkh, gh = herm(hk), herm(G)
-    x = Q[k]
-    A = _grad_cvx(prob, suf, k)
-    user = hk @ suf[k] @ hkh
-    eve = [G @ suf[j + 1] @ gh for j in range(k)]
-    M = lam * np.eye(prob.n_t) - A
-    for j, e in enumerate(eve):
-        M = M - w[j] * (gh @ inv_i_plus(e) @ G)
-    M = hermitize(M)
-    power = float(np.trace(x).real)
-    d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, max(2.0 * prob.P, power)) - x
-    hdh, gdg = hk @ d @ hkh, G @ d @ gh
-    tr_d, tr_ad = float(np.trace(d).real), float(np.vdot(A, d).real)
-    gap = w[k] * float(np.vdot(inv_i_plus(user), hdh).real) - float(np.vdot(M, d).real)
-    u0 = _concave_value(w, lam, k, user, eve, power)
+    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(
+        prob, Q, lam, k, _waterfill)
     if gap <= np.finfo(float).eps * (1.0 + abs(u0)):
         return x  # the gap is round-off in the concave value
     t = 1.0
     while t >= 1e-14:
-        u = _concave_value(w, lam, k, user + t * hdh, [e + t * gdg for e in eve],
+        u = _concave_value(prob.w, lam, k, user + t * hdh, [e + t * gdg for e in eve],
                            power + t * tr_d) + t * tr_ad
         if u >= u0 + 1e-4 * t * gap:
             return x + t * d
@@ -351,10 +374,10 @@ class _Run(NamedTuple):
 
 
 class _Sweeps:
-    """The sweep loop of one :class:`_Run`: the plan it has reached, each
-    sweep's stop test and over-relaxation verdict, and the traces.  The
-    per-problem sweep (:func:`_sweep`) and the stacked one both keep their
-    state here, so a run may move between them from one sweep to the next."""
+    """The sweep loop of one :class:`_Run`: the plan it has reached and the
+    traces.  Every sweep, per-problem (:func:`_sweep`) or stacked, ends in
+    :meth:`finish`, so a run may move between them from one sweep to the
+    next."""
 
     __slots__ = ("run", "Q", "lag", "prev_gain", "wsr_trace", "lag_trace")
 
@@ -365,25 +388,26 @@ class _Sweeps:
         self.lag_trace, self.wsr_trace = [self.lag], []
         self.prev_gain = np.inf
 
-    def judge(self, lag: float, power: float) -> tuple[float, bool, bool]:
-        """A sweep that reached objective ``lag`` at ``power``: (its gain,
-        whether the run is done, whether to over-relax the sweep)."""
-        gain = lag - self.lag
+    def finish(self, prob: _Problem, Q: list, wsr: float, power: float,
+               per_block_trace: bool = False) -> Optional[_Eval]:
+        """End a sweep that reached plan ``Q`` with weighted sum ``wsr`` at
+        ``power``: the stop test on the sweep's own gain, the over-relaxation
+        of a creeping sweep (:func:`_extrapolate`), and the traces of the plan
+        kept.  Returns the evaluation once the run ends, at the stop test or
+        the sweep cap.  A per-block objective trace is the caller's to keep."""
         run = self.run
+        lag = wsr - run.lam * (power - prob.P)
+        gain = lag - self.lag
         done = ((run.power_stop is not None and power > run.power_stop)
                 or abs(gain) <= run.cfg.objective_tol * (1.0 + abs(self.lag)))
-        return gain, done, run.extrapolate and not done and gain > 0.5 * self.prev_gain
-
-    def record(self, Q: list, wsr: float, power: float, lag: float, gain: float,
-               done: bool, per_block_trace: bool = False) -> Optional[_Eval]:
-        """Keep the plan a sweep settled on (after any over-relaxation);
-        returns the evaluation once the run ends, at ``done`` or the
-        sweep cap.  A per-block objective trace is the caller's to keep."""
+        if run.extrapolate and not done and gain > 0.5 * self.prev_gain:
+            Q, wsr, power, lag = _extrapolate(prob, run.lam, Q, self.Q, wsr, power, lag,
+                                              run.power_stop)
         if not per_block_trace:
             self.lag_trace.append(lag)
         self.wsr_trace.append(wsr)
-        if done or len(self.wsr_trace) == self.run.cfg.max_outer_iters:
-            return _Eval(self.run.lam, Q, power, wsr, not done,
+        if done or len(self.wsr_trace) == run.cfg.max_outer_iters:
+            return _Eval(run.lam, Q, power, wsr, not done,
                          tuple(self.wsr_trace), tuple(self.lag_trace))
         self.Q, self.lag, self.prev_gain = Q, lag, gain
         return None
@@ -424,22 +448,17 @@ def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
 def _sweep(prob: _Problem, sweeps: _Sweeps, per_block_trace: bool = False
            ) -> Optional[_Eval]:
     """One sweep of a run from the plan it has reached: a block update at
-    every position in turn, then the stop test and any over-relaxation (see
-    :class:`_Run`).  Returns the evaluation once the run ends.  The
-    objective is traced per block update if asked."""
+    every position in turn, then :meth:`_Sweeps.finish`.  Returns the
+    evaluation once the run ends.  The objective is traced per block update
+    if asked."""
     lam = sweeps.run.lam
     Q = list(sweeps.Q)
     for k in range(prob.K):
         Q[k] = _block_update(prob, Q, lam, k)
         if per_block_trace:
             sweeps.lag_trace.append(_lagrangian(prob, Q, lam))
-    wsr, power = float(_wsr(prob, Q)), float(_total_trace(Q))
-    lag = wsr - lam * (power - prob.P)
-    gain, done, relax = sweeps.judge(lag, power)
-    if relax:
-        Q, wsr, power, lag = _extrapolate(prob, lam, Q, sweeps.Q, wsr, power, lag,
-                                          sweeps.run.power_stop)
-    return sweeps.record(Q, wsr, power, lag, gain, done, per_block_trace)
+    return sweeps.finish(prob, Q, float(_wsr(prob, Q)), float(_total_trace(Q)),
+                         per_block_trace)
 
 
 def _evaluate(prob: _Problem, run: _Run, per_block_trace: bool = False) -> _Eval:

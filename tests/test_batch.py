@@ -126,20 +126,29 @@ class TestEqualsSolo:
         assert_equals_solo(seen)
 
     def test_over_relaxed_sweeps(self, monkeypatch):
-        # at P = 1e2 and 1e7 some sweeps creep and are over-relaxed
-        true_extrapolate = lockstep_mod.extrapolate_stack
-        rows = []
+        # at P = 1e2 and 1e7 some sweeps creep; stacked ticks over-relax
+        # their rows by the per-problem _extrapolate
+        true_extrapolate, true_stacked = solver_mod._extrapolate, lockstep_mod._sweep_stacked
+        stacked, relaxed = [False], []  # relaxed: per call, whether it ran in a stacked tick
 
-        def spy(st, *args):
-            rows.append(len(st.lam))
-            return true_extrapolate(st, *args)
+        def in_stack(*args):
+            stacked[0] = True
+            try:
+                return true_stacked(*args)
+            finally:
+                stacked[0] = False
 
-        monkeypatch.setattr(lockstep_mod, "extrapolate_stack", spy)
+        def spy(*args):
+            relaxed.append(stacked[0])
+            return true_extrapolate(*args)
+
+        monkeypatch.setattr(lockstep_mod, "_sweep_stacked", in_stack)
+        monkeypatch.setattr(solver_mod, "_extrapolate", spy)
         tasks = [(sample_channel_set(7, 2, 2, [2, 2], 1, power), WeightVector(w), order)
                  for power in (1e2, 1e7) for w in ((0.3, 0.7), (0.6, 0.4))
                  for order in enumerate_orders(2)]
         out = solve_wsr_batch(tasks)
-        assert len(rows) >= 10
+        assert sum(relaxed) >= 10
         monkeypatch.undo()
         assert_equals_solo(list(zip(tasks, out)))
 
@@ -301,6 +310,29 @@ class TestFailureIsolation:
         out = solve_wsr_batch(tasks)
         assert isinstance(out[1], InnerNotImproved)
         assert str(target) in str(out[1])
+        monkeypatch.undo()
+        for i in (0, 2, 3):
+            assert_same_report(out[i], solve_wsr(*tasks[i]))
+
+    def test_price_search_error_stays_in_its_task(self, monkeypatch):
+        # an error raised by a price search itself, not by a sweep, is that
+        # task's report; the group's other searches run on
+        ch = example_two_user()
+        tasks = [(ch, WeightVector([a, 1 - a]), EncodingOrder([2, 1]))
+                 for a in (0.1, 0.2, 0.3, 0.4)]
+        target = list(tasks[1][1].weights[::-1])  # by position
+        true_top = solver_mod._top_price
+
+        def top(prob):
+            if prob.w.tolist() == target:
+                raise FloatingPointError("injected in the price search")
+            return true_top(prob)
+
+        monkeypatch.setattr(solver_mod, "_top_price", top)
+        sizes = group_spy(monkeypatch)
+        out = solve_wsr_batch(tasks)
+        assert sizes == [4]
+        assert isinstance(out[1], FloatingPointError) and "injected" in str(out[1])
         monkeypatch.undo()
         for i in (0, 2, 3):
             assert_same_report(out[i], solve_wsr(*tasks[i]))

@@ -139,6 +139,52 @@ class TestChannelFileIO:
             load_channel_set(str(path))
 
 
+def _doc(H=None, **over) -> bytes:
+    """A one-user channel file with user matrix ``H`` (by default a valid
+    1 x 2 one) and any other keys overridden by ``over``."""
+    doc = {"power": 1.0, "users": [{"H": [[[1, 0], [0, 0]]] if H is None else H}],
+           "eavesdropper": [[[1, 0], [0, 0]]]}
+    doc.update(over)
+    return json.dumps(doc).encode()
+
+
+ENTRIES = "entries must be"
+
+
+BAD_DOCUMENTS = {
+    # matrix entries that are not two JSON numbers
+    "entry-object": (_doc([[{"re": 1, "im": 0}, [0, 0]]]), ParseError, ENTRIES),
+    "entry-string": (_doc([["12", [0, 0]]]), ParseError, ENTRIES),
+    "entry-three-numbers": (_doc([[[1, 0, 99], [0, 0]]]), ParseError, ENTRIES),
+    "entry-booleans": (_doc([[[True, False], [0, 0]]]), ParseError, ENTRIES),
+    "entry-one-number": (_doc([[[1], [0, 0]]]), ParseError, ENTRIES),
+    "entry-bare-number": (_doc([[[1, 0], 5]]), ParseError, ENTRIES),
+    "entry-huge-integer": (_doc([[[1, 0], [0, "big"]]]).replace(b'"big"', b"1" + b"0" * 400),
+                           ParseError, ENTRIES),
+    # shapes
+    "ragged-rows": (_doc([[[1, 0], [0, 0]], [[1, 0]]]), ParseError, "inconsistent lengths"),
+    "no-rows": (_doc([]), ParseError, "nonempty 2-D"),
+    "empty-row": (_doc([[]]), ParseError, "nonempty 2-D"),
+    "matrix-object": (_doc({"0": [[1, 0]]}), ParseError, "nonempty 2-D"),
+    "row-number": (_doc([[[1, 0], [0, 0]], 5]), ParseError, "nonempty 2-D"),
+    # the document around the matrices
+    "not-utf8": (b"\x80\x81{}", ParseError, "malformed JSON"),
+    "top-level-list": (b"[1, 2]", ParseError, "must be an object"),
+    "no-users": (_doc(users=[]), ParseError, "nonempty list"),
+    "users-object": (_doc(users={"H": [[[1, 0]]]}), ParseError, "nonempty list"),
+    "user-without-H": (_doc(users=[{"G": [[[1, 0]]]}]), ParseError, "key 'H'"),
+    "power-boolean": (_doc(power=True), InvalidPower, "number"),
+    "power-string": (_doc(power="1"), InvalidPower, "number"),
+    "power-huge-integer": (_doc(power=10 ** 400), InvalidPower, "number"),
+}
+
+
+@pytest.mark.parametrize("text, error, match", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS)
+def test_bad_channel_documents_refused(text, error, match):
+    with pytest.raises(error, match=match):
+        load_channel_set(io.BytesIO(text))
+
+
 class TestSampling:
     def test_deterministic_in_seed(self):
         a = sample_channel_set(7, 2, 3, [2, 1], 2, 1.5)

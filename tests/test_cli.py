@@ -231,6 +231,21 @@ class TestExitCodes:
                          "--weights", "0.5,0.5"]) == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b'{"power": 1.0, "users": [{"H": [[{"re": 1, "im": 0}]]}], '
+        b'"eavesdropper": [[[1, 0]]]}',
+        b"\x80\x81{}",
+    ], ids=["entry-object", "not-utf8"])
+    def test_unreadable_channel_file_exit_two(self, tmp_path, capsys, text):
+        # a non-number entry and an undecodable file are parse errors, not tracebacks
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        for argv in (["solve", "--weights", "1"], ["region", "--step", "0.5"],
+                     ["compare-orders", "--weights", "1"]):
+            assert cli_main(argv + ["--channels", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ParseError: ") and err.count("\n") == 1
+
     def test_usage_error_missing_subcommand_args(self):
         assert cli_main(["solve"]) == 1
 

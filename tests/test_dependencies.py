@@ -1,7 +1,9 @@
-"""The package depends on the standard library and numpy only.
+"""The package depends on the standard library and numpy only, from the
+floor that pyproject.toml declares (numpy>=1.24).
 
-scipy and others may be installed where the tests run, so an import of
-them would pass every other test and still break a numpy-only install.
+scipy and others may be installed where the tests run, and so may a numpy
+2, so an import of them, or a name that numpy 2 added, would pass every
+other test and still break an install at the declared floor.
 """
 
 import ast
@@ -9,6 +11,14 @@ import sys
 from pathlib import Path
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+# names that numpy 2 added (besides the array attribute .mT)
+NUMPY2_ONLY = {
+    "numpy": {"vecdot", "matvec", "vecmat", "matrix_transpose", "permute_dims", "concat",
+              "unstack", "astype", "cumulative_sum", "cumulative_prod", "trapezoid",
+              "isdtype"},
+    "numpy.linalg": {"vecdot", "matrix_transpose", "vector_norm", "matrix_norm", "svdvals",
+                     "outer", "diagonal", "trace", "cross", "matmul", "tensordot"},
+}
 
 
 def imported_modules(tree):
@@ -22,14 +32,52 @@ def imported_modules(tree):
             yield node.lineno, node.module.split(".")[0]
 
 
-def test_only_standard_library_and_numpy_imports():
+def numpy_module(node):
+    """"numpy" for the names np and numpy, "numpy.linalg" for their
+    .linalg, None for anything else."""
+    if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+        return "numpy"
+    if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and numpy_module(node.value) == "numpy"):
+        return "numpy.linalg"
+    return None
+
+
+def numpy2_names(tree):
+    """Every use of a name that numpy 2 added: the .mT attribute, and the
+    names of ``NUMPY2_ONLY`` as attributes of np, numpy or their .linalg,
+    or imported from them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = numpy_module(node.value)
+            if node.attr == "mT" or node.attr in NUMPY2_ONLY.get(module, ()):
+                yield node.lineno, f"{module or '<array>'}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module in NUMPY2_ONLY:
+            for alias in node.names:
+                if alias.name in NUMPY2_ONLY[node.module]:
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def package_trees():
     root = Path(__file__).resolve().parents[1] / "src" / "securebc"
     sources = sorted(root.rglob("*.py"))
     assert len(sources) > 5
-    bad = [f"{path.relative_to(root)}:{line} imports {name}"
-           for path in sources
-           for line, name in imported_modules(ast.parse(path.read_text(), str(path)))
+    return [(path.relative_to(root), ast.parse(path.read_text(), str(path)))
+            for path in sources]
+
+
+def test_only_standard_library_and_numpy_imports():
+    bad = [f"{path}:{line} imports {name}"
+           for path, tree in package_trees()
+           for line, name in imported_modules(tree)
            if name not in ALLOWED]
+    assert not bad, bad
+
+
+def test_no_numpy2_only_names():
+    bad = [f"{path}:{line} uses {name}"
+           for path, tree in package_trees()
+           for line, name in numpy2_names(tree)]
     assert not bad, bad
 
 
@@ -38,3 +86,13 @@ def test_nested_imports_are_seen():
                      "class C:\n    from pandas import DataFrame\n"
                      "from . import solver\n")
     assert [name for _, name in imported_modules(tree)] == ["scipy", "pandas"]
+
+
+def test_numpy2_only_names_are_seen():
+    tree = ast.parse("a.mT\nnp.vecdot(a, b)\nnumpy.linalg.matrix_norm(a)\n"
+                     "from numpy.linalg import outer, eigh\n"
+                     "np.outer(a, b)\na.astype(float)\nnp.linalg.eigh(a)\nnp.trace(a)\n"
+                     "x.linalg.vecdot(a, b)\n")
+    assert sorted(numpy2_names(tree)) == [
+        (1, "<array>.mT"), (2, "numpy.vecdot"), (3, "numpy.linalg.matrix_norm"),
+        (4, "numpy.linalg.outer")]

@@ -303,6 +303,27 @@ class TestSurrogateUpdate:
         gain = lagrangian(ch, order, after, w, lam) - lagrangian(ch, order, plan, w, lam)
         assert gain > 0.1
 
+    def test_zero_weight_indefinite_model_pours_along_lowest_eigenvector(self):
+        # the same instance with user 2 weightless: position 2's model matrix
+        # is indefinite and its water-fill pours nothing, so the capped
+        # target is the whole cap along M's lowest eigenvector; the Armijo
+        # search keeps a quarter of that step (cap 2P = 2)
+        ch = example_two_user()
+        order, w, lam = EncodingOrder([1, 2]), WeightVector([1.0, 0.0]), 0.1
+        plan = CovariancePlan(BC, [np.array([[0.2, -0.4], [-0.4, 0.8]]), np.zeros((2, 2))])
+        g = ch.eavesdropper
+        m = (lam * np.eye(2) - gradient_cvx(ch, order, plan, w, lam, 2)
+             - w.weights[0] * herm(g) @ g)
+        m_val, m_vec = np.linalg.eigh(m)
+        assert m_val[0] < -0.7
+        out = surrogate_update(ch, order, plan, w, lam, 2)
+        v = m_vec[:, 0]
+        assert np.max(np.abs(out - 0.5 * np.outer(v, v.conj()))) <= 1e-12
+        assert np.linalg.eigvalsh((out + herm(out)) / 2)[0] >= -1e-12
+        after = CovariancePlan(BC, [plan.matrices[0], out])
+        gain = lagrangian(ch, order, after, w, lam) - lagrangian(ch, order, plan, w, lam)
+        assert gain == pytest.approx(0.2284, abs=1e-4)
+
     def test_rejects_nonpositive_price(self):
         # at zero price the position-1 surrogate is unbounded along the
         # directions the eavesdropper cannot see
@@ -360,9 +381,10 @@ class TestExtrapolatedSweeps:
     def test_extrapolated_evaluations_ascend_within_limits(self, monkeypatch):
         # loose price evaluations over-relax creeping sweeps; every plan an
         # over-relaxation keeps must be PSD within the plan tolerance, stay
-        # at or below power_stop and not lower the penalized objective, and
-        # the objective trace of every such evaluation must not fall
-        real_extrapolate, real_record = solver_mod._extrapolate, solver_mod._Sweeps.record
+        # at or below power_stop and not lower the penalized objective, the
+        # objective trace of every such evaluation must not fall, and a sweep
+        # that passes the stop test is not over-relaxed
+        real_extrapolate, real_finish = solver_mod._extrapolate, solver_mod._Sweeps.finish
         moved = []
         traces = []
 
@@ -379,14 +401,16 @@ class TestExtrapolatedSweeps:
             moved.append(plan is not Q)
             return out
 
-        def spy_record(sweeps, *args, **kwargs):
-            ev = real_record(sweeps, *args, **kwargs)
+        def spy_finish(sweeps, *args, **kwargs):
+            before = len(moved)
+            ev = real_finish(sweeps, *args, **kwargs)
             if ev is not None and sweeps.run.extrapolate:
                 traces.append(ev.lag_trace)
+                assert ev.hit_cap or len(moved) == before
             return ev
 
         monkeypatch.setattr(solver_mod, "_extrapolate", spy_extrapolate)
-        monkeypatch.setattr(solver_mod._Sweeps, "record", spy_record)
+        monkeypatch.setattr(solver_mod._Sweeps, "finish", spy_finish)
         local = np.random.default_rng(5)
         for power in (1e-3, 1.0, 1e7):
             for _ in range(3):
