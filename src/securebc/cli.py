@@ -210,8 +210,6 @@ def _cmd_duality_check(args) -> int:
 
 
 def _cmd_gen_channels(args) -> int:
-    if args.nk is None:
-        raise UsageError("--nk is required")
     try:
         nk = [int(v) for v in args.nk.split(",")]
     except ValueError as exc:

@@ -34,18 +34,21 @@ Structure:
   objective, stopping at the first beta that does not raise it (see
   :func:`_extrapolate`).  Tight re-runs and :func:`maximize_lagrangian`
   sweep plainly,
-* the price search is a generator that asks for one evaluation at a time,
-  and every sweep ends in :meth:`_Sweeps.finish` (stop test,
-  over-relaxation, traces), so the search and its rules are written once.
-  One tick loop (``securebc._lockstep.lockstep``) drives every search: a
+* a solve's whole control flow is one generator: the price search runs
+  each evaluation by ``yield from`` :func:`_evaluation`, which holds the
+  stop test, the over-relaxation and the traces, yields ``(lam, Q)`` for
+  every sweep it needs and is sent back the swept plan with its weighted
+  sum and power.  A sweep is a pure function of problem, price and plan
+  (:func:`_sweep`), so the search and its rules are written once.  One
+  tick loop (``securebc._lockstep.lockstep``) drives every search: a
   single problem's for :func:`solve_wsr`, and those of a group of
   problems of one shape for :func:`solve_wsr_batch`, which then hands
   each search's evaluations to :func:`solve_wsr` for its report.  Each
-  tick sweeps every pending evaluation once, by one rule: its block
-  updates run on (B, n, n) stacks when at least ``LOCKSTEP_MIN`` are
-  pending, otherwise one by one by :func:`_sweep`; either way each row
-  then finishes its own sweep by :meth:`_Sweeps.finish`.  The two sweeps
-  are equal bit for bit, so a search may change sides at any tick.  The
+  tick makes every pending sweep once, by one rule: its block updates run
+  on (B, n, n) stacks when at least ``LOCKSTEP_MIN`` are pending,
+  otherwise one by one by :func:`_sweep`, and each row sends its sweep to
+  its search.  The two sweeps are equal bit for bit, so a search may
+  change sides at any tick.  The
   objective pieces, the block update's set-up (:func:`_block_step`) and
   the positive definite water-fill (:func:`_fill`) broadcast over a
   leading row axis; only the Armijo search and the split between capped
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Generator, NamedTuple, Optional, Sequence, Union
+from typing import Generator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -352,10 +355,16 @@ class _Eval:
                                      or self.lam == LAMBDA_LO)
 
 
-class _Run(NamedTuple):
-    """An evaluation the price search asks for: cyclic block sweeps at price
-    ``lam`` from ``start``'s plan under ``cfg`` until the penalized
-    objective settles.
+def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
+                power_stop: Optional[float], extrapolate: bool
+                ) -> Generator[tuple[float, list], tuple[list, float, float], _Eval]:
+    """One evaluation: cyclic block sweeps at price ``lam`` from ``start``'s
+    plan under ``cfg`` until the penalized objective settles.
+
+    A generator: it yields ``(lam, Q)`` for each sweep it needs, the price
+    and the plan to sweep from, and is sent back the swept plan with its
+    weighted sum and power (what :func:`_sweep` returns).  It returns the
+    :class:`_Eval` once the stop test passes or the sweeps reach the cap.
 
     ``power_stop`` aborts the run once the total trace exceeds that level:
     the price is then clearly below the budget-tight one and the search
@@ -365,52 +374,22 @@ class _Run(NamedTuple):
     and does not settle, by :func:`_extrapolate`.  The stop test reads each
     sweep's own gain, before extrapolation, and the traces record the plan
     kept."""
-
-    lam: float
-    start: _Eval
-    cfg: SolverConfig
-    power_stop: Optional[float]
-    extrapolate: bool
-
-
-class _Sweeps:
-    """The sweep loop of one :class:`_Run`: the plan it has reached and the
-    traces.  Every sweep, per-problem (:func:`_sweep`) or stacked, ends in
-    :meth:`finish`, so a run may move between them from one sweep to the
-    next."""
-
-    __slots__ = ("run", "Q", "lag", "prev_gain", "wsr_trace", "lag_trace")
-
-    def __init__(self, run: _Run, P: float):
-        start = run.start
-        self.run, self.Q = run, start.Q
-        self.lag = start.wsr - run.lam * (start.power - P)
-        self.lag_trace, self.wsr_trace = [self.lag], []
-        self.prev_gain = np.inf
-
-    def finish(self, prob: _Problem, Q: list, wsr: float, power: float,
-               per_block_trace: bool = False) -> Optional[_Eval]:
-        """End a sweep that reached plan ``Q`` with weighted sum ``wsr`` at
-        ``power``: the stop test on the sweep's own gain, the over-relaxation
-        of a creeping sweep (:func:`_extrapolate`), and the traces of the plan
-        kept.  Returns the evaluation once the run ends, at the stop test or
-        the sweep cap.  A per-block objective trace is the caller's to keep."""
-        run = self.run
-        lag = wsr - run.lam * (power - prob.P)
-        gain = lag - self.lag
-        done = ((run.power_stop is not None and power > run.power_stop)
-                or abs(gain) <= run.cfg.objective_tol * (1.0 + abs(self.lag)))
-        if run.extrapolate and not done and gain > 0.5 * self.prev_gain:
-            Q, wsr, power, lag = _extrapolate(prob, run.lam, Q, self.Q, wsr, power, lag,
-                                              run.power_stop)
-        if not per_block_trace:
-            self.lag_trace.append(lag)
-        self.wsr_trace.append(wsr)
-        if done or len(self.wsr_trace) == run.cfg.max_outer_iters:
-            return _Eval(run.lam, Q, power, wsr, not done,
-                         tuple(self.wsr_trace), tuple(self.lag_trace))
-        self.Q, self.lag, self.prev_gain = Q, lag, gain
-        return None
+    Q, lag = start.Q, start.wsr - lam * (start.power - prob.P)
+    lag_trace, wsr_trace, prev_gain = [lag], [], np.inf
+    while True:
+        new, wsr, power = yield lam, Q
+        new_lag = wsr - lam * (power - prob.P)
+        gain = new_lag - lag
+        done = ((power_stop is not None and power > power_stop)
+                or abs(gain) <= cfg.objective_tol * (1.0 + abs(lag)))
+        if extrapolate and not done and gain > 0.5 * prev_gain:
+            new, wsr, power, new_lag = _extrapolate(prob, lam, new, Q, wsr, power, new_lag,
+                                                    power_stop)
+        lag_trace.append(new_lag)
+        wsr_trace.append(wsr)
+        if done or len(wsr_trace) == cfg.max_outer_iters:
+            return _Eval(lam, new, power, wsr, not done, tuple(wsr_trace), tuple(lag_trace))
+        Q, lag, prev_gain = new, new_lag, gain
 
 
 def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
@@ -445,29 +424,17 @@ def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
         beta *= 2.0
 
 
-def _sweep(prob: _Problem, sweeps: _Sweeps, per_block_trace: bool = False
-           ) -> Optional[_Eval]:
-    """One sweep of a run from the plan it has reached: a block update at
-    every position in turn, then :meth:`_Sweeps.finish`.  Returns the
-    evaluation once the run ends.  The objective is traced per block update
-    if asked."""
-    lam = sweeps.run.lam
-    Q = list(sweeps.Q)
+def _sweep(prob: _Problem, lam: float, Q: list, trace: Optional[list] = None
+           ) -> tuple[list, float, float]:
+    """One sweep from plan ``Q``: a block update at every position in turn.
+    Returns the new plan, its weighted sum and its power; appends the
+    objective after each block update to ``trace`` if given."""
+    Q = list(Q)
     for k in range(prob.K):
         Q[k] = _block_update(prob, Q, lam, k)
-        if per_block_trace:
-            sweeps.lag_trace.append(_lagrangian(prob, Q, lam))
-    return sweeps.finish(prob, Q, float(_wsr(prob, Q)), float(_total_trace(Q)),
-                         per_block_trace)
-
-
-def _evaluate(prob: _Problem, run: _Run, per_block_trace: bool = False) -> _Eval:
-    """A whole run by :func:`_sweep`, for :func:`maximize_lagrangian`."""
-    sweeps = _Sweeps(run, prob.P)
-    while True:
-        ev = _sweep(prob, sweeps, per_block_trace)
-        if ev is not None:
-            return ev
+        if trace is not None:
+            trace.append(_lagrangian(prob, Q, lam))
+    return Q, float(_wsr(prob, Q)), float(_total_trace(Q))
 
 
 def _top_price(prob: _Problem) -> float:
@@ -485,7 +452,7 @@ def _top_price(prob: _Problem) -> float:
 
 
 def _price_search(prob: _Problem, cfg: SolverConfig
-                  ) -> Generator[_Run, _Eval, list[_Eval]]:
+                  ) -> Generator[tuple[float, list], tuple[list, float, float], list[_Eval]]:
     """Find the budget-tight power price between ``LAMBDA_LO`` and the top
     price :func:`_top_price`, starting from the zero plan.
 
@@ -506,9 +473,10 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     settled power by up to about 1e-5 P, enough to leave solves ``stalled``
     off the budget.
 
-    A generator: it yields each :class:`_Run` it needs and is sent back the
-    resulting :class:`_Eval`, so one tick loop drives a single search or
-    many together (``securebc._lockstep.lockstep``).
+    A generator: it runs each evaluation by ``yield from``
+    :func:`_evaluation`, so it yields every sweep it needs and is sent back
+    the swept plan, and one tick loop drives a single search or many
+    together (``securebc._lockstep.lockstep``).
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
     the gap floor.  Each price after the bottom one warm-starts from the
@@ -519,7 +487,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
     zero = _Eval.cold(prob, prob.blocks(None))
-    evals = [(yield _Run(LAMBDA_LO, zero, cfg, power_stop, True))]
+    evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop, True))]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
     hi = replace(zero, lam=_top_price(prob))
@@ -537,11 +505,11 @@ def _price_search(prob: _Problem, cfg: SolverConfig
         lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
         if not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
-        ev = yield _Run(lam, hi, run_cfg, power_stop, run_cfg is cfg)
+        ev = yield from _evaluation(prob, lam, hi, run_cfg, power_stop, run_cfg is cfg)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
             run_cfg = tight
-            ev = yield _Run(lam, ev, tight, power_stop, False)
+            ev = yield from _evaluation(prob, lam, ev, tight, power_stop, False)
             evals.append(ev)
         if ev.passes(P, cfg):
             return evals
@@ -621,10 +589,18 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
     block update when requested)."""
     _check_price(lam)
     prob = _Problem(ch, order, w)
-    run = _Run(lam, _Eval.cold(prob, prob.blocks(plan0)), cfg or SolverConfig(), None, False)
-    ev = _evaluate(prob, run, per_block_trace)
+    per_block = [] if per_block_trace else None
+    run = _evaluation(prob, lam, _Eval.cold(prob, prob.blocks(plan0)),
+                      cfg or SolverConfig(), None, False)
+    try:
+        request = next(run)
+        while True:
+            request = run.send(_sweep(prob, *request, per_block))
+    except StopIteration as stop:
+        ev = stop.value
     plan = CovariancePlan(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
-    return plan, list(ev.lag_trace)
+    trace = list(ev.lag_trace)
+    return plan, (trace[:1] + per_block if per_block_trace else trace)
 
 
 def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
@@ -691,8 +667,7 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
     cost over the group.  Each task then goes through ``solve_wsr``, which
     builds the report from the search made ahead, so every solve still
     passes through ``solve_wsr`` (and through whatever wraps it) with its
-    own report, equal bit for bit to a solve alone.  A task the group could
-    not finish is solved there alone.
+    own report, equal bit for bit to a solve alone.
     """
     from ._lockstep import lockstep  # it builds on this module
 

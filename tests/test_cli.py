@@ -96,6 +96,23 @@ class TestRegion:
         assert lines[0] == "R_1,R_2"
         assert len(lines) >= 4  # origin plus at least three achieved points
 
+    def test_hull_output_skipped_beyond_two_users(self, three_user_file, fast_cfg_file,
+                                                  tmp_path, capsys):
+        hull = tmp_path / "h.csv"
+        assert cli_main(["region", "--channels", three_user_file, "--step", "0.5",
+                         "--config", fast_cfg_file, "--output", str(tmp_path / "r.csv"),
+                         "--hull-output", str(hull)]) == 0
+        assert "hull output skipped" in capsys.readouterr().err
+        assert not hull.exists()
+
+    def test_fixed_order_policy(self, example_file, fast_cfg_file, tmp_path):
+        out = tmp_path / "r.csv"
+        assert cli_main(["region", "--channels", example_file, "--step", "0.5",
+                         "--config", fast_cfg_file, "--policy", "2,1",
+                         "--output", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 3 and all(row.split(",")[-1] == "2>1" for row in rows)
+
 
 class TestCompareOrders:
     def test_verdict_line(self, example_file, fast_cfg_file, tmp_path, capsys):
@@ -135,6 +152,19 @@ class TestExitCodes:
     def test_usage_error_weight_count(self, example_file):
         assert cli_main(["solve", "--channels", example_file,
                          "--weights", "1.0"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--weights", "0.5,0.5", "--order", "1,1"],
+        ["solve", "--weights", "0.5,0.5", "--order", "2,1,3"],
+        ["region", "--step", "0.5", "--policy", "1,1"],
+        ["region", "--step", "0.5", "--policy", "2,1,3"],
+        ["compare-orders", "--weights", "0.2,0.3,0.5"],
+    ], ids=["solve-repeated-order", "solve-long-order", "region-repeated-policy",
+            "region-long-policy", "compare-orders-weight-count"])
+    def test_usage_error_order_or_weights_off_the_user_count(self, example_file, capsys,
+                                                             argv):
+        assert cli_main(argv + ["--channels", example_file]) == 1
+        assert capsys.readouterr().err.startswith("usage error")
 
     def test_usage_error_missing_file(self, tmp_path):
         assert cli_main(["solve", "--channels", str(tmp_path / "nope.json"),
@@ -185,7 +215,7 @@ class TestExitCodes:
         good = {"--seed": "1", "--K": "2", "--nt": "2", "--nk": "2",
                 "--ne": "1", "--power": "1.0", "--output": str(out)}
         for key, bad in (("--K", "0"), ("--nt", "0"), ("--ne", "0"),
-                         ("--nk", "2,0"), ("--nk", "0"), ("--nk", "2,2,2"),
+                         ("--nk", "2,0"), ("--nk", "0"), ("--nk", "2,2,2"), ("--nk", "a"),
                          ("--power", "0"), ("--power", "-1"), ("--power", "inf"),
                          ("--power", "nan")):
             args = dict(good, **{key: bad})

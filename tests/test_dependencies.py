@@ -1,15 +1,22 @@
 """The package depends on the standard library and numpy only, from the
-floor that pyproject.toml declares (numpy>=1.24).
+floors that pyproject.toml declares (Python >= 3.10, numpy>=1.24).
 
 scipy and others may be installed where the tests run, and so may a numpy
-2, so an import of them, or a name that numpy 2 added, would pass every
-other test and still break an install at the declared floor.
+2 or a newer Python, so an import of them, a name that numpy 2 added or
+syntax that a later Python added would pass every other test and still
+break an install at the declared floor.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYTHON_FLOOR = tuple(int(v) for v in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 # names that numpy 2 added (besides the array attribute .mT)
 NUMPY2_ONLY = {
@@ -58,12 +65,31 @@ def numpy2_names(tree):
                     yield node.lineno, f"{node.module}.{alias.name}"
 
 
+def parse_at_floor(src, name="<string>"):
+    """``ast.parse`` with the grammar of the declared Python floor."""
+    return ast.parse(src, name, feature_version=PYTHON_FLOOR)
+
+
 def package_trees():
-    root = Path(__file__).resolve().parents[1] / "src" / "securebc"
+    root = ROOT / "src" / "securebc"
     sources = sorted(root.rglob("*.py"))
     assert len(sources) > 5
-    return [(path.relative_to(root), ast.parse(path.read_text(), str(path)))
+    return [(path.relative_to(root), parse_at_floor(path.read_text(), str(path)))
             for path in sources]
+
+
+def test_sources_parse_at_the_python_floor():
+    assert PYTHON_FLOOR == (3, 10)
+    assert package_trees()
+
+
+def test_syntax_above_the_floor_is_refused():
+    # except* came with 3.11 and type parameters with 3.12; match is 3.10
+    for src in ("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                "def f[T](x: T) -> T:\n    return x\n"):
+        with pytest.raises(SyntaxError):
+            parse_at_floor(src)
+    parse_at_floor("match x:\n    case 1:\n        pass\n")
 
 
 def test_only_standard_library_and_numpy_imports():

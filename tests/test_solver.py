@@ -384,7 +384,7 @@ class TestExtrapolatedSweeps:
         # at or below power_stop and not lower the penalized objective, the
         # objective trace of every such evaluation must not fall, and a sweep
         # that passes the stop test is not over-relaxed
-        real_extrapolate, real_finish = solver_mod._extrapolate, solver_mod._Sweeps.finish
+        real_extrapolate, real_evaluation = solver_mod._extrapolate, solver_mod._evaluation
         moved = []
         traces = []
 
@@ -401,16 +401,23 @@ class TestExtrapolatedSweeps:
             moved.append(plan is not Q)
             return out
 
-        def spy_finish(sweeps, *args, **kwargs):
-            before = len(moved)
-            ev = real_finish(sweeps, *args, **kwargs)
-            if ev is not None and sweeps.run.extrapolate:
-                traces.append(ev.lag_trace)
-                assert ev.hit_cap or len(moved) == before
-            return ev
+        def spy_evaluation(prob, lam, start, cfg, power_stop, extrapolate):
+            run = real_evaluation(prob, lam, start, cfg, power_stop, extrapolate)
+            request = next(run)
+            while True:
+                swept = yield request
+                before = len(moved)
+                try:
+                    request = run.send(swept)
+                except StopIteration as stop:
+                    ev = stop.value
+                    if extrapolate:
+                        traces.append(ev.lag_trace)
+                        assert ev.hit_cap or len(moved) == before
+                    return ev
 
         monkeypatch.setattr(solver_mod, "_extrapolate", spy_extrapolate)
-        monkeypatch.setattr(solver_mod._Sweeps, "finish", spy_finish)
+        monkeypatch.setattr(solver_mod, "_evaluation", spy_evaluation)
         local = np.random.default_rng(5)
         for power in (1e-3, 1.0, 1e7):
             for _ in range(3):
