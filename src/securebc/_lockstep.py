@@ -5,7 +5,7 @@ counts by position) together: a single problem's for
 :func:`securebc.solver.solve_wsr`, a shape group's for
 :func:`securebc.solver.solve_wsr_batch`.  A search is a generator that
 yields the sweeps it needs and holds all of its control flow: the stop
-test, over-relaxation and traces of each evaluation
+test, Anderson steps and traces of each evaluation
 (:func:`~securebc.solver._evaluation`) and the choice of prices.  A sweep
 is a pure function of the problem, price and plan.  Each tick sweeps every
 pending request once, by one rule: with at least ``LOCKSTEP_MIN`` rows

@@ -233,6 +233,27 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return hermitize((v * w) @ v.conj().T)
 
 
+def anderson_psd(pairs: list) -> list[np.ndarray]:
+    """A projected Anderson step (Walker & Ni 2011, type II) for a fixed
+    point iteration on lists of PSD blocks, from its last ``pairs``
+    (x_i, f_i) of an iterate and its image.
+
+    With residuals r_i = f_i - x_i, the real coefficients g minimize
+    |r_last - dR g| over the differences dR of consecutive residuals, and
+    the step f_last - dF g (dF: those of the f_i) has each block projected
+    onto the PSD cone by :func:`project_psd`.  The least squares go through
+    the real part of the complex Gram matrix and complex ``eigh``,
+    eigenvalues below 1e-12 of the largest dropped: a real-dtype product or
+    another LAPACK routine would load code that nothing else here needs.
+    """
+    x, f = (np.array(col) for col in zip(*pairs))  # (pairs, blocks, n, n)
+    dr, df = (np.diff(a, axis=0).reshape(len(pairs) - 1, -1) for a in (f - x, f))
+    s, v = np.linalg.eigh((dr.conj() @ dr.T).real + 0j)
+    v, s = v[:, s > 1e-12 * s[-1]], s[s > 1e-12 * s[-1]]
+    g = (v @ ((herm(v) @ (dr.conj() @ (f[-1] - x[-1]).ravel()).real) / s)).real
+    return [project_psd(c) for c in f[-1] - (g @ df).reshape(f.shape[1:])]
+
+
 def svd_square_diag(m: np.ndarray) -> SvdTriple:
     """Economy SVD with the square-diagonal convention (see SvdTriple)."""
     u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)

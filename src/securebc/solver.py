@@ -28,15 +28,14 @@ Structure:
   step is its exact maximizer.  An update depends only on the current plan
   and price, so a sweep is :func:`surrogate_update` on each block in turn.
   Solves start from the zero plan,
-* the price search's loose evaluations over-relax every sweep that creeps
-  (its objective gain exceeds half the previous sweep's): they keep the
-  best of Q + beta (Q - Q_before), beta = 1, 2, 4, ..., by penalized
-  objective, stopping at the first beta that does not raise it (see
-  :func:`_extrapolate`).  Tight re-runs and :func:`maximize_lagrangian`
-  sweep plainly,
+* every evaluation of the price search follows a sweep that creeps (its
+  objective gain exceeds half the previous sweep's) with a projected
+  Anderson step on its last ``ANDERSON_MEMORY`` (start, swept) plans,
+  kept only if it raises the penalized objective within the power cap
+  (see :func:`_anderson`); :func:`maximize_lagrangian` sweeps plainly,
 * a solve's whole control flow is one generator: the price search runs
   each evaluation by ``yield from`` :func:`_evaluation`, which holds the
-  stop test, the over-relaxation and the traces, yields ``(lam, Q)`` for
+  stop test, the Anderson steps and the traces, yields ``(lam, Q)`` for
   every sweep it needs and is sent back the swept plan with its weighted
   sum and power.  A sweep is a pure function of problem, price and plan
   (:func:`_sweep`), so the search and its rules are written once.  One
@@ -65,7 +64,7 @@ and the labels judge the records alone, not how their prices were chosen.
 
 The surrogate is a global lower bound of the block objective that is tight
 at the expansion point, so no accepted block step lowers the true penalized
-objective, and an over-relaxed plan is kept only when it raises that
+objective, and an Anderson candidate is kept only when it raises that
 objective; the test suite asserts both rather than assuming them.
 """
 
@@ -79,8 +78,8 @@ import numpy as np
 
 from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved
-from .linalg import (PSD_TOL, herm, hermitize, inv_i_plus, logdet_i_plus,
-                     min_eigenvalue, project_psd, real_trace)
+from .linalg import (anderson_psd, herm, hermitize, inv_i_plus, logdet_i_plus,
+                     project_psd, real_trace)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
                     suffix_sums)
@@ -93,6 +92,8 @@ STALLED = "stalled"
 LAMBDA_LO = 1e-6
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
+# an Anderson step draws on this many (start, swept) plan pairs
+ANDERSON_MEMORY = 4
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,7 @@ class _Eval:
 
 
 def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
-                power_stop: Optional[float], extrapolate: bool
+                power_stop: Optional[float]
                 ) -> Generator[tuple[float, list], tuple[list, float, float], _Eval]:
     """One evaluation: cyclic block sweeps at price ``lam`` from ``start``'s
     plan under ``cfg`` until the penalized objective settles.
@@ -368,23 +369,25 @@ def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
 
     ``power_stop`` aborts the run once the total trace exceeds that level:
     the price is then clearly below the budget-tight one and the search
-    only needs the sign of the power residual, not a converged plan.
-    ``extrapolate`` (which needs ``power_stop``) over-relaxes every sweep
-    that creeps, one whose objective gain exceeds half the previous sweep's
-    and does not settle, by :func:`_extrapolate`.  The stop test reads each
-    sweep's own gain, before extrapolation, and the traces record the plan
+    only needs the sign of the power residual, not a converged plan.  With
+    ``power_stop`` set, every sweep that creeps, one whose objective gain
+    exceeds half the previous sweep's and does not settle, is followed by
+    the projected Anderson step :func:`_anderson` on the last
+    ``ANDERSON_MEMORY`` (start, swept) plan pairs.  The stop test reads
+    each sweep's own gain, before the step, and the traces record the plan
     kept."""
     Q, lag = start.Q, start.wsr - lam * (start.power - prob.P)
-    lag_trace, wsr_trace, prev_gain = [lag], [], np.inf
+    lag_trace, wsr_trace, prev_gain, pairs = [lag], [], np.inf, []
     while True:
         new, wsr, power = yield lam, Q
         new_lag = wsr - lam * (power - prob.P)
         gain = new_lag - lag
         done = ((power_stop is not None and power > power_stop)
                 or abs(gain) <= cfg.objective_tol * (1.0 + abs(lag)))
-        if extrapolate and not done and gain > 0.5 * prev_gain:
-            new, wsr, power, new_lag = _extrapolate(prob, lam, new, Q, wsr, power, new_lag,
-                                                    power_stop)
+        pairs = pairs[1 - ANDERSON_MEMORY:] + [(Q, new)]
+        if power_stop is not None and not done and gain > 0.5 * prev_gain:
+            new, wsr, power, new_lag = _anderson(prob, lam, pairs, wsr, power, new_lag,
+                                                 power_stop)
         lag_trace.append(new_lag)
         wsr_trace.append(wsr)
         if done or len(wsr_trace) == cfg.max_outer_iters:
@@ -392,36 +395,22 @@ def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
         Q, lag, prev_gain = new, new_lag, gain
 
 
-def _extrapolate(prob: _Problem, lam: float, Q: list, before: list, wsr: float,
-                 power: float, lag: float, power_stop: float
-                 ) -> tuple[list, float, float, float]:
-    """Over-relax a sweep: the best of Q + beta (Q - before), beta = 1, 2,
-    4, ..., by penalized objective, or the sweep's own plan if none beats it.
-
-    The search stops at the first beta whose candidate has a block that is
-    not PSD within ``PSD_TOL * max(1, tr)``, has power above ``power_stop``
-    or does not raise the objective, so every accepted plan is a valid plan
-    that ascends.  It ends for any step: a step of positive total trace
-    eventually crosses ``power_stop``, and any other nonzero step has a
-    block of trace at most zero, which leaves the PSD cone.  Returns (plan,
-    weighted sum, power, objective).
-    """
-    step = [q - b for q, b in zip(Q, before)]
-    best = (Q, wsr, power, lag)
-    beta = 1.0
-    while True:
-        cand = [q + beta * d for q, d in zip(Q, step)]
-        power = float(_total_trace(cand))
-        if power > power_stop or any(
-                min_eigenvalue(c) < -PSD_TOL * max(1.0, float(np.trace(c).real))
-                for c in cand):
-            return best
-        wsr = float(_wsr(prob, cand))
-        lag = wsr - lam * (power - prob.P)
-        if not lag > best[3]:
-            return best
-        best = (cand, wsr, power, lag)
-        beta *= 2.0
+def _anderson(prob: _Problem, lam: float, pairs: list, wsr: float, power: float,
+              lag: float, power_stop: float) -> tuple[list, float, float, float]:
+    """The projected Anderson step :func:`~securebc.linalg.anderson_psd` on
+    ``pairs``, an evaluation's last (start, swept) plans, kept only if its
+    power is at most ``power_stop`` and its penalized objective is strictly
+    above the last sweep's, whose weighted sum, power and objective are
+    given; so every evaluation still ascends.  Returns (plan, weighted sum,
+    power, objective) of the plan kept."""
+    cand = anderson_psd(pairs)
+    c_power = float(_total_trace(cand))
+    if c_power <= power_stop:
+        c_wsr = float(_wsr(prob, cand))
+        c_lag = c_wsr - lam * (c_power - prob.P)
+        if c_lag > lag:
+            return cand, c_wsr, c_power, c_lag
+    return pairs[-1][1], wsr, power, lag
 
 
 def _sweep(prob: _Problem, lam: float, Q: list, trace: Optional[list] = None
@@ -465,13 +454,12 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     r = power - P against mu = 1/lam, in which water-filling power
     sum (w/lam - 1/s)^+ is piecewise linear; a secant price that rounds off
     the bracket gives way to the arithmetic midpoint.  Sweeps run at
-    ``cfg.objective_tol``, extrapolated, until a record lands within
-    ``NEAR * P`` of the budget; that price is re-run once at the tight
-    tolerance ``objective_tol * 1e-6`` (at least 5e-15), and so is every
-    later price, because the loose residual crosses zero a few 1e-5 P off
-    the true root.  Tight sweeps are plain: extrapolating them moved the
-    settled power by up to about 1e-5 P, enough to leave solves ``stalled``
-    off the budget.
+    ``cfg.objective_tol`` until a record lands within ``NEAR * P`` of the
+    budget; that price is re-run once at the tight tolerance
+    ``objective_tol * 1e-6`` (at least 5e-15), and so is every later price,
+    because the loose residual crosses zero a few 1e-5 P off the true root.
+    Every evaluation, loose or tight, takes Anderson steps on creeping
+    sweeps (see :func:`_evaluation`).
 
     A generator: it runs each evaluation by ``yield from``
     :func:`_evaluation`, so it yields every sweep it needs and is sent back
@@ -487,7 +475,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
     zero = _Eval.cold(prob, prob.blocks(None))
-    evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop, True))]
+    evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop))]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
     hi = replace(zero, lam=_top_price(prob))
@@ -505,11 +493,11 @@ def _price_search(prob: _Problem, cfg: SolverConfig
         lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
         if not lam_lo < lam < hi.lam:
             lam = 0.5 * (lam_lo + hi.lam)
-        ev = yield from _evaluation(prob, lam, hi, run_cfg, power_stop, run_cfg is cfg)
+        ev = yield from _evaluation(prob, lam, hi, run_cfg, power_stop)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
             run_cfg = tight
-            ev = yield from _evaluation(prob, lam, ev, tight, power_stop, False)
+            ev = yield from _evaluation(prob, lam, ev, tight, power_stop)
             evals.append(ev)
         if ev.passes(P, cfg):
             return evals
@@ -591,7 +579,7 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
     prob = _Problem(ch, order, w)
     per_block = [] if per_block_trace else None
     run = _evaluation(prob, lam, _Eval.cold(prob, prob.blocks(plan0)),
-                      cfg or SolverConfig(), None, False)
+                      cfg or SolverConfig(), None)
     try:
         request = next(run)
         while True:

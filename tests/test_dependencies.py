@@ -26,6 +26,8 @@ NUMPY2_ONLY = {
     "numpy.linalg": {"vecdot", "matrix_transpose", "vector_norm", "matrix_norm", "svdvals",
                      "outer", "diagonal", "trace", "cross", "matmul", "tensordot"},
 }
+# the numpy.linalg names the package uses
+LINALG_USED = {"eigh", "eigvalsh", "cholesky", "inv", "svd", "LinAlgError"}
 
 
 def imported_modules(tree):
@@ -63,6 +65,17 @@ def numpy2_names(tree):
             for alias in node.names:
                 if alias.name in NUMPY2_ONLY[node.module]:
                     yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def linalg_names(tree):
+    """Every numpy.linalg name a module uses, as an attribute of np.linalg
+    or numpy.linalg or imported from numpy.linalg."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and numpy_module(node.value) == "numpy.linalg":
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            for alias in node.names:
+                yield node.lineno, alias.name
 
 
 def parse_at_floor(src, name="<string>"):
@@ -122,3 +135,25 @@ def test_numpy2_only_names_are_seen():
     assert sorted(numpy2_names(tree)) == [
         (1, "<array>.mT"), (2, "numpy.vecdot"), (3, "numpy.linalg.matrix_norm"),
         (4, "numpy.linalg.outer")]
+
+
+def test_no_new_linalg_routines():
+    """A numpy.linalg routine the package does not use yet (lstsq, solve, ...)
+    faults new LAPACK and BLAS code into the process the first time it
+    runs, and so raises the peak resident memory a solve leaves (the
+    benchmark's ``peak_rss_mb``) by tenths of a megabyte: lstsq alone added
+    0.65 MB.  Work that needs one goes through the routines already loaded.
+    Only names are checked: eigh or matmul on real rather than complex
+    input loads new code too (0.37 and 0.13 MB), and this test cannot see
+    dtypes."""
+    bad = [f"{path}:{line} uses numpy.linalg.{name}"
+           for path, tree in package_trees()
+           for line, name in linalg_names(tree)
+           if name not in LINALG_USED]
+    assert not bad, bad
+
+
+def test_linalg_names_are_seen():
+    tree = ast.parse("np.linalg.lstsq(a, b)\nnumpy.linalg.eigh(a)\n"
+                     "from numpy.linalg import solve\nx.linalg.qr(a)\nnp.dot(a, b)\n")
+    assert sorted(linalg_names(tree)) == [(1, "lstsq"), (2, "eigh"), (3, "solve")]

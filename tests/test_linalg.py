@@ -5,7 +5,7 @@ from conftest import herm, rand_complex, rand_hermitian, rand_hpd
 from securebc import (NonPositiveDefinite, SingularMatrix, logdet_hpd,
                       project_psd, psd_inv_sqrt, psd_sqrt, random_psd,
                       svd_square_diag)
-from securebc.linalg import sqrt_pair
+from securebc.linalg import anderson_psd, sqrt_pair
 
 rng = np.random.default_rng(42)
 
@@ -118,6 +118,41 @@ class TestProjectPsd:
             once = project_psd(m)
             twice = project_psd(once)
             assert np.max(np.abs(twice - once)) < 1e-12
+
+
+class TestAndersonPsd:
+    def test_one_step_lands_on_an_affine_fixed_point(self):
+        # for f(x) = c x + b the residuals of two iterates are parallel, so
+        # one step solves the fixed point x = b / (1 - c) exactly; a fixed
+        # point off the PSD cone comes back projected onto it
+        for b in ([rand_hpd(rng, 3), rand_hpd(rng, 3)],
+                  [-rand_hpd(rng, 2), rand_hermitian(rng, 2)]):
+            c = 0.9
+
+            def f(x):
+                return [c * xi + bi for xi, bi in zip(x, b)]
+
+            x0 = [random_psd(len(bi), rng) for bi in b]
+            x1 = f(x0)
+            step = anderson_psd([(x0, x1), (x1, f(x1))])
+            for got, bi in zip(step, b):
+                want = project_psd(bi / (1.0 - c))
+                assert np.allclose(got, want, atol=1e-9)
+                assert np.linalg.eigvalsh(got)[0] >= -1e-12
+
+    def test_parallel_residual_differences_are_dropped(self):
+        # three pairs whose residual differences are parallel: the Gram
+        # matrix is singular and the least squares keep one direction
+        c, b = 0.5, [rand_hpd(rng, 2)]
+
+        def f(x):
+            return [c * x[0] + b[0]]
+
+        xs = [[random_psd(2, rng)]]
+        for _ in range(3):
+            xs.append(f(xs[-1]))
+        step = anderson_psd([(x, f(x)) for x in xs[:3]])
+        assert np.allclose(step[0], b[0] / (1.0 - c), atol=1e-9)
 
 
 class TestSvdSquareDiag:
