@@ -5,10 +5,21 @@ matrix as Hermitian after symmetrizing it, which keeps round-off drift from
 accumulating across chained products.  Eigenvalues in ``[-PSD_TOL, 0)`` are
 considered numerical zeros; anything more negative is a genuine sign problem
 and is either clamped (projection contexts) or raised (validation contexts).
+
+Closed forms replace LAPACK on small input, where numpy's per-call dispatch
+outweighs the arithmetic; they agree with it to round-off:
+
+* 1x1: ``logdet_i_plus``, ``inv_i_plus``, ``sqrt_pair``, ``psd_sqrt``, and bit
+  for bit ``project_psd`` and ``min_eigenvalue`` (1x1 eigh returns the real part);
+* 2x2: ``logdet_i_plus``, ``inv_i_plus``; well-conditioned ``sqrt_pair``, ``psd_sqrt``;
+* 1xn and nx1: ``svd_square_diag``.
+
+Other input, singular or ill-conditioned included, goes to LAPACK.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +30,10 @@ from .errors import NonPositiveDefinite, SingularMatrix
 PSD_TOL = 1e-10
 # Relative floor below which an eigenvalue is treated as zero for inversion.
 SINGULAR_REL_TOL = 1e-14
+# det / tr^2 floor of the 2x2 closed-form square root: condition numbers up to
+# about 1e3, where it still agrees with the eigh route to about 2e-13 (a det
+# near the subnormal range, or past overflow, also goes to eigh).
+SQRT_2X2_MIN_DET = 1e-3
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -45,6 +60,8 @@ def real_trace(m: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
+    if m.shape[0] == 1:
+        return float(m.item().real)
     return float(np.linalg.eigvalsh(hermitize(m))[0])
 
 
@@ -188,13 +205,42 @@ def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.eye(n) + hermitize(m))
 
 
+def _sqrt_closed(m: np.ndarray):
+    """:func:`sqrt_pair` at sizes 1 and 2, or None outside the domain.  At
+    size 2, R = (M + s I) / t with s = sqrt(det M), t = sqrt(tr M + 2 s) has
+    determinant s, so R^-1 = adj(M + s I) / (t s).  Python scalars, as in
+    :func:`_i_plus_2x2`."""
+    n = m.shape[0]
+    if n == 1:
+        x = m.item().real
+        if 0.0 < x < math.inf:
+            root = math.sqrt(x)
+            return np.array([[root]], dtype=complex), np.array([[1.0 / root]], dtype=complex)
+    elif n == 2:
+        (p, q), (r, u) = m.tolist()
+        a, d, b = p.real, u.real, 0.5 * (q + r.conjugate())
+        tr = a + d
+        det = a * d - (b.real * b.real + b.imag * b.imag)
+        if a > 0.0 and 1e-300 < SQRT_2X2_MIN_DET * tr * tr < det < math.inf:
+            s = math.sqrt(det)
+            t = math.sqrt(tr + 2.0 * s)
+            return (np.array([[a + s, b], [b.conjugate(), d + s]], dtype=complex) / t,
+                    np.array([[d + s, -b], [-b.conjugate(), a + s]], dtype=complex) / (t * s))
+    return None
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+    """Hermitian square root of a PSD matrix, through :func:`sqrt_pair`'s
+    closed forms where they apply.
 
     Eigenvalues are clamped at zero before taking roots, so inputs that are
     PSD up to round-off never produce NaNs.
     """
-    w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
+    m = np.asarray(m, dtype=complex)
+    pair = _sqrt_closed(m)
+    if pair is not None:
+        return pair[0]
+    w, v = np.linalg.eigh(hermitize(m))
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
@@ -207,14 +253,18 @@ def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(square root, inverse square root) of a Hermitian positive definite
-    matrix from one eigendecomposition; the square root equals
-    :func:`psd_sqrt`'s.
+    matrix, in closed form at sizes 1 and 2 and otherwise from one
+    eigendecomposition; the square root equals :func:`psd_sqrt`'s.
 
     Raises:
         SingularMatrix: if any eigenvalue is at or below
             ``SINGULAR_REL_TOL`` times the largest.
     """
-    w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
+    m = np.asarray(m, dtype=complex)
+    pair = _sqrt_closed(m)
+    if pair is not None:
+        return pair
+    w, v = np.linalg.eigh(hermitize(m))
     largest = w[-1]
     if largest <= 0.0 or w[0] <= SINGULAR_REL_TOL * largest:
         raise SingularMatrix(
@@ -226,6 +276,8 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept."""
     h = hermitize(np.asarray(m, dtype=complex))
+    if h.shape[0] == 1 and h.item().real >= 0.0:
+        return h
     w, v = np.linalg.eigh(h)
     if w[0] >= 0.0:
         return h
@@ -255,8 +307,18 @@ def anderson_psd(pairs: list) -> list[np.ndarray]:
 
 
 def svd_square_diag(m: np.ndarray) -> SvdTriple:
-    """Economy SVD with the square-diagonal convention (see SvdTriple)."""
-    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    """Economy SVD with the square-diagonal convention (see SvdTriple); a
+    single row or column a gives left = a / |a| or right = a^H / |a|, and the
+    other factor [[1]]."""
+    m = np.asarray(m, dtype=complex)
+    if 1 in m.shape:
+        norm = math.sqrt(np.vdot(m, m).real)
+        if 0.0 < norm < math.inf:
+            one = np.ones((1, 1), dtype=complex)
+            if m.shape[0] == 1:
+                return SvdTriple(left=one, singular=np.array([norm]), right=herm(m) / norm)
+            return SvdTriple(left=m / norm, singular=np.array([norm]), right=one)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     return SvdTriple(left=u, singular=s, right=vh.conj().T)
 
 

@@ -159,9 +159,14 @@ def _log_ratios(H: Sequence[np.ndarray], suf: Sequence[np.ndarray]) -> np.ndarra
 
 def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
                      q_by_pos: Sequence[np.ndarray]) -> np.ndarray:
-    """Secrecy rates by position for position-ordered channels/covariances."""
+    """Secrecy rates by position for position-ordered channels/covariances.
+
+    The eavesdropper's log-dets, one per suffix sum, serve two positions each.
+    """
     suf = suffix_sums(q_by_pos)
-    return _log_ratios(H, suf) - _log_ratios([G] * len(H), suf)
+    gh = herm(G)
+    eve = np.array([logdet_i_plus(G @ s @ gh) for s in suf])
+    return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 
 def bc_rates_arrays(H: Sequence[np.ndarray],

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import herm, rand_bc_plan, rand_instance
 from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
-                      EncodingOrder, bc_rates, bc_to_mac,
+                      EncodingOrder, RatePoint, bc_rates, bc_to_mac,
                       build_context_from_bc, build_context_from_mac,
-                      duality_property_ensemble, effective_eve_channels,
-                      mac_rates, mac_to_bc, sample_channel_set)
+                      duality, duality_property_ensemble,
+                      effective_eve_channels, mac_rates, mac_to_bc,
+                      sample_channel_set)
+from securebc.cli import cli_main
 from securebc.duality import FOLLOWING, PRECEDING
 from securebc.linalg import random_psd
 
@@ -70,6 +74,23 @@ class TestLadders:
                 assert np.linalg.eigvalsh(c)[0] >= 1 - 1e-10
             for d in ctx.d_list:
                 assert np.linalg.eigvalsh(d)[0] >= 1 - 1e-10
+
+    @pytest.mark.parametrize("ladder", [PRECEDING, FOLLOWING])
+    def test_edge_checks_reject_non_identity(self, ladder):
+        ch = sample_channel_set(3, 3, 2, [2, 1, 2], 1, 1.0)
+        ctx = build_context_from_bc(ch, EncodingOrder([2, 3, 1]), rand_bc_plan(rng, ch),
+                                    mac_ladder=ladder)
+        edge = 0 if ladder == PRECEDING else -1
+        for field, at in (("c_list", -1), ("d_list", edge)):
+            mats = list(getattr(ctx, field))
+            n = mats[at].shape[0]
+            mats[at] = np.eye(n, dtype=complex)
+            dataclasses.replace(ctx, **{field: tuple(mats)})  # exact I passes
+            off = np.eye(n, dtype=complex)
+            off[0, 1] = off[1, 0] = 1e-8
+            mats[at] = off
+            with pytest.raises(ValueError, match="ladder inconsistency"):
+                dataclasses.replace(ctx, **{field: tuple(mats)})
 
     def test_effective_eve_shapes(self):
         ch = sample_channel_set(5, 3, 2, [1, 3, 2], 2, 1.0)
@@ -195,6 +216,29 @@ class TestEquivalenceContext:
 
 
 class TestEnsemble:
+    def test_errors_stay_at_round_off(self):
+        # about 6e-15 today; the closed forms in linalg must not drift
+        # toward the 1e-8 acceptance tolerance unnoticed
+        report = duality_property_ensemble(num_instances=200, seed=0)
+        assert report["passed"], report
+        for key in ("max_rate_error", "max_trace_error", "max_roundtrip_error",
+                    "max_wsr_equivalence_error"):
+            assert report[key] <= 1e-12, (key, report[key])
+
+    def test_nan_rate_fails(self, monkeypatch, capsys):
+        real = duality.mac_rates
+
+        def nan_rates(*args):
+            return RatePoint(tuple(np.nan for _ in real(*args).per_user))
+
+        monkeypatch.setattr(duality, "mac_rates", nan_rates)
+        report = duality_property_ensemble(num_instances=3, seed=0)
+        assert not report["passed"]
+        assert report["failures"] >= 1
+        assert np.isnan(report["max_rate_error"])
+        assert cli_main(["duality-check", "--seeds", "1"]) == 2
+        assert "duality-check FAIL" in capsys.readouterr().out
+
     def test_property_ensemble_passes(self):
         report = duality_property_ensemble(num_instances=60, seed=123, tol=1e-8)
         assert report["passed"], report

@@ -5,7 +5,7 @@ from conftest import herm, rand_complex, rand_hermitian, rand_hpd
 from securebc import (NonPositiveDefinite, SingularMatrix, logdet_hpd,
                       project_psd, psd_inv_sqrt, psd_sqrt, random_psd,
                       svd_square_diag)
-from securebc.linalg import anderson_psd, sqrt_pair
+from securebc.linalg import _sqrt_closed, anderson_psd, min_eigenvalue, sqrt_pair
 
 rng = np.random.default_rng(42)
 
@@ -93,7 +93,68 @@ class TestPsdInvSqrt:
             assert np.linalg.norm(root @ inv_root - np.eye(n)) < 1e-9
 
 
+def _eigh_roots(m):
+    """(root, inverse root) through eigh, the route the closed forms replace."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(w)) @ herm(v), (v / np.sqrt(w)) @ herm(v)
+
+
+def _hpd_with_condition(gen, n, cond):
+    q = np.linalg.qr(rand_complex(gen, n, n))[0]
+    w = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** gen.uniform(-4, 4)
+    m = (q * w) @ herm(q)
+    return (m + herm(m)) / 2
+
+
+class TestSqrtClosedForms:
+    def test_match_eigh_route(self):
+        # conditions past about 1e3 leave the closed form for eigh
+        gen = np.random.default_rng(5)
+        closed = fallback = 0
+        for _ in range(300):
+            n = int(gen.integers(1, 3))
+            m = _hpd_with_condition(gen, n, 10.0 ** gen.uniform(0, 12))
+            used = _sqrt_closed(m) is not None
+            closed, fallback = closed + used, fallback + (not used)
+            root, inv_root = sqrt_pair(m)
+            ref_root, ref_inv = _eigh_roots(m)
+            assert np.linalg.norm(root - ref_root) <= 1e-12 * np.linalg.norm(ref_root)
+            assert np.linalg.norm(inv_root - ref_inv) <= 1e-12 * np.linalg.norm(ref_inv)
+            assert np.array_equal(psd_sqrt(m), root)
+            assert np.array_equal(psd_inv_sqrt(m), inv_root)
+        assert closed > 50 and fallback > 50
+
+    def test_closed_form_domain(self):
+        assert _sqrt_closed(np.diag([1.0, 2.0])) is not None
+        assert _sqrt_closed(np.diag([1.0, 1e-6])) is None
+        assert _sqrt_closed(np.eye(2) * 1e-160) is None  # det would be subnormal
+        assert _sqrt_closed(np.eye(2) * 1e160) is None  # tr^2 would overflow
+        assert _sqrt_closed(np.array([[4.0]])) is not None
+        assert _sqrt_closed(np.eye(3)) is None
+
+    def test_singular_and_negative_raise(self):
+        for m in (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((1, 1)),
+                  np.array([[-1.0]]), np.diag([-1.0, -2.0])):
+            with pytest.raises(SingularMatrix):
+                sqrt_pair(m)
+            with pytest.raises(SingularMatrix):
+                psd_inv_sqrt(m)
+
+    def test_psd_sqrt_of_singular_input_keeps_clamping(self):
+        assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
+        assert np.array_equal(psd_sqrt(np.zeros((1, 1))), np.zeros((1, 1)))
+
+
 class TestProjectPsd:
+    def test_scalar_equals_lapack_route(self):
+        gen = np.random.default_rng(6)
+        for _ in range(200):
+            x = complex(*gen.standard_normal(2)) * 10.0 ** gen.uniform(-20, 20)
+            m = np.array([[x]])
+            assert np.array_equal(project_psd(m), [[max(x.real, 0.0)]])
+            assert min_eigenvalue(m) == np.linalg.eigvalsh((m + herm(m)) / 2)[0]
+        assert np.array_equal(project_psd(np.array([[-0.5 + 1j]])), np.zeros((1, 1)))
+
     def test_clamps_negative_eigenvalue(self):
         assert np.allclose(project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]),
                            atol=1e-14)
@@ -183,6 +244,25 @@ class TestSvdSquareDiag:
         assert np.allclose(herm(triple.left) @ triple.left, np.eye(3), atol=1e-10)
         assert np.allclose(herm(triple.right) @ triple.right, np.eye(3), atol=1e-10)
         assert np.all(np.diff(triple.singular) <= 1e-14)
+
+    def test_single_row_and_column(self):
+        gen = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(gen.integers(1, 5))
+            for m in (rand_complex(gen, 1, n), rand_complex(gen, n, 1)):
+                triple = svd_square_diag(m)
+                assert triple.singular.shape == (1,)
+                assert triple.singular[0] == pytest.approx(np.linalg.norm(m), rel=1e-14)
+                assert np.max(np.abs(triple.reconstruct() - m)) < 1e-14
+                for factor in (triple.left, triple.right):
+                    assert factor.shape[1] == 1
+                    assert abs((herm(factor) @ factor)[0, 0] - 1.0) < 1e-14
+
+    def test_zero_vector_falls_back(self):
+        for shape in ((1, 3), (3, 1), (1, 1)):
+            triple = svd_square_diag(np.zeros(shape))
+            assert np.array_equal(triple.singular, [0.0])
+            assert np.array_equal(triple.reconstruct(), np.zeros(shape))
 
     def test_singular_values_unitarily_invariant(self):
         for _ in range(20):

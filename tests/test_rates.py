@@ -10,6 +10,7 @@ from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
                       weighted_sum, wsr_equivalence_pair)
 from securebc.duality import FOLLOWING
 from securebc.linalg import random_psd
+from securebc.rates import _log_ratios, dpc_rates_arrays, suffix_sums
 
 rng = np.random.default_rng(7)
 
@@ -92,6 +93,26 @@ class TestDpcSecrecyRates:
         plan = CovariancePlan(MAC, [np.eye(2) * 0.2])
         with pytest.raises(DimensionMismatch):
             dpc_secrecy_rates(ch, EncodingOrder([1]), plan)
+
+    def test_shared_eavesdropper_logdets_are_bit_identical(self):
+        # K + 1 eavesdropper log-dets shared by neighbouring positions give
+        # the same numbers as the 2K of the per-position form, on single
+        # plans and on (B, n, n) stacks
+        gen = np.random.default_rng(11)
+        for n_t in (1, 2, 3):
+            for n_e in (1, 2, 3):
+                K = int(gen.integers(1, 4))
+                ch = sample_channel_set(int(gen.integers(2 ** 31)), K, n_t, [n_t] * K,
+                                        n_e, 1.0)
+                H, G = list(ch.user_channels), ch.eavesdropper
+                for q in ([random_psd(n_t, gen) for _ in range(K)],
+                          [np.array([random_psd(n_t, gen) for _ in range(4)])
+                           for _ in range(K)]):
+                    suf = suffix_sums(q)
+                    old = _log_ratios(H, suf) - _log_ratios([G] * K, suf)
+                    new = dpc_rates_arrays(H, G, q)
+                    assert new.shape == old.shape
+                    assert new.tobytes() == old.tobytes()
 
 
 class TestBcMacRates:
