@@ -151,7 +151,7 @@ def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str
     """The context and the other side's plan from one ladder sweep."""
     idx, ladders, mapped = _ladder_sweep(ch, order, plan, side, mac_ladder)
     return (DualityContext(order, mac_ladder, *map(tuple, ladders)),
-            CovariancePlan(MAC if side == BC else BC, by_user(mapped, idx)))
+            CovariancePlan._of_projected(MAC if side == BC else BC, by_user(mapped, idx)))
 
 
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,

@@ -79,6 +79,17 @@ class CovariancePlan:
     matrices: tuple[np.ndarray, ...]
 
     def __init__(self, side: str, matrices: Sequence[np.ndarray]):
+        self._set(side, matrices, check_psd=True)
+
+    @classmethod
+    def _of_projected(cls, side: str, matrices: Sequence[np.ndarray]) -> "CovariancePlan":
+        """A plan of ``project_psd`` output, PSD by construction, built
+        without the eigenvalue check."""
+        plan = cls.__new__(cls)
+        plan._set(side, matrices, check_psd=False)
+        return plan
+
+    def _set(self, side: str, matrices: Sequence[np.ndarray], check_psd: bool) -> None:
         if side not in (BC, MAC):
             raise ValueError(f"side must be {BC!r} or {MAC!r}, got {side!r}")
         mats = tuple(frozen(m) for m in matrices)
@@ -87,7 +98,7 @@ class CovariancePlan:
         for idx, m in enumerate(mats):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionMismatch(f"matrix {idx + 1} is not square: {m.shape}")
-            if min_eigenvalue(m) < -PSD_TOL * max(1.0, float(np.trace(m).real)):
+            if check_psd and min_eigenvalue(m) < -PSD_TOL * max(1.0, float(np.trace(m).real)):
                 raise ValueError(f"matrix {idx + 1} is not PSD within tolerance")
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "matrices", mats)

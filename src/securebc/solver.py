@@ -31,8 +31,11 @@ Structure:
 * every evaluation of the price search follows a sweep that creeps (its
   objective gain exceeds half the previous sweep's) with a projected
   Anderson step on its last ``ANDERSON_MEMORY`` (start, swept) plans,
-  kept only if it raises the penalized objective within the power cap
-  (see :func:`_anderson`); :func:`maximize_lagrangian` sweeps plainly,
+  kept only if it raises the penalized objective within the power cap;
+  when it does not, the sweep's own step is over-relaxed by doubling
+  factors under the same two tests, which carries a sweep that drifts at
+  constant velocity (see :func:`_anderson`); :func:`maximize_lagrangian`
+  sweeps plainly,
 * a solve's whole control flow is one generator: the price search runs
   each evaluation by ``yield from`` :func:`_evaluation`, which holds the
   stop test, the Anderson steps and the traces, yields ``(lam, Q)`` for
@@ -64,8 +67,9 @@ and the labels judge the records alone, not how their prices were chosen.
 
 The surrogate is a global lower bound of the block objective that is tight
 at the expansion point, so no accepted block step lowers the true penalized
-objective, and an Anderson candidate is kept only when it raises that
-objective; the test suite asserts both rather than assuming them.
+objective, and an Anderson or over-relaxed candidate is kept only when it
+raises that objective; the test suite asserts both rather than assuming
+them.
 """
 
 from __future__ import annotations
@@ -373,9 +377,9 @@ def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
     ``power_stop`` set, every sweep that creeps, one whose objective gain
     exceeds half the previous sweep's and does not settle, is followed by
     the projected Anderson step :func:`_anderson` on the last
-    ``ANDERSON_MEMORY`` (start, swept) plan pairs.  The stop test reads
-    each sweep's own gain, before the step, and the traces record the plan
-    kept."""
+    ``ANDERSON_MEMORY`` (start, swept) plan pairs, or, where that step is
+    refused, by over-relaxing the sweep.  The stop test reads each sweep's
+    own gain, before the step, and the traces record the plan kept."""
     Q, lag = start.Q, start.wsr - lam * (start.power - prob.P)
     lag_trace, wsr_trace, prev_gain, pairs = [lag], [], np.inf, []
     while True:
@@ -402,15 +406,42 @@ def _anderson(prob: _Problem, lam: float, pairs: list, wsr: float, power: float,
     power is at most ``power_stop`` and its penalized objective is strictly
     above the last sweep's, whose weighted sum, power and objective are
     given; so every evaluation still ascends.  Returns (plan, weighted sum,
-    power, objective) of the plan kept."""
-    cand = anderson_psd(pairs)
-    c_power = float(_total_trace(cand))
-    if c_power <= power_stop:
-        c_wsr = float(_wsr(prob, cand))
-        c_lag = c_wsr - lam * (c_power - prob.P)
-        if c_lag > lag:
-            return cand, c_wsr, c_power, c_lag
-    return pairs[-1][1], wsr, power, lag
+    power, objective) of the plan kept.
+
+    A refused step falls back on over-relaxing the last sweep, from Q0 to
+    Q: the candidates ``project_psd(Q + beta (Q - Q0))``, block by block,
+    for beta = 1, 2, 4, ..., each kept under the same two tests against the
+    best plan so far; the first that fails either ends the search.  Anderson
+    fits differences of residuals, which vanish when a sweep drifts at
+    constant velocity; doubling covers a drift of length L in about
+    log2(L / |Q - Q0|) objective evaluations.  The loop ends: beta stops at
+    2^63 at the latest, and power stops it much sooner whenever a block of
+    the step Q - Q0 has an eigenvalue mu > 0, since that block's candidate
+    then holds power at least beta mu, above ``power_stop`` once
+    beta > power_stop / mu.  (Random solves from P = 1e-2 to 1e7 kept
+    beta = 2^14 at most.)"""
+    def scored(cand, floor):
+        c_power = float(_total_trace(cand))
+        if c_power <= power_stop:
+            c_wsr = float(_wsr(prob, cand))
+            c_lag = c_wsr - lam * (c_power - prob.P)
+            if c_lag > floor:
+                return cand, c_wsr, c_power, c_lag
+        return None
+
+    kept = scored(anderson_psd(pairs), lag)
+    if kept is not None:
+        return kept
+    best = pairs[-1][1], wsr, power, lag
+    before, swept = pairs[-1]
+    step = [q - q0 for q0, q in zip(before, swept)]
+    beta = 1.0
+    while beta <= 2.0 ** 63:
+        kept = scored([project_psd(q + beta * d) for q, d in zip(swept, step)], best[3])
+        if kept is None:
+            break
+        best, beta = kept, 2.0 * beta
+    return best
 
 
 def _sweep(prob: _Problem, lam: float, Q: list, trace: Optional[list] = None

@@ -189,6 +189,26 @@ class TestTransforms:
             for a, b in zip(plan.matrices, back.matrices):
                 assert np.max(np.abs(a - b)) < 1e-9
 
+    def test_mapped_plans_skip_the_psd_check(self, monkeypatch):
+        # a mapped plan is project_psd output, PSD by construction, and is
+        # built without the eigenvalue check; a user's plan keeps the check
+        import securebc.rates as rates_mod
+        checked = []
+        real = rates_mod.min_eigenvalue
+        ch = sample_channel_set(5, 2, 3, [2, 1], 2, 1.0)
+        order = EncodingOrder([2, 1])
+        plan = rand_bc_plan(rng, ch)
+        monkeypatch.setattr(rates_mod, "min_eigenvalue",
+                            lambda m: checked.append(m) or real(m))
+        mac = bc_to_mac(ch, order, plan)
+        back = mac_to_bc(ch, order, mac)
+        assert not checked
+        for m in mac.matrices + back.matrices:
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12 * max(1.0, np.trace(m).real)
+        with pytest.raises(ValueError, match="not PSD"):
+            CovariancePlan(MAC, [np.diag([1.0, -0.5]), np.eye(1)])
+        assert len(checked) == 1
+
 
 class TestEquivalenceContext:
     def test_following_ladder_context_from_mac(self):

@@ -215,6 +215,22 @@ class TestAndersonPsd:
         step = anderson_psd([(x, f(x)) for x in xs[:3]])
         assert np.allclose(step[0], b[0] / (1.0 - c), atol=1e-9)
 
+    def test_translation_returns_projected_last_image(self):
+        # a drift at constant velocity, f(x) = x + d: every residual is d,
+        # the residual differences vanish, and the step is the last image
+        # projected (dyadic entries keep the differences exactly zero)
+        d = [np.array([[0.5, 0.25j], [-0.25j, -0.5]]), np.diag([-0.25, 0.75]) + 0j]
+        x = [np.diag([2.0, 1.0]) + 0j, np.array([[1.0, 0.5], [0.5, 3.0]]) + 0j]
+        pairs = []
+        for _ in range(4):
+            f = [a + b for a, b in zip(x, d)]
+            pairs.append((x, f))
+            x = f
+        step = anderson_psd(pairs)
+        for got, last in zip(step, pairs[-1][1]):
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, project_psd(last))
+
 
 class TestSvdSquareDiag:
     def test_identity(self):
