@@ -1,4 +1,4 @@
-"""The tick loop that drives every price search, and its stacked sweep.
+"""The tick loop that drives every price search.
 
 :func:`lockstep` runs the price searches of problems of one shape (antenna
 counts by position) together: a single problem's for
@@ -9,21 +9,13 @@ test, Anderson steps and traces of each evaluation
 (:func:`~securebc.solver._evaluation`) and the choice of prices.  A sweep
 is a pure function of the problem, price and plan.  Each tick sweeps every
 pending request once, by one rule: with at least ``LOCKSTEP_MIN`` rows
-pending their block updates run on (B, n, n) stacks, with fewer each row
-sweeps by the per-problem :func:`~securebc.solver._sweep`.  Each row then
-sends its sweep to its search.  A stacked sweep that raises has advanced
-nothing, so its tick is swept again row by row, and an error stays with
-the row whose sweep or search raised it.
-
-The stacked sweep equals the per-problem one bit for bit, so a row may
-change sides at any tick.  The block update's set-up, the positive
-definite water-fill and the objective pieces broadcast over the row axis
-in :mod:`securebc.solver`; the two functions here keep only the control
-flow that differs by row: the Armijo search, in which each row stops at its
-own step, and the split between rows that water-fill together and capped
-rows, which go one by one.  Inner products are taken by ``np.vdot`` per
-row, and nothing here takes a log, root or reciprocal of an entry it then
-discards.
+pending, one :func:`~securebc.solver._sweep` runs them all on a
+:class:`Stack`, with (B, n, n) blocks and one price per row; with fewer,
+each row sweeps alone.  A stacked row equals its per-problem sweep bit for
+bit, so a row may change sides at any tick.  Each row then sends its sweep
+to its search.  A stacked sweep that raises has advanced nothing, so its
+tick is swept again row by row, and an error stays with the row whose
+sweep or search raised it.
 """
 
 from __future__ import annotations
@@ -32,10 +24,7 @@ from typing import Generator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import InnerNotImproved
-from .linalg import inv_i_plus
-from .solver import (SolverConfig, _block_step, _concave_value, _Eval, _fill,
-                     _price_search, _Problem, _sweep, _total_trace, _waterfill, _wsr)
+from .solver import SolverConfig, _Eval, _price_search, _Problem, _sweep
 
 # a tick stacks its block updates from this many pending rows on; fewer
 # rows sweep one by one (a stack of one took about twice as long as the
@@ -46,59 +35,15 @@ LOCKSTEP_MIN = 3
 
 class Stack(NamedTuple):
     """Problems of one shape stacked along a leading row axis: channels by
-    position, eavesdropper, weights by position (B, K), budgets and prices."""
+    position, eavesdropper, weights by position (B, K) and budgets."""
 
     H: list
     G: np.ndarray
     w: np.ndarray
     P: np.ndarray
-    lam: np.ndarray
 
     def rows(self, r: np.ndarray) -> "Stack":
-        return Stack([h[r] for h in self.H], self.G[r], self.w[r], self.P[r], self.lam[r])
-
-
-def waterfill_stack(h: np.ndarray, w: np.ndarray, base: np.ndarray, M: np.ndarray,
-                    cap: np.ndarray) -> np.ndarray:
-    """:func:`~securebc.solver._waterfill` on every row: the rows whose M
-    is positive definite water-fill together, the others take the capped
-    path one by one."""
-    m_val, m_vec = np.linalg.eigh(M)
-    pd = m_val[:, 0] > 0.0
-    if pd.all():
-        return _fill(h, w[:, None], inv_i_plus(base), m_val, m_vec)
-    out = np.empty(M.shape, dtype=complex)
-    if pd.any():
-        out[pd] = _fill(h[pd], w[pd, None], inv_i_plus(base[pd]), m_val[pd], m_vec[pd])
-    for r in np.flatnonzero(~pd):
-        out[r] = _waterfill(h[r], w[r], base[r], M[r], float(cap[r]))
-    return out
-
-
-def block_update_stack(st: Stack, Q: list[np.ndarray], k: int) -> np.ndarray:
-    """:func:`~securebc.solver._block_update` of block k on every row, each
-    row's Armijo search stopping at its own step.  Returns the new blocks;
-    raises :class:`InnerNotImproved` if a row admits no step."""
-    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(
-        st, Q, st.lam, k, waterfill_stack)
-    w, lam = st.w, st.lam
-    new = x.copy()
-    # the rows whose gap is not round-off in the concave value (a NaN gap
-    # searches too, as in the per-problem update)
-    r = np.flatnonzero(~(gap <= np.finfo(float).eps * (1.0 + np.abs(u0))))
-    t = 1.0
-    while r.size and t >= 1e-14:
-        u = _concave_value(w[r], lam[r], k, user[r] + t * hdh[r],
-                           [e[r] + t * gdg[r] for e in eve],
-                           power[r] + t * tr_d[r]) + t * tr_ad[r]
-        ok = u >= u0[r] + 1e-4 * t * gap[r]
-        new[r[ok]] = x[r[ok]] + t * d[r[ok]]
-        r = r[~ok]
-        t *= 0.5
-    if r.size:
-        raise InnerNotImproved(f"row {r[0]}: no ascent found for block {k + 1} despite "
-                               f"ascent gap {gap[r[0]]:.3e}")
-    return new
+        return Stack([h[r] for h in self.H], self.G[r], self.w[r], self.P[r])
 
 
 class Row(NamedTuple):
@@ -114,17 +59,13 @@ class Row(NamedTuple):
 
 
 def _sweep_stacked(group: Stack, rows: list[Row]) -> list[tuple[list, float, float]]:
-    """:func:`~securebc.solver._sweep` of every row's request, its block
-    updates on stacks taken from the group's.  Returns by row what the
-    per-problem sweep returns."""
-    st = group.rows(np.array([row.j for row in rows]))._replace(
-        lam=np.array([row.request[0] for row in rows]))
-    Q = [np.stack(q) for q in zip(*(row.request[1] for row in rows))]
-    for k in range(len(Q)):
-        Q[k] = block_update_stack(st, Q, k)
-    return [([q[b] for q in Q], wsr, power)
-            for b, (wsr, power) in enumerate(zip(_wsr(st, Q).tolist(),
-                                                 _total_trace(Q).tolist()))]
+    """:func:`~securebc.solver._sweep` of every row's request at once, on a
+    stack taken from the group's.  Returns by row what the per-problem
+    sweep returns."""
+    Q, wsr, power = _sweep(group.rows(np.array([row.j for row in rows])),
+                           np.array([row.request[0] for row in rows]),
+                           [np.stack(q) for q in zip(*(row.request[1] for row in rows))])
+    return [([q[b] for q in Q], wsr[b], power[b]) for b in range(len(rows))]
 
 
 def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig
@@ -138,10 +79,10 @@ def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig
     sweep or search raised."""
     out: dict = {}
     probs = [prob for _, prob in members]
-    # stacked once; each stacked tick takes its rows, with their prices
+    # stacked once; each stacked tick takes its rows
     group = Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
                   np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
-                  np.array([p.P for p in probs]), np.zeros(len(probs)))
+                  np.array([p.P for p in probs]))
     rows = [Row(i, j, prob, _price_search(prob, cfg), None)
             for j, (i, prob) in enumerate(members)]
     while rows:

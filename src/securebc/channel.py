@@ -109,6 +109,12 @@ class WeightVector:
             raise ValueError("weights must not all be zero")
         object.__setattr__(self, "weights", tuple(float(x) for x in w / total))
 
+    @classmethod
+    def of(cls, w: Union["WeightVector", Sequence[float]]) -> "WeightVector":
+        """``w`` itself if it is a WeightVector, else the vector of the raw
+        sequence ``w``."""
+        return w if isinstance(w, cls) else cls(w)
+
     def __len__(self) -> int:
         return len(self.weights)
 

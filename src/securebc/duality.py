@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet, WeightVector, sample_channel_set
-from .linalg import (SvdTriple, herm, hermitize, min_eigenvalue, project_psd,
-                     sqrt_pair, svd_square_diag)
+from .linalg import (herm, hermitize, min_eigenvalue, project_psd, sqrt_pair,
+                     svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, bc_rates,
                     by_position, by_user, dpc_secrecy_rates, mac_rates,
                     mac_side_objective, random_plan, weighted_sum)
@@ -54,8 +54,8 @@ FOLLOWING = "following"
 
 @dataclass(frozen=True)
 class DualityContext:
-    """Per-position ladder matrices, SVD factors and effective eavesdropper
-    channels for one (channels, order, plan) triple.
+    """Per-position ladder matrices and effective eavesdropper channels for
+    one (channels, order, plan) triple.
 
     All tuples are indexed by position (not by user).  ``c_list[k]`` is
     n_{pi_k} x n_{pi_k}; ``d_list[k]`` is n_t x n_t; ``effective_eve[k]`` is
@@ -66,7 +66,6 @@ class DualityContext:
     mac_ladder: str
     c_list: tuple[np.ndarray, ...]
     d_list: tuple[np.ndarray, ...]
-    svd_list: tuple[SvdTriple, ...]
     effective_eve: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndar
     """Transform one position's covariance ``cov`` to the other side;
     ``downlink`` says which side it is on.
 
-    Returns (other-side covariance, svd, effective eavesdropper channel).
+    Returns (other-side covariance, effective eavesdropper channel).
     """
     dp, dm = sqrt_pair(D)
     cp, cm = sqrt_pair(C)
@@ -92,7 +91,7 @@ def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndar
     fe = svd.right @ herm(svd.left)
     ge = cp @ fe @ dm @ herm(G)
     t = cm @ fe @ dp if downlink else dm @ herm(fe) @ cp
-    return project_psd(t @ cov @ herm(t)), svd, ge
+    return project_psd(t @ cov @ herm(t)), ge
 
 
 def _c_ladder(H: Sequence[np.ndarray], Q: Sequence[np.ndarray]):
@@ -120,7 +119,7 @@ def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     covariances, so the walk follows its direction: D along ``mac_ladder``,
     C from the last position back.
 
-    Returns the position-to-user map, the (C, D, svd, effective eavesdropper)
+    Returns the position-to-user map, the (C, D, effective eavesdropper)
     lists and the mapped covariances, all by position.
     """
     if mac_ladder not in (PRECEDING, FOLLOWING):
@@ -136,14 +135,13 @@ def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
         fixed, walk = dict(_d_ladder(H, given, along)), _c_ladder(H, mapped)
     c_list: list = [None] * K
     d_list: list = [None] * K
-    svd_list: list = [None] * K
     eve_list: list = [None] * K
     for k, grown in walk:
         c, d = (fixed[k], grown) if downlink else (grown, fixed[k])
-        mapped[k], svd_list[k], eve_list[k] = _position_transform(
+        mapped[k], eve_list[k] = _position_transform(
             H[k], ch.eavesdropper, c, d, given[k], downlink)
         c_list[k], d_list[k] = c, d
-    return idx, (c_list, d_list, svd_list, eve_list), mapped
+    return idx, (c_list, d_list, eve_list), mapped
 
 
 def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
@@ -168,7 +166,7 @@ def mac_to_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
 
 def build_context_from_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                           mac_ladder: str = PRECEDING) -> DualityContext:
-    """Ladder matrices, SVDs and effective eavesdropper channels for a downlink plan."""
+    """Ladder matrices and effective eavesdropper channels for a downlink plan."""
     return _sweep(ch, order, plan, BC, mac_ladder)[0]
 
 

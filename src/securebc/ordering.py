@@ -82,8 +82,7 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     order is optimal, so a tie with it is not evidence against it), then
     the lexicographically first.
     """
-    if not isinstance(w, WeightVector):
-        w = WeightVector(w)
+    w = WeightVector.of(w)
     if len(w) != ch.num_users:
         raise LengthMismatch(f"{len(w)} weights for {ch.num_users} users")
     orders = enumerate_orders(ch.num_users)

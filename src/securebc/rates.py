@@ -251,8 +251,10 @@ def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> Rat
     return _rate_point(mac_rates_arrays(H, mats), idx)
 
 
-def weighted_sum(rates: RatePoint, w: WeightVector) -> float:
-    """Weighted sum of per-user rates."""
+def weighted_sum(rates: RatePoint, w: Union[WeightVector, Sequence[float]]) -> float:
+    """Weighted sum of per-user rates; raw weights are normalized as a
+    :class:`WeightVector`."""
+    w = WeightVector.of(w)
     if len(rates.per_user) != len(w):
         raise LengthMismatch(
             f"{len(rates.per_user)} rates vs {len(w)} weights")
@@ -271,14 +273,15 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
 
     where ``Ge_j`` are the per-position effective eavesdropper channels built
     by the duality module for this plan and order.  With those channels this
-    equals the downlink weighted secrecy sum of the dual plan.
+    equals the downlink weighted secrecy sum of the dual plan.  Raw weights
+    are normalized as a :class:`WeightVector`.
     """
     idx, H, mats = by_position(ch, order, plan, MAC)
     K = ch.num_users
     if len(effective_eve) != K:
         raise DimensionMismatch(
             f"{len(effective_eve)} effective eavesdropper channels for {K} positions")
-    weights = w.as_array() if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
+    weights = WeightVector.of(w).as_array()
     if weights.size != K:
         raise LengthMismatch(f"{weights.size} weights for {K} users")
     weights = weights[idx]

@@ -38,24 +38,15 @@ Structure:
   sweeps plainly,
 * a solve's whole control flow is one generator: the price search runs
   each evaluation by ``yield from`` :func:`_evaluation`, which holds the
-  stop test, the Anderson steps and the traces, yields ``(lam, Q)`` for
-  every sweep it needs and is sent back the swept plan with its weighted
-  sum and power.  A sweep is a pure function of problem, price and plan
-  (:func:`_sweep`), so the search and its rules are written once.  One
-  tick loop (``securebc._lockstep.lockstep``) drives every search: a
-  single problem's for :func:`solve_wsr`, and those of a group of
-  problems of one shape for :func:`solve_wsr_batch`, which then hands
-  each search's evaluations to :func:`solve_wsr` for its report.  Each
-  tick makes every pending sweep once, by one rule: its block updates run
-  on (B, n, n) stacks when at least ``LOCKSTEP_MIN`` are pending,
-  otherwise one by one by :func:`_sweep`, and each row sends its sweep to
-  its search.  The two sweeps are equal bit for bit, so a search may
-  change sides at any tick.  The
-  objective pieces, the block update's set-up (:func:`_block_step`) and
-  the positive definite water-fill (:func:`_fill`) broadcast over a
-  leading row axis; only the Armijo search and the split between capped
-  and positive definite water-fills keep stacked twins, because their
-  control flow differs by row.
+  stop test, the Anderson steps and the traces and yields ``(lam, Q)`` for
+  each sweep, a pure function of problem, price and plan (:func:`_sweep`).
+  One tick loop (``securebc._lockstep.lockstep``) drives every search, a
+  single problem's for :func:`solve_wsr` or a shape group's for
+  :func:`solve_wsr_batch`, and makes each tick's pending sweeps as one
+  :func:`_sweep` of their problems stacked along a leading row axis when
+  at least ``LOCKSTEP_MIN`` are pending, one by one otherwise.  A stack's
+  rows equal the per-problem results bit for bit, so a search may change
+  sides at any tick.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -155,10 +146,10 @@ class _Problem:
         return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
 
 
-# _total_trace, _wsr, _concave_value and _grad_cvx take one problem and
-# plan, or problems of one shape stacked along a leading row axis (a
-# securebc._lockstep.Stack) with their plans stacked the same way; then
-# they give one value per row.
+# From _total_trace to _block_update, the functions that a sweep calls take
+# one problem and plan, or problems of one shape stacked along a leading
+# row axis (a securebc._lockstep.Stack) with their plans stacked the same
+# way and one price per row; then they give one value per row.
 
 
 def _total_trace(Q: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -225,8 +216,7 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
 def _fill(h: np.ndarray, w: float | np.ndarray, b_inv: np.ndarray, m_val: np.ndarray,
           m_vec: np.ndarray) -> np.ndarray:
     """:func:`_waterfill` for a positive definite M = m_vec diag(m_val) m_vec^H,
-    from b_inv = (I + base)^{-1}; broadcasts over a leading row axis, with
-    the weights of a stack as a (B, 1) column."""
+    from b_inv = (I + base)^{-1}; a stack's weights come as a (B, 1) column."""
     m_isqrt = (m_vec / np.sqrt(m_val)[..., None, :]) @ herm(m_vec)
     f = h @ m_isqrt
     s, v = np.linalg.eigh(hermitize(herm(f) @ b_inv @ f))
@@ -237,26 +227,30 @@ def _fill(h: np.ndarray, w: float | np.ndarray, b_inv: np.ndarray, m_val: np.nda
     return hermitize((g * p[..., None, :]) @ herm(g))
 
 
-def _waterfill(h: np.ndarray, w: float, base: np.ndarray, M: np.ndarray,
-               cap: float) -> np.ndarray:
+def _waterfill(h: np.ndarray, w: float | np.ndarray, base: np.ndarray, M: np.ndarray,
+               P: float | np.ndarray, power: float | np.ndarray) -> np.ndarray:
     """Maximizer over PSD x of w logdet(I + base + h x h^H) - tr(M x).
 
     For positive definite M: water-filling on the eigenvalues s of
     T = M^{-1/2} h^H (I + base)^{-1} h M^{-1/2}, with powers (w - 1/s)^+ along
-    T's eigenvectors, mapped back through M^{-1/2} (:func:`_fill`); a zero
-    weight pours nothing.  Otherwise the maximum is unbounded, and the
-    maximizer under tr(x) <= ``cap`` is returned instead: the water-fill of
-    M + mu I at the least shift mu that meets the cap, found by bisection
-    (with a zero weight, the whole cap along M's lowest eigenvector).
+    T's eigenvectors, mapped back through M^{-1/2} (:func:`_fill`, every row
+    at once); a zero weight pours nothing.  Otherwise the maximum is
+    unbounded, and the maximizer under tr(x) <= cap = max(2P, ``power``) is
+    returned instead: the water-fill of M + mu I at the least shift mu that
+    meets the cap, found by bisection (with a zero weight, the whole cap
+    along M's lowest eigenvector); a stack then goes row by row.
     """
     m_val, m_vec = np.linalg.eigh(M)
-    b_inv = inv_i_plus(base)
-    if m_val[0] > 0.0:
-        return _fill(h, w, b_inv, m_val, m_vec)
+    if all((m_val.T[0] > 0.0).flat):
+        return _fill(h, w if M.ndim == 2 else w[:, None], inv_i_plus(base), m_val, m_vec)
+    if M.ndim > 2:
+        return np.stack([_waterfill(*row) for row in zip(h, w, base, M, P, power)])
+    cap = np.fmax(2.0 * P, power)
     if w == 0.0:
         return cap * np.outer(m_vec[:, 0], m_vec[:, 0].conj())
     # bisect on nu, the least eigenvalue of the shifted M: each of the n
     # powers is at most w / nu, so nu = n w / cap meets the cap
+    b_inv = inv_i_plus(base)
     m_val = m_val - m_val[0]
     lo, hi = 0.0, len(m_val) * w / cap
     for _ in range(200):
@@ -277,11 +271,9 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.vdot(a, b).real
 
 
-def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int, fill) -> tuple:
-    """The set-up of block k's update (see :func:`_block_update`), by the
-    water-fill ``fill``: (x, d, user, eve, hdh, gdg, tr x, tr d, <A, d>,
-    ascent gap, concave value at x).  Takes a stack and its prices too, as
-    :func:`_grad_cvx` does."""
+def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int) -> tuple:
+    """The set-up of block k's update (see :func:`_block_update`): (x, d,
+    user, eve, hdh, gdg, tr x, tr d, <A, d>, ascent gap, concave value at x)."""
     suf = suffix_sums(Q)
     hk, G, w = prob.H[k], prob.G, prob.w.T  # weights by position, then row
     hkh, gh = herm(hk), herm(G)
@@ -294,14 +286,14 @@ def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int, fill) -> t
         M = M - w[j, ..., None, None] * (gh @ inv_i_plus(e) @ G)
     M = hermitize(M)
     power = real_trace(x)
-    d = fill(hk, w[k], hk @ suf[k + 1] @ hkh, M, np.fmax(2.0 * prob.P, power)) - x
+    d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, prob.P, power) - x
     hdh, gdg = hk @ d @ hkh, G @ d @ gh
     gap = w[k] * _inner(inv_i_plus(user), hdh) - _inner(M, d)
     return (x, d, user, eve, hdh, gdg, power, real_trace(d), _inner(A, d), gap,
             _concave_value(prob.w, lam, k, user, eve, power))
 
 
-def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np.ndarray:
+def _block_update(prob: _Problem, Q: list[np.ndarray], lam, k: int) -> np.ndarray:
     """One ascent step on block k's surrogate (concave part plus the convex
     part's tangent at x = Q[k]), other blocks fixed.
 
@@ -313,23 +305,32 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam: float, k: int) -> np
     d = y - x, whose ascent gap <grad, d> is nonnegative and zero only at a
     block stationary point.  An Armijo search on t = 1, 1/2, ... along the
     segment x + t d, which stays PSD, picks the step.  At position 1 there
-    are no eavesdropper logs, so t = 1 is the exact block maximizer.
+    are no eavesdropper logs, so t = 1 is the exact block maximizer.  Each
+    trial evaluates every row of a stack, at a point of its own segment,
+    and a row takes the first step that passes its own test.
 
-    Returns Q[k] itself when the gap is at round-off level, and raises
-    :class:`InnerNotImproved` when a larger gap admits no step.
+    Returns Q[k] itself when the gap is at round-off level (on every row),
+    and raises :class:`InnerNotImproved` when a larger gap admits no step.
     """
-    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(
-        prob, Q, lam, k, _waterfill)
-    if gap <= np.finfo(float).eps * (1.0 + abs(u0)):
-        return x  # the gap is round-off in the concave value
-    t = 1.0
-    while t >= 1e-14:
+    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(prob, Q, lam, k)
+    # rows whose gap is not round-off in the concave value, NaN too; the
+    # tests read .flat, as numpy's any() and all() are slow on a 0-d mask
+    search = ~(gap <= np.finfo(float).eps * (1.0 + abs(u0)))
+    new, t = x, 1.0
+    while any(search.flat):
+        if t < 1e-14:
+            raise InnerNotImproved(f"no ascent found for block {k + 1} despite ascent "
+                                   f"gap {gap[search][0]:.3e}")
         u = _concave_value(prob.w, lam, k, user + t * hdh, [e + t * gdg for e in eve],
                            power + t * tr_d) + t * tr_ad
-        if u >= u0 + 1e-4 * t * gap:
+        step = search & (u >= u0 + 1e-4 * t * gap)
+        if all(step.flat):
             return x + t * d
+        if any(step.flat):
+            new = np.where(step[..., None, None], x + t * d, new)
+        search = search & ~step
         t *= 0.5
-    raise InnerNotImproved(f"no ascent found for block {k + 1} despite ascent gap {gap:.3e}")
+    return new
 
 
 @dataclass(frozen=True)
@@ -444,17 +445,16 @@ def _anderson(prob: _Problem, lam: float, pairs: list, wsr: float, power: float,
     return best
 
 
-def _sweep(prob: _Problem, lam: float, Q: list, trace: Optional[list] = None
-           ) -> tuple[list, float, float]:
+def _sweep(prob: _Problem, lam, Q: list, trace: Optional[list] = None) -> tuple:
     """One sweep from plan ``Q``: a block update at every position in turn.
-    Returns the new plan, its weighted sum and its power; appends the
-    objective after each block update to ``trace`` if given."""
+    Returns the new plan, its weighted sum and its power (lists by row for a
+    stack); appends the objective after each block update to ``trace`` if given."""
     Q = list(Q)
-    for k in range(prob.K):
+    for k in range(len(Q)):
         Q[k] = _block_update(prob, Q, lam, k)
         if trace is not None:
             trace.append(_lagrangian(prob, Q, lam))
-    return Q, float(_wsr(prob, Q)), float(_total_trace(Q))
+    return Q, _wsr(prob, Q).tolist(), _total_trace(Q).tolist()
 
 
 def _top_price(prob: _Problem) -> float:
@@ -635,8 +635,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """
     cfg = cfg or SolverConfig()
     ahead, task = _made_ahead.get(), (ch, w, order, cfg)
-    if not isinstance(w, WeightVector):
-        w = WeightVector(w)
+    w = WeightVector.of(w)
     prob = _Problem(ch, order, w)
     if ahead is not None and all(a is b for a, b in zip(ahead[0], task)):
         evals = ahead[1]
@@ -694,7 +693,7 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
     groups: dict = {}
     for i, (ch, w, order) in enumerate(tasks):
         try:
-            prob = _Problem(ch, order, w if isinstance(w, WeightVector) else WeightVector(w))
+            prob = _Problem(ch, order, WeightVector.of(w))
         except Exception:
             continue  # solve_wsr raises it again
         groups.setdefault((prob.G.shape, tuple(h.shape for h in prob.H)), []).append((i, prob))

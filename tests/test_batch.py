@@ -56,16 +56,16 @@ def group_spy(monkeypatch):
 
 
 def stack_spy(monkeypatch):
-    """Record the row count of every stacked block update."""
-    rows = []
-    true_update = lockstep_mod.block_update_stack
+    """Record the row count of every stacked sweep."""
+    counts = []
+    true_stacked = lockstep_mod._sweep_stacked
 
-    def spy(st, Q, k):
-        rows.append(len(st.lam))
-        return true_update(st, Q, k)
+    def spy(group, rows):
+        counts.append(len(rows))
+        return true_stacked(group, rows)
 
-    monkeypatch.setattr(lockstep_mod, "block_update_stack", spy)
-    return rows
+    monkeypatch.setattr(lockstep_mod, "_sweep_stacked", spy)
+    return counts
 
 
 def assert_equals_solo(seen):
@@ -171,6 +171,14 @@ def branch_rows():
     return rows
 
 
+def stack_of(probs, plans):
+    """Problems of one shape and their plans by position, stacked by row."""
+    st = lockstep_mod.Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
+                            np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
+                            np.array([p.P for p in probs]))
+    return st, [np.stack(q) for q in zip(*plans)]
+
+
 def test_stacked_block_update_row_by_row(monkeypatch):
     order = EncodingOrder([1, 2])
     probs, plans, lams, want, kinds = [], [], [], [], []
@@ -182,9 +190,9 @@ def test_stacked_block_update_row_by_row(monkeypatch):
             seen["values"] += 1
             return true_concave(*args)
 
-        def fill(h, wk, base, M, cap, seen=seen):
+        def fill(h, wk, base, M, P, power, seen=seen):
             seen["capped"] = np.linalg.eigvalsh(M)[0] <= 0.0
-            return true_fill(h, wk, base, M, cap)
+            return true_fill(h, wk, base, M, P, power)
 
         monkeypatch.setattr(solver_mod, "_concave_value", count)
         monkeypatch.setattr(solver_mod, "_waterfill", fill)
@@ -198,11 +206,8 @@ def test_stacked_block_update_row_by_row(monkeypatch):
         lams.append(lam)
     monkeypatch.undo()
     assert {"capped", "round-off", "full step", "backtracked"} <= set(kinds), kinds
-    st = lockstep_mod.Stack([np.stack([p.H[k] for p in probs]) for k in range(2)],
-                             np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
-                             np.array([p.P for p in probs]), np.array(lams))
-    Q = [np.stack([q[k] for q in plans]) for k in range(2)]
-    got = lockstep_mod.block_update_stack(st, Q, 1)
+    st, Q = stack_of(probs, plans)
+    got = solver_mod._block_update(st, Q, np.array(lams), 1)
     for row, expected in enumerate(want):
         assert np.array_equal(got[row], expected), kinds[row]
 
@@ -254,6 +259,24 @@ def test_every_batch_solve_goes_through_solve_wsr(monkeypatch):
     assert [p.rates for p in trace.points] == [r.rates for r in seen]
 
 
+def test_raw_weight_sequences_equal_their_weight_vectors(monkeypatch):
+    ch = example_two_user()
+    raws = ([1, 3], (3.0, 1.0))
+    for raw in raws:
+        for order in enumerate_orders(2):
+            assert_same_report(solve_wsr(ch, raw, order), solve_wsr(ch, WeightVector(raw), order))
+    sizes = group_spy(monkeypatch)
+    tasks = [(ch, raw, order) for raw in raws for order in enumerate_orders(2)]
+    out = solve_wsr_batch(tasks)
+    assert sizes == [4]
+    for (_, raw, order), report in zip(tasks, out):
+        assert_same_report(report, solve_wsr(ch, WeightVector(raw), order))
+    monkeypatch.undo()
+    ch = example_three_user()
+    raw = [0.15, 0.2, 0.65]
+    assert compare_orders(ch, raw) == compare_orders(ch, WeightVector(raw))
+
+
 def test_search_made_ahead_only_for_its_task(monkeypatch):
     # a wrapper that hands solve_wsr other objects gets a solve of its own
     true_solve = solver_mod.solve_wsr
@@ -286,9 +309,9 @@ class TestFailureIsolation:
     @staticmethod
     def fail_rows(monkeypatch, after):
         """Make the block update fail on the rows with these weights by
-        position, each from its given call of the set-up that the stacked
-        and per-problem updates share.  A stacked tick that fails is swept
-        again row by row, where only the target row fails."""
+        position, each from its given call of its set-up, on a stack or a
+        single problem.  A stacked tick that fails is swept again row by
+        row, where only the target row fails."""
         true_step = solver_mod._block_step
         calls = [0]
 
@@ -300,7 +323,6 @@ class TestFailureIsolation:
             return true_step(prob, *args)
 
         monkeypatch.setattr(solver_mod, "_block_step", step)
-        monkeypatch.setattr(lockstep_mod, "_block_step", step)
 
     def test_row_failure_stays_in_its_row(self, monkeypatch):
         ch = example_two_user()
@@ -311,6 +333,59 @@ class TestFailureIsolation:
         out = solve_wsr_batch(tasks)
         assert isinstance(out[1], InnerNotImproved)
         assert str(target) in str(out[1])
+        monkeypatch.undo()
+        for i in (0, 2, 3):
+            assert_same_report(out[i], solve_wsr(*tasks[i]))
+
+    @staticmethod
+    def no_ascent(monkeypatch, target):
+        """Give the row with these weights by position an ascent gap that no
+        Armijo step meets, on a stack or a single problem."""
+        true_step = solver_mod._block_step
+
+        def step(prob, *args):
+            out = list(true_step(prob, *args))
+            out[9] = np.where(np.all(prob.w == target, axis=-1), 1e300, out[9])
+            return tuple(out)
+
+        monkeypatch.setattr(solver_mod, "_block_step", step)
+
+    def test_row_without_ascent_raises_in_its_stack_and_task(self, monkeypatch):
+        order = EncodingOrder([1, 2])
+        probs, plans, lams = [], [], []
+        for ch, plan, lam, w in branch_rows():
+            probs.append(solver_mod._Problem(ch, order, w))
+            plans.append(probs[-1].blocks(plan))
+            lams.append(lam)
+        st, Q = stack_of(probs, plans)
+        self.no_ascent(monkeypatch, probs[2].w)
+        # the message names the gap of the row that found no step
+        no_step = r"^no ascent found for block 2 despite ascent gap 1\.000e\+300$"
+        with pytest.raises(InnerNotImproved, match=no_step):
+            solver_mod._block_update(st, Q, np.array(lams), 1)
+        with pytest.raises(InnerNotImproved, match=no_step):
+            solver_mod._block_update(probs[2], plans[2], lams[2], 1)
+        # in a batch the stacked tick raises, is swept again row by row, and
+        # only the target row's task reports the error
+        ch = example_two_user()
+        tasks = [(ch, WeightVector([a, 1 - a]), EncodingOrder([2, 1]))
+                 for a in (0.1, 0.2, 0.3, 0.4)]
+        raised = []
+        true_stacked = lockstep_mod._sweep_stacked
+
+        def stacked(group, rows):
+            try:
+                return true_stacked(group, rows)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(lockstep_mod, "_sweep_stacked", stacked)
+        self.no_ascent(monkeypatch, tasks[1][1].weights[::-1])  # by position
+        out = solve_wsr_batch(tasks)
+        assert len(raised) == 1 and isinstance(raised[0], InnerNotImproved)
+        assert isinstance(out[1], InnerNotImproved)
+        assert str(out[1]).startswith("no ascent found")
         monkeypatch.undo()
         for i in (0, 2, 3):
             assert_same_report(out[i], solve_wsr(*tasks[i]))
@@ -356,21 +431,18 @@ class TestFailureIsolation:
         # with every stacked sweep raising, every tick falls back, and on
         # the per-problem path one order fails and is recorded
         calls = []
-
-        def broken(st, Q, k):
-            calls.append(len(st.lam))
-            raise FloatingPointError("stacked")
-
         true_update = solver_mod._block_update
 
         def update(prob, Q, lam, k):
+            if isinstance(prob, lockstep_mod.Stack):
+                calls.append(len(lam))
+                raise FloatingPointError("stacked")
             if prob.order.permutation == (1, 2, 3):
                 raise RuntimeError("boom")
             return true_update(prob, Q, lam, k)
 
         ch = example_three_user()
         w = WeightVector([0.15, 0.2, 0.65])
-        monkeypatch.setattr(lockstep_mod, "block_update_stack", broken)
         monkeypatch.setattr(solver_mod, "_block_update", update)
         cmp = compare_orders(ch, w)
         assert calls[0] == 6 and min(calls) >= lockstep_mod.LOCKSTEP_MIN
@@ -386,16 +458,17 @@ class TestFailureIsolation:
         # such tick is swept again row by row and the group runs on stacked,
         # every report equal to a solve alone (a sweep made twice or lost
         # would show in the traces)
-        true_update = lockstep_mod.block_update_stack
+        true_update = solver_mod._block_update
         calls = []
 
-        def flaky(st, Q, k):
-            calls.append(k)
-            if k == 0 and calls.count(0) % 3 == 0:
-                raise FloatingPointError("stacked")
-            return true_update(st, Q, k)
+        def flaky(prob, Q, lam, k):
+            if isinstance(prob, lockstep_mod.Stack):
+                calls.append(k)
+                if k == 0 and calls.count(0) % 3 == 0:
+                    raise FloatingPointError("stacked")
+            return true_update(prob, Q, lam, k)
 
-        monkeypatch.setattr(lockstep_mod, "block_update_stack", flaky)
+        monkeypatch.setattr(solver_mod, "_block_update", flaky)
         ch, w = example_three_user(), WeightVector([0.15, 0.2, 0.65])
         tasks = [(ch, w, order) for order in enumerate_orders(3)]
         out = solve_wsr_batch(tasks)

@@ -25,6 +25,17 @@ class TestChannelSet:
         with pytest.raises(DimensionMismatch):
             ChannelSet([h1], g, 1.0)
 
+    def test_user_column_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="user 2 has 3 columns, expected 2"):
+            ChannelSet([np.ones((2, 2)), np.ones((1, 3))], np.ones((1, 2)), 1.0)
+
+    def test_non_2d_channels_rejected(self):
+        for users, eve in (([np.ones(2)], np.ones((1, 2))), ([np.ones((2, 2))], np.ones(2)),
+                           ([np.ones((1, 2, 2))], np.ones((1, 2))),
+                           ([np.ones((0, 2))], np.ones((1, 2)))):
+            with pytest.raises(DimensionMismatch, match="must be 2-D"):
+                ChannelSet(users, eve, 1.0)
+
     def test_eavesdropper_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             ChannelSet([np.ones((2, 2))], np.ones((1, 3)), 1.0)

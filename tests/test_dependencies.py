@@ -78,6 +78,19 @@ def linalg_names(tree):
                 yield node.lineno, alias.name
 
 
+def unused_imports(tree):
+    """Every name an import binds in a module, at any depth, that the
+    module never reads, with the line of the import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
 def parse_at_floor(src, name="<string>"):
     """``ast.parse`` with the grammar of the declared Python floor."""
     return ast.parse(src, name, feature_version=PYTHON_FLOOR)
@@ -157,3 +170,20 @@ def test_linalg_names_are_seen():
     tree = ast.parse("np.linalg.lstsq(a, b)\nnumpy.linalg.eigh(a)\n"
                      "from numpy.linalg import solve\nx.linalg.qr(a)\nnp.dot(a, b)\n")
     assert sorted(linalg_names(tree)) == [(1, "lstsq"), (2, "eigh"), (3, "solve")]
+
+
+def test_every_import_is_used():
+    """An import that nothing reads is dead code, and one of numpy or a
+    stdlib module costs start-up time too; ``__init__`` imports to
+    re-export."""
+    bad = [f"{path}:{line} imports {name} and never uses it"
+           for path, tree in package_trees() if path.name != "__init__.py"
+           for line, name in unused_imports(tree)]
+    assert not bad, bad
+
+
+def test_unused_imports_are_seen():
+    tree = ast.parse("from __future__ import annotations\nimport numpy as np\n"
+                     "import os.path\nfrom .a import b, c as d\n"
+                     "def f():\n    import re\n    return np.sum(b)\n")
+    assert unused_imports(tree) == [(3, "os"), (4, "d"), (6, "re")]

@@ -4,7 +4,7 @@ import pytest
 from conftest import herm, rand_bc_plan, rand_instance
 from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
                       EncodingOrder, LengthMismatch, RatePoint, WeightVector,
-                      bc_rates, bc_to_mac, build_context_from_bc,
+                      bc_rates, bc_to_mac, build_context_from_bc, build_context_from_mac,
                       dpc_secrecy_rates, effective_eve_channels, logdet_hpd,
                       mac_rates, mac_side_objective, sample_channel_set,
                       weighted_sum, wsr_equivalence_pair)
@@ -35,6 +35,22 @@ class TestCovariancePlan:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             CovariancePlan(BC, [np.diag([1.0, -0.5])])
+
+    def test_rejects_empty_and_non_square(self):
+        with pytest.raises(DimensionMismatch, match="at least one matrix"):
+            CovariancePlan(BC, [])
+        with pytest.raises(DimensionMismatch, match="matrix 2 is not square"):
+            CovariancePlan(BC, [np.eye(2), np.ones((2, 3))])
+
+    def test_count_mismatches(self):
+        ch = sample_channel_set(0, 2, 2, [2, 1], 1, 3.0)
+        with pytest.raises(DimensionMismatch, match="plan has 1 matrices for 2 users"):
+            CovariancePlan(BC, [np.eye(2)]).validate_for(ch)
+        plan = CovariancePlan.zero(BC, ch)
+        for order, plan_ in ((EncodingOrder([1, 2, 3]), plan),
+                             (EncodingOrder([1]), CovariancePlan(BC, [np.eye(2)]))):
+            with pytest.raises(DimensionMismatch, match="disagree on the user count"):
+                bc_rates(ch, order, plan_)
 
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
@@ -169,6 +185,18 @@ class TestWeightedSum:
         with pytest.raises(LengthMismatch):
             weighted_sum(RatePoint((0.1,), 0.0), WeightVector([0.5, 0.5]))
 
+    def test_raw_weights_are_normalized(self):
+        point = RatePoint((0.3, 0.9), 0.0)
+        assert weighted_sum(point, [1, 3]) == weighted_sum(point, WeightVector([1, 3])) == 0.75
+
+    def test_raw_weights_are_checked(self):
+        point = RatePoint((0.3, 0.9), 0.0)
+        for bad in ([float("nan"), 1.0], [-1.0, 1.0], [0.0, 0.0]):
+            with pytest.raises(ValueError):
+                weighted_sum(point, bad)
+        with pytest.raises(LengthMismatch):
+            weighted_sum(point, [1.0, 2.0, 3.0])
+
     def test_clamping_only_on_report(self):
         point = RatePoint((-0.2, 0.5), 0.3)
         assert point.per_user[0] == -0.2
@@ -185,9 +213,39 @@ class TestMacSideObjective:
         w = WeightVector([0.4, 0.6])
         assert mac_side_objective(ch, order, plan, eve, w) == 0.0
 
-    def test_single_user_reduction(self):
-        from securebc import build_context_from_mac
+    @staticmethod
+    def uplink_case():
+        ch = sample_channel_set(11, 2, 3, [1, 2], 2, 1.0)
+        order = EncodingOrder([2, 1])
+        plan = CovariancePlan(MAC, [random_psd(nk, np.random.default_rng(nk), trace=0.3)
+                                    for nk in ch.n_k])
+        ctx = build_context_from_mac(ch, order, plan, mac_ladder=FOLLOWING)
+        return ch, order, plan, effective_eve_channels(ctx)
 
+    def test_raw_weights_are_normalized(self):
+        ch, order, plan, eve = self.uplink_case()
+        raw = mac_side_objective(ch, order, plan, eve, [1, 3])
+        assert raw == mac_side_objective(ch, order, plan, eve, WeightVector([1, 3]))
+        assert raw == mac_side_objective(ch, order, plan, eve, [0.25, 0.75])
+
+    def test_raw_weights_are_checked(self):
+        ch, order, plan, eve = self.uplink_case()
+        for bad in ([float("nan"), 1.0], [-1.0, 1.0]):
+            with pytest.raises(ValueError):
+                mac_side_objective(ch, order, plan, eve, bad)
+        for bad in ([1.0], [1.0, 1.0, 1.0], WeightVector([1.0, 1.0, 1.0])):
+            with pytest.raises(LengthMismatch, match="weights for 2 users"):
+                mac_side_objective(ch, order, plan, eve, bad)
+
+    def test_effective_eavesdroppers_are_checked(self):
+        ch, order, plan, eve = self.uplink_case()
+        w = WeightVector([0.4, 0.6])
+        with pytest.raises(DimensionMismatch, match="1 effective eavesdropper channels"):
+            mac_side_objective(ch, order, plan, eve[:1], w)
+        with pytest.raises(DimensionMismatch, match="position 2: effective eavesdropper"):
+            mac_side_objective(ch, order, plan, [eve[0], np.zeros((3, 2))], w)
+
+    def test_single_user_reduction(self):
         ch = rand_instance(rng, K=1, n_t=2, n_e=1)
         s = random_psd(ch.n_k[0], rng, trace=0.8)
         plan = CovariancePlan(MAC, [s])

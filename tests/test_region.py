@@ -105,6 +105,17 @@ class TestTraceRegion:
             dist = np.min(np.max(np.abs(pts - np.array(corner)), axis=1))
             assert dist <= 1e-2
 
+    def test_single_user_trace_has_one_point(self):
+        ch = sample_channel_set(3, 1, 2, [2], 1, 1.0)
+        trace = trace_region(ch, 0.5, "theorem", FAST)
+        assert [(p.weights.weights, p.order.permutation) for p in trace.points] == [
+            ((1.0,), (1,))]
+        assert trace.points[0].wsr == trace.points[0].rates.per_user[0] > 0.0
+
+    def test_unknown_policy_refused(self):
+        with pytest.raises(ValueError, match="unknown order policy 'greedy'"):
+            trace_region(example_two_user(), 0.5, "greedy", FAST)
+
     def test_trace_is_deterministic(self):
         ch = example_two_user()
         base = trace_region(ch, 0.5, "theorem", FAST)
@@ -123,6 +134,11 @@ class TestHull:
     def test_collinear_points(self):
         hull = hull_2d([(0, 0), (1, 1), (2, 2)])
         assert sorted(hull) == [(0.0, 0.0), (2.0, 2.0)]
+
+    def test_two_or_fewer_distinct_points_are_their_own_hull(self):
+        assert hull_2d([]) == []
+        assert hull_2d([(1, 2), (1, 2)]) == [(1.0, 2.0)]
+        assert hull_2d([(1, 2), (0, 0), (1, 2)]) == [(0.0, 0.0), (1.0, 2.0)]
 
     def test_duplicates_removed(self):
         hull = hull_2d([(0, 0), (0, 0), (1, 0), (0, 1), (1, 0)])
