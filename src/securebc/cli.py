@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from typing import Optional, Sequence
 
@@ -104,10 +105,14 @@ def _report_json(report: SolverReport, order: EncodingOrder,
     }
 
 
-def _open_out(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]):
+    """The ``--output`` sink: standard output for none or ``-``, else the file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            yield fh
 
 
 def _order_tag(order: EncodingOrder) -> str:
@@ -137,8 +142,7 @@ def _cmd_region(args) -> int:
     cfg = _load_config(args.config)
     trace = trace_region(ch, args.step, policy, cfg)
     K = ch.num_users
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         header = ([f"w_{i + 1}" for i in range(K)]
                   + [f"R_{i + 1}" for i in range(K)] + ["wsr", "order"])
         out.write(",".join(header) + "\n")
@@ -147,9 +151,6 @@ def _cmd_region(args) -> int:
                    + [_fmt(r) for r in p.rates.per_user]
                    + [_fmt(p.wsr), _order_tag(p.order)])
             out.write(",".join(row) + "\n")
-    finally:
-        if close:
-            out.close()
     if args.hull_output:
         if K == 2:
             pts = [(p.rates.per_user[0], p.rates.per_user[1]) for p in trace.points]
@@ -173,17 +174,13 @@ def _cmd_compare_orders(args) -> int:
     cfg = _load_config(args.config)
     cmp = compare_orders(ch, w, cfg)
     K = ch.num_users
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(",".join(["order", "wsr"] + [f"R_{i + 1}" for i in range(K)]) + "\n")
         for res in cmp.per_order:
             rates = (res.rates.per_user if res.rates is not None
                      else [float("nan")] * K)
             out.write(",".join([_order_tag(res.order), _fmt(res.wsr)]
                                + [_fmt(r) for r in rates]) + "\n")
-    finally:
-        if close:
-            out.close()
     print(f"best order {cmp.best_order}; rule order {cmp.theorem_order}; "
           f"agreement: {'yes' if cmp.matches_rule(w) else 'no'}")
     return 0
@@ -282,10 +279,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a missing file, or a directory where a file goes
+    except (UsageError, OSError) as exc:  # OSError: a missing file or a directory path
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SecureBcError, np.linalg.LinAlgError) as exc:

@@ -110,8 +110,8 @@ def _d_ladder(H: Sequence[np.ndarray], S: Sequence[np.ndarray], positions):
         d = hermitize(d + herm(H[k]) @ S[k] @ H[k])
 
 
-def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                  side: str, mac_ladder: str):
+def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
+           mac_ladder: str = PRECEDING) -> tuple[DualityContext, CovariancePlan]:
     """Map a ``side`` plan to the other side, one position at a time.
 
     The ladder of the given side (C for a downlink plan, D for an uplink
@@ -119,11 +119,9 @@ def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     covariances, so the walk follows its direction: D along ``mac_ladder``,
     C from the last position back.
 
-    Returns the position-to-user map, the (C, D, effective eavesdropper)
-    lists and the mapped covariances, all by position.
+    Returns the context (whose construction checks the ladder name) and
+    the other side's plan.
     """
-    if mac_ladder not in (PRECEDING, FOLLOWING):
-        raise ValueError(f"unknown mac_ladder {mac_ladder!r}")
     idx, H, given = by_position(ch, order, plan, side)
     K = len(H)
     mapped: list = [None] * K
@@ -141,15 +139,8 @@ def _ladder_sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
         mapped[k], eve_list[k] = _position_transform(
             H[k], ch.eavesdropper, c, d, given[k], downlink)
         c_list[k], d_list[k] = c, d
-    return idx, (c_list, d_list, eve_list), mapped
-
-
-def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
-           mac_ladder: str = PRECEDING) -> tuple[DualityContext, CovariancePlan]:
-    """The context and the other side's plan from one ladder sweep."""
-    idx, ladders, mapped = _ladder_sweep(ch, order, plan, side, mac_ladder)
-    return (DualityContext(order, mac_ladder, *map(tuple, ladders)),
-            CovariancePlan._of_projected(MAC if side == BC else BC, by_user(mapped, idx)))
+    return (DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list), tuple(eve_list)),
+            CovariancePlan._of_projected(MAC if downlink else BC, by_user(mapped, idx)))
 
 
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -239,27 +230,19 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         if mac_first:
             plan_mac = random_plan(MAC, n_k, power, rng)
             plan_bc = mac_to_bc(ch, order, plan_mac)
-            ctx, plan_mac_rt = _sweep(ch, order, plan_bc, BC)
-            r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
-            r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
-            r_rt = np.array(mac_rates(ch, order, plan_mac_rt).per_user)
-            trace_err = abs(plan_mac.total_trace - plan_bc.total_trace)
-            eq_plan = plan_mac
         else:
             plan_bc = random_plan(BC, [n_t] * K, power, rng)
-            ctx, plan_mac = _sweep(ch, order, plan_bc, BC)
-            plan_bc_rt = mac_to_bc(ch, order, plan_mac)
-            r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
-            r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
-            r_rt = np.array(bc_rates(ch, order, plan_bc_rt).per_user)
-            trace_err = abs(plan_bc.total_trace - plan_mac.total_trace)
-            eq_plan = plan_mac
-
-        rate_err = float(np.max(np.abs(r_bc - r_mac)))
-        rt_err = float(np.max(np.abs(r_bc - r_rt)))
-        obj, wsr = wsr_equivalence_pair(ch, order, eq_plan, w)
-        errors = {"max_rate_error": rate_err, "max_trace_error": trace_err,
-                  "max_roundtrip_error": rt_err, "max_wsr_equivalence_error": abs(obj - wsr)}
+        ctx, mapped = _sweep(ch, order, plan_bc, BC)
+        # the round trip comes back to the side the plan was drawn on
+        plan_mac, back = (plan_mac, mapped) if mac_first else (mapped, mac_to_bc(ch, order, mapped))
+        r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
+        r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
+        r_back = np.array((mac_rates if mac_first else bc_rates)(ch, order, back).per_user)
+        obj, wsr = wsr_equivalence_pair(ch, order, plan_mac, w)
+        errors = {"max_rate_error": float(np.max(np.abs(r_bc - r_mac))),
+                  "max_trace_error": abs(plan_bc.total_trace - plan_mac.total_trace),
+                  "max_roundtrip_error": float(np.max(np.abs(r_bc - r_back))),
+                  "max_wsr_equivalence_error": abs(obj - wsr)}
 
         lows = [min_eigenvalue(c) for c in ctx.c_list]
         lows.extend(np.linalg.eigvalsh(np.array(ctx.d_list))[:, 0])

@@ -98,6 +98,10 @@ class CovariancePlan:
         for idx, m in enumerate(mats):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionMismatch(f"matrix {idx + 1} is not square: {m.shape}")
+            if check_psd and not m.size:
+                raise DimensionMismatch(f"matrix {idx + 1} is empty")
+            if check_psd and not np.isfinite(m).all():
+                raise ValueError(f"matrix {idx + 1} has a non-finite entry")
             if check_psd and min_eigenvalue(m) < -PSD_TOL * max(1.0, float(np.trace(m).real)):
                 raise ValueError(f"matrix {idx + 1} is not PSD within tolerance")
         object.__setattr__(self, "side", side)
@@ -180,25 +184,12 @@ def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
     return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 
-def bc_rates_arrays(H: Sequence[np.ndarray],
-                    q_by_pos: Sequence[np.ndarray]) -> np.ndarray:
-    """Downlink rates by position (no eavesdropper term)."""
-    return _log_ratios(H, suffix_sums(q_by_pos))
-
-
 def mac_rates_arrays(H: Sequence[np.ndarray],
                      s_by_pos: Sequence[np.ndarray]) -> np.ndarray:
     """Uplink rates by position; position k is interfered by positions < k."""
-    n_t = H[0].shape[1]
-    acc = np.zeros((n_t, n_t), dtype=complex)
-    prev = 0.0
-    rates = np.empty(len(H))
-    for k, hk in enumerate(H):
-        acc = acc + herm(hk) @ s_by_pos[k] @ hk
-        cur = logdet_i_plus(acc)
-        rates[k] = cur - prev
-        prev = cur
-    return rates
+    terms = [herm(hk) @ s @ hk for hk, s in zip(H, s_by_pos)]
+    prefix = suffix_sums(terms[::-1])[::-1]  # prefix[k] = sum of terms[:k]
+    return np.diff([0.0] + [logdet_i_plus(p) for p in prefix[1:]])
 
 
 def by_position(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -242,7 +233,7 @@ def dpc_secrecy_rates(ch: ChannelSet, order: EncodingOrder,
 def bc_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> RatePoint:
     """Downlink rates without secrecy (the eavesdropper is ignored)."""
     idx, H, mats = by_position(ch, order, plan, BC)
-    return _rate_point(bc_rates_arrays(H, mats), idx)
+    return _rate_point(_log_ratios(H, suffix_sums(mats)), idx)
 
 
 def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> RatePoint:

@@ -1,11 +1,12 @@
 """Rate-region boundary tracing by weight sweeps.
 
 Sweeping the weight vector over the simplex and solving the weighted
-problem at each point traces the achievable boundary.  For two users the
-grid is w_1 = i/N; for three users it is the simplex lattice at the same
-resolution (coarse only; dense three-user sweeps are out of scope).  The
-step is snapped to 1/round(1/step) so the grid hits the simplex corners
-exactly.
+problem at each point traces the achievable boundary.  The grid is the
+simplex lattice {(i_1, ..., i_K) / N : i_1 + ... + i_K = N}, in
+lexicographic order of its first K - 1 coordinates: w_1 = i/N for two
+users, and for three users the same lattice at coarse steps only (dense
+three-user sweeps are out of scope).  The step is snapped to
+N = round(1/step) so the grid hits the simplex corners exactly.
 
 Order policies:
 
@@ -18,6 +19,7 @@ Order policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,22 +55,15 @@ class RegionTrace:
 def _weight_grid(K: int, step: float) -> list[tuple[float, ...]]:
     if not 0 < step <= 1:
         raise UnsupportedK(f"step must be in (0, 1], got {step}")
+    if K == 2 and step < 1e-4:
+        raise UnsupportedK("two-user sweeps support step >= 1e-4 only")
+    if K == 3 and step < 0.05:
+        raise UnsupportedK("three-user sweeps support step >= 0.05 only")
+    if not 1 <= K <= 3:
+        raise UnsupportedK(f"region sweeps support at most 3 users, got {K}")
     n = max(1, round(1.0 / step))
-    if K == 1:
-        return [(1.0,)]
-    if K == 2:
-        if step < 1e-4:
-            raise UnsupportedK("two-user sweeps support step >= 1e-4 only")
-        return [(i / n, (n - i) / n) for i in range(n + 1)]
-    if K == 3:
-        if step < 0.05:
-            raise UnsupportedK("three-user sweeps support step >= 0.05 only")
-        grid = []
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                grid.append((i / n, j / n, (n - i - j) / n))
-        return grid
-    raise UnsupportedK(f"region sweeps support at most 3 users, got {K}")
+    return [tuple(i / n for i in head) + ((n - sum(head)) / n,)
+            for head in product(range(n + 1), repeat=K - 1) if sum(head) <= n]
 
 
 def trace_region(ch: ChannelSet, step: float,

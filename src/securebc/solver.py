@@ -77,7 +77,7 @@ from .linalg import (anderson_psd, herm, hermitize, inv_i_plus, logdet_i_plus,
                      project_psd, real_trace)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
-                    suffix_sums)
+                    suffix_sums, weighted_sum)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -617,7 +617,7 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
             request = run.send(_sweep(prob, *request, per_block))
     except StopIteration as stop:
         ev = stop.value
-    plan = CovariancePlan(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
+    plan = CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
     trace = list(ev.lag_trace)
     return plan, (trace[:1] + per_block if per_block_trace else trace)
 
@@ -650,10 +650,9 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     termination = (MAX_ITERS if best.hit_cap
                    else CONVERGED if best.passes(prob.P, cfg) else STALLED)
 
-    plan = CovariancePlan(BC, by_user([project_psd(q) for q in best.Q], prob.idx))
+    plan = CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in best.Q], prob.idx))
     clamped = dpc_secrecy_rates(ch, order, plan).clamped()
-    rates = RatePoint(clamped.per_user,
-                      float(w.as_array() @ np.array(clamped.per_user)))
+    rates = RatePoint(clamped.per_user, weighted_sum(clamped, w))
     return SolverReport(plan=plan, rates=rates,
                         objective_trace=tuple(v for ev in evals for v in ev.wsr_trace),
                         lambda_trace=tuple(ev.lam for ev in evals),

@@ -128,6 +128,20 @@ class TestCompareOrders:
         assert lines[0] == "order,wsr,R_1,R_2"
         assert len(lines) == 3
 
+    def test_failed_order_writes_nan_rates(self, example_file, fast_cfg_file, tmp_path,
+                                           capsys, monkeypatch):
+        import securebc.ordering as ordering_mod
+        from test_ordering import failing_batch
+        monkeypatch.setattr(ordering_mod, "solve_wsr_batch",
+                            failing_batch((1, 2), RuntimeError("boom")))
+        out = str(tmp_path / "orders.csv")
+        assert cli_main(["compare-orders", "--channels", example_file,
+                         "--weights", "0.3,0.7", "--config", fast_cfg_file,
+                         "--output", out]) == 0
+        assert (capsys.readouterr().out.strip()
+                == "best order [2,1]; rule order [2,1]; agreement: yes")
+        assert open(out).read().splitlines()[1] == "1>2,-inf,nan,nan"
+
     def test_three_user_verdict_names_expected_order(self, three_user_file,
                                                      fast_cfg_file, capsys):
         assert cli_main(["compare-orders", "--channels", three_user_file,
@@ -322,6 +336,33 @@ class TestDirectoryPaths:
         self._usage_error(["gen-channels", "--seed", "1", "--K", "2", "--nt", "2",
                            "--nk", "2", "--ne", "1", "--power", "1",
                            "--output", str(tmp_path)], capsys)
+
+
+def test_module_entry_point(tmp_path):
+    # python -m securebc runs the same command line as the securebc script
+    import os
+    import subprocess
+    import sys
+
+    import securebc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(securebc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "ch.json")
+
+    def run(seed):
+        return subprocess.run(
+            [sys.executable, "-m", "securebc", "gen-channels", "--seed", seed, "--K", "2",
+             "--nt", "2", "--nk", "2", "--ne", "1", "--power", "1", "--output", out],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("7")
+    assert done.returncode == 0, done.stderr
+    ch = load_channel_set(out)
+    assert (ch.num_users, ch.n_t, ch.n_k, ch.n_e, ch.power) == (2, 2, (2, 2), 1, 1.0)
+    done = run("-1")
+    assert done.returncode == 1
+    assert "usage error" in done.stderr
 
 
 def test_readme_cli_lines_parse():

@@ -42,6 +42,19 @@ class TestCovariancePlan:
         with pytest.raises(DimensionMismatch, match="matrix 2 is not square"):
             CovariancePlan(BC, [np.eye(2), np.ones((2, 3))])
 
+    @pytest.mark.parametrize("m, error, message", [
+        (np.array([[np.nan]]), ValueError, "has a non-finite entry"),
+        (np.array([[np.inf]]), ValueError, "has a non-finite entry"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "has a non-finite entry"),
+        (np.full((3, 3), np.nan), ValueError, "has a non-finite entry"),
+        (np.zeros((0, 0)), DimensionMismatch, "is empty"),
+    ], ids=["nan-1x1", "inf-1x1", "nan-2x2", "nan-3x3", "empty-0x0"])
+    def test_rejects_non_finite_and_empty_matrices(self, m, error, message):
+        # a NaN slips past the eigenvalue test (NaN < -tol is false), and
+        # would come out as NaN rates
+        with pytest.raises(error, match=f"matrix 2 {message}"):
+            CovariancePlan(BC, [np.eye(2), m])
+
     def test_count_mismatches(self):
         ch = sample_channel_set(0, 2, 2, [2, 1], 1, 3.0)
         with pytest.raises(DimensionMismatch, match="plan has 1 matrices for 2 users"):
@@ -268,8 +281,11 @@ class TestMacSideObjective:
                     for nk in ch.n_k]
             plan = CovariancePlan(MAC, mats)
             w = WeightVector(rng.random(ch.num_users) + 0.05)
-            obj, wsr = wsr_equivalence_pair(ch, order, plan, w)
-            assert obj == pytest.approx(wsr, abs=1e-8)
+            # equal weights tie every position, so the uplink objective
+            # skips each zero weight step
+            for weights in (w, WeightVector(np.ones(ch.num_users))):
+                obj, wsr = wsr_equivalence_pair(ch, order, plan, weights)
+                assert obj == pytest.approx(wsr, abs=1e-8)
 
 
 class TestEavesdropperDominance:
