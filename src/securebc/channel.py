@@ -104,6 +104,8 @@ class WeightVector:
             raise LengthMismatch("weights must be a nonempty 1-D sequence")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError(f"weights must be finite and nonnegative, got {weights}")
+        with np.errstate(over="ignore"):  # a sum past the largest float: scale first
+            w = w if np.isfinite(w.sum()) else w / w.max()
         total = float(w.sum())
         if total <= 0:
             raise ValueError("weights must not all be zero")
@@ -154,7 +156,7 @@ def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
                 doc = json.load(fh)
         else:
             doc = json.load(source)
-    except ValueError as exc:  # malformed JSON or text encoding
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or not text
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")

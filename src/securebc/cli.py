@@ -73,7 +73,7 @@ def _load_config(path: Optional[str]) -> Optional[SolverConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text encoding
+        except (ValueError, RecursionError) as exc:  # malformed, too deep, or not text
             raise UsageError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path}: top-level JSON value must be an object")

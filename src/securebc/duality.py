@@ -180,7 +180,7 @@ def wsr_equivalence_pair(ch: ChannelSet, order: EncodingOrder, plan: CovarianceP
     the returned pair is the verification oracle for that equivalence.
     """
     ctx, bc_plan = _sweep(ch, order, plan, MAC, FOLLOWING)
-    obj = mac_side_objective(ch, order, plan, effective_eve_channels(ctx), w)
+    obj = mac_side_objective(ch, order, plan, ctx.effective_eve, w)
     wsr = weighted_sum(dpc_secrecy_rates(ch, order, bc_plan), w)
     return obj, wsr
 

@@ -120,11 +120,13 @@ def logdet_i_plus(m: np.ndarray) -> float:
     structural.  Dimensions 1 and 2 use the closed-form determinant (exact
     at that size); larger matrices go through Cholesky with an eigenvalue
     fallback for inputs that round-off pushed slightly indefinite.  A stack
-    of matrices gives one log-det per matrix (see :func:`_logdet_i_plus_stack`).
+    gives one log-det per matrix, bit for bit: by the closed forms of
+    :func:`_logdet_i_plus_stack`, or by one stacked Cholesky, and matrix by
+    matrix if that fails.
     """
-    if m.ndim > 2:
+    n = m.shape[-1]
+    if m.ndim > 2 and n <= 2:
         return _logdet_i_plus_stack(m)
-    n = m.shape[0]
     if n == 1:
         x = m.item().real
         if x > -1.0:
@@ -133,23 +135,24 @@ def logdet_i_plus(m: np.ndarray) -> float:
         a, _, _, det = _i_plus_2x2(m)
         if a > 0.0 and det > 0.0:
             return float(np.log(det))
-    a = hermitize(np.asarray(m, dtype=complex))
-    a = a + np.eye(a.shape[0])
+    a = hermitize(np.asarray(m, dtype=complex)) + np.eye(n)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return logdet_hpd(a)
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
+        return np.array([logdet_i_plus(x) for x in m]) if m.ndim > 2 else logdet_hpd(a)
+    ld = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    return ld if m.ndim > 2 else float(ld)
 
 
 def inv_i_plus(m: np.ndarray) -> np.ndarray:
     """Inverse of ``I + m`` for PSD ``m``, the gradient partner of
     :func:`logdet_i_plus`: it reads the same Hermitian part of ``m`` and
     shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
-    one inverse per matrix (see :func:`_inv_i_plus_stack`)."""
-    if m.ndim > 2:
+    one inverse per matrix, bit for bit (the closed forms elementwise, see
+    :func:`_inv_i_plus_stack`)."""
+    n = m.shape[-1]
+    if m.ndim > 2 and n <= 2:
         return _inv_i_plus_stack(m)
-    n = m.shape[0]
     if n == 1:
         return np.array([[1.0 / (1.0 + m.item().real)]], dtype=complex)
     if n == 2:
@@ -167,18 +170,10 @@ def _i_plus_2x2_stack(m: np.ndarray):
 
 
 def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`logdet_i_plus` of every matrix in a (B, n, n) stack, equal to
-    it bit for bit: the same closed forms elementwise, Cholesky per slice
-    above dimension 2, and the per-matrix routine for rows that leave the
-    closed forms' domain or fail Cholesky."""
-    n = m.shape[-1]
-    if n > 2:
-        try:
-            chol = np.linalg.cholesky(hermitize(m) + np.eye(n))
-        except np.linalg.LinAlgError:
-            return np.array([logdet_i_plus(x) for x in m])
-        return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    if n == 1:
+    """:func:`logdet_i_plus`'s closed forms on every matrix of a (B, n, n)
+    stack with n <= 2, and the per-matrix routine for rows that leave their
+    domain."""
+    if m.shape[-1] == 1:
         x = np.ascontiguousarray(m[:, 0, 0].real)
         ok, log = x > -1.0, np.log1p
     else:
@@ -193,16 +188,14 @@ def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
 
 
 def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`inv_i_plus` of every matrix in a (B, n, n) stack, bit for bit."""
-    n = m.shape[-1]
-    if n == 1:
+    """:func:`inv_i_plus`'s closed forms on every matrix of a (B, n, n) stack
+    with n <= 2."""
+    if m.shape[-1] == 1:
         return (1.0 / (1.0 + m[:, :1, :1].real)).astype(complex)
-    if n == 2:
-        a, d, b, det = _i_plus_2x2_stack(m)
-        out = np.empty(m.shape, dtype=complex)
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d, -b, -b.conj(), a
-        return out / det[:, None, None]
-    return np.linalg.inv(np.eye(n) + hermitize(m))
+    a, d, b, det = _i_plus_2x2_stack(m)
+    out = np.empty(m.shape, dtype=complex)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d, -b, -b.conj(), a
+    return out / det[:, None, None]
 
 
 def _sqrt_closed(m: np.ndarray):

@@ -40,13 +40,16 @@ Structure:
   each evaluation by ``yield from`` :func:`_evaluation`, which holds the
   stop test, the Anderson steps and the traces and yields ``(lam, Q)`` for
   each sweep, a pure function of problem, price and plan (:func:`_sweep`).
-  One tick loop (``securebc._lockstep.lockstep``) drives every search, a
-  single problem's for :func:`solve_wsr` or a shape group's for
-  :func:`solve_wsr_batch`, and makes each tick's pending sweeps as one
-  :func:`_sweep` of their problems stacked along a leading row axis when
-  at least ``LOCKSTEP_MIN`` are pending, one by one otherwise.  A stack's
-  rows equal the per-problem results bit for bit, so a search may change
-  sides at any tick.
+  One tick loop (:func:`lockstep`) drives every search, a single
+  problem's for :func:`solve_wsr` or a shape group's (antenna counts by
+  position) for :func:`solve_wsr_batch`.  Each tick sweeps every pending
+  request once, as one :func:`_sweep` of their problems stacked along a
+  leading row axis (a :class:`Stack`, one price per row) when at least
+  ``LOCKSTEP_MIN`` are pending, one by one otherwise, and sends each row's
+  sweep to its search.  A stack's rows equal the per-problem results bit
+  for bit, so a search may change sides at any tick.  A stacked sweep that
+  raises has advanced nothing, so its tick is swept again row by row, and
+  an error stays with the row whose sweep or search raised it.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -67,7 +70,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Generator, Optional, Sequence, Union
+from typing import Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +92,11 @@ LAMBDA_LO = 1e-6
 NEAR = 1e-3
 # an Anderson step draws on this many (start, swept) plan pairs
 ANDERSON_MEMORY = 4
+# a tick stacks its block updates from this many pending rows on; fewer
+# rows sweep one by one (a stack of one took about twice as long as the
+# per-problem sweep, two rows timed no faster stacked, three about a tenth
+# faster)
+LOCKSTEP_MIN = 3
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,14 @@ class _Problem:
             return [np.zeros((self.n_t, self.n_t), dtype=complex) for _ in range(self.K)]
         return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
 
+    def plan(self, Q: Sequence[np.ndarray]) -> CovariancePlan:
+        """The downlink plan of covariances ``Q`` by position, each made PSD."""
+        return CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in Q], self.idx))
+
 
 # From _total_trace to _block_update, the functions that a sweep calls take
 # one problem and plan, or problems of one shape stacked along a leading
-# row axis (a securebc._lockstep.Stack) with their plans stacked the same
+# row axis (a Stack) with their plans stacked the same
 # way and one price per row; then they give one value per row.
 
 
@@ -194,8 +206,10 @@ def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
     return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
 
-def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Gradient of the convex block part with respect to the k-th covariance.
+def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> tuple:
+    """Gradient A of the convex block part with respect to the k-th
+    covariance, with the eavesdropper terms it is built from: the lists of
+    G S_j G^H and Gamma_j = G^H (I + G S_j G^H)^{-1} G for j = 0..k.
 
     Only the terms whose interference sums contain position k survive:
     the block's own eavesdropper term and, for every earlier position j < k,
@@ -204,13 +218,15 @@ def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> np.ndarray:
     H, G = prob.H, prob.G
     w = prob.w.T[..., None, None]  # by position, then row
     gh = herm(G)
-    A = -w[k] * (gh @ inv_i_plus(G @ suf[k] @ gh) @ G)
+    gsg = [G @ suf[j] @ gh for j in range(k + 1)]
+    gam = [gh @ inv_i_plus(e) @ G for e in gsg]
+    A = -w[k] * gam[k]
     for j in range(k):
         hj, hjh = H[j], herm(H[j])
         A = A + w[j] * (hjh @ inv_i_plus(hj @ suf[j] @ hjh) @ hj
                         - hjh @ inv_i_plus(hj @ suf[j + 1] @ hjh) @ hj)
-        A = A - w[j] * (gh @ inv_i_plus(G @ suf[j] @ gh) @ G)
-    return hermitize(A)
+        A = A - w[j] * gam[j]
+    return hermitize(A), gsg, gam
 
 
 def _fill(h: np.ndarray, w: float | np.ndarray, b_inv: np.ndarray, m_val: np.ndarray,
@@ -278,12 +294,12 @@ def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int) -> tuple:
     hk, G, w = prob.H[k], prob.G, prob.w.T  # weights by position, then row
     hkh, gh = herm(hk), herm(G)
     x = Q[k]
-    A = _grad_cvx(prob, suf, k)
+    A, gsg, gam = _grad_cvx(prob, suf, k)
     user = hk @ suf[k] @ hkh
-    eve = [G @ suf[j + 1] @ gh for j in range(k)]
+    eve = gsg[1:]
     M = np.multiply.outer(lam, np.eye(x.shape[-1])) - A
-    for j, e in enumerate(eve):
-        M = M - w[j, ..., None, None] * (gh @ inv_i_plus(e) @ G)
+    for j in range(k):
+        M = M - w[j, ..., None, None] * gam[j + 1]
     M = hermitize(M)
     power = real_trace(x)
     d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, prob.P, power) - x
@@ -495,7 +511,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     A generator: it runs each evaluation by ``yield from``
     :func:`_evaluation`, so it yields every sweep it needs and is sent back
     the swept plan, and one tick loop drives a single search or many
-    together (``securebc._lockstep.lockstep``).
+    together (:func:`lockstep`).
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
     the gap floor.  Each price after the bottom one warm-starts from the
@@ -546,6 +562,79 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     return evals
 
 
+class Stack(NamedTuple):
+    """Problems of one shape stacked along a leading row axis: channels by
+    position, eavesdropper, weights by position (B, K) and budgets."""
+
+    H: list
+    G: np.ndarray
+    w: np.ndarray
+    P: np.ndarray
+
+    def rows(self, r: np.ndarray) -> "Stack":
+        return Stack([h[r] for h in self.H], self.G[r], self.w[r], self.P[r])
+
+
+class Row(NamedTuple):
+    """One task of a tick loop: its index, its row in the group, its
+    problem, its price search and the sweep ``(lam, Q)`` the search waits
+    for (None before the search starts)."""
+
+    i: int
+    j: int
+    prob: _Problem
+    search: Generator
+    request: Optional[tuple[float, list]]
+
+
+def _sweep_stacked(group: Stack, rows: list[Row]) -> list[tuple[list, float, float]]:
+    """:func:`_sweep` of every row's request at once, on a stack taken from
+    the group's.  Returns by row what the per-problem sweep returns."""
+    Q, wsr, power = _sweep(group.rows(np.array([row.j for row in rows])),
+                           np.array([row.request[0] for row in rows]),
+                           [np.stack(q) for q in zip(*(row.request[1] for row in rows))])
+    return [([q[b] for q in Q], wsr[b], power[b]) for b in range(len(rows))]
+
+
+def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig
+             ) -> dict[int, Union[list[_Eval], Exception]]:
+    """Run the price searches of problems of one shape by ticks.  Each tick
+    sweeps every pending request once, on stacks if at least
+    ``LOCKSTEP_MIN`` are pending and one by one otherwise, and sends each
+    row's sweep to its search, whose next request joins the next tick.
+
+    Returns, by task index, each search's evaluations or the error its
+    sweep or search raised."""
+    out: dict = {}
+    probs = [prob for _, prob in members]
+    # stacked once; each stacked tick takes its rows
+    group = Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
+                  np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
+                  np.array([p.P for p in probs]))
+    rows = [Row(i, j, prob, _price_search(prob, cfg), None)
+            for j, (i, prob) in enumerate(members)]
+    while rows:
+        # the first tick starts every search; later ones sweep their requests
+        swept = [None] * len(rows)
+        if len(rows) >= LOCKSTEP_MIN and rows[0].request is not None:
+            try:
+                swept = _sweep_stacked(group, rows)
+            except Exception:
+                pass  # it advanced nothing: the rows sweep alone this tick
+        pending = []
+        for row, made in zip(rows, swept):
+            try:
+                if made is None and row.request is not None:
+                    made = _sweep(row.prob, *row.request)
+                pending.append(row._replace(request=row.search.send(made)))
+            except StopIteration as stop:
+                out[row.i] = stop.value
+            except Exception as exc:
+                out[row.i] = exc
+        rows = pending
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -578,7 +667,7 @@ def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                  w: WeightVector, lam: float, k: int) -> np.ndarray:
     """Analytic gradient of the convex block part at the current plan."""
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _grad_cvx(prob, suffix_sums(Q), k - 1)
+    return _grad_cvx(prob, suffix_sums(Q), k - 1)[0]
 
 
 def _check_price(lam: float) -> None:
@@ -617,9 +706,8 @@ def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
             request = run.send(_sweep(prob, *request, per_block))
     except StopIteration as stop:
         ev = stop.value
-    plan = CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in ev.Q], prob.idx))
     trace = list(ev.lag_trace)
-    return plan, (trace[:1] + per_block if per_block_trace else trace)
+    return prob.plan(ev.Q), (trace[:1] + per_block if per_block_trace else trace)
 
 
 def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
@@ -640,7 +728,6 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     if ahead is not None and all(a is b for a, b in zip(ahead[0], task)):
         evals = ahead[1]
     else:
-        from ._lockstep import lockstep  # it builds on this module
         evals = lockstep([(0, prob)], cfg)[0]
     if isinstance(evals, Exception):
         raise evals
@@ -650,7 +737,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     termination = (MAX_ITERS if best.hit_cap
                    else CONVERGED if best.passes(prob.P, cfg) else STALLED)
 
-    plan = CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in best.Q], prob.idx))
+    plan = prob.plan(best.Q)
     clamped = dpc_secrecy_rates(ch, order, plan).clamped()
     rates = RatePoint(clamped.per_user, weighted_sum(clamped, w))
     return SolverReport(plan=plan, rates=rates,
@@ -680,14 +767,12 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
 
     The tasks whose problems share a shape (antenna counts by position)
     first run their price searches together in one tick loop (see
-    ``securebc._lockstep``), whose stacked ticks spread numpy's per-call
+    :func:`lockstep`), whose stacked ticks spread numpy's per-call
     cost over the group.  Each task then goes through ``solve_wsr``, which
     builds the report from the search made ahead, so every solve still
     passes through ``solve_wsr`` (and through whatever wraps it) with its
     own report, equal bit for bit to a solve alone.
     """
-    from ._lockstep import lockstep  # it builds on this module
-
     cfg = cfg or SolverConfig()
     groups: dict = {}
     for i, (ch, w, order) in enumerate(tasks):

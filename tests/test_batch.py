@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import securebc._lockstep as lockstep_mod
+import securebc.solver as lockstep_mod
 import securebc.ordering as ordering_mod
 import securebc.region as region_mod
 import securebc.solver as solver_mod

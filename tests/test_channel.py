@@ -8,6 +8,7 @@ from securebc import (ChannelSet, DimensionMismatch, InvalidPower,
                       LengthMismatch, ParseError, WeightVector,
                       example_two_user, load_channel_set, sample_channel_set,
                       save_channel_set)
+from securebc.cli import cli_main
 
 
 class TestChannelSet:
@@ -196,6 +197,15 @@ def test_bad_channel_documents_refused(text, error, match):
         load_channel_set(io.BytesIO(text))
 
 
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    # past its nesting limit the JSON decoder raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_bytes(_doc(users="deep").replace(b'"deep"', b"[" * 100_000 + b"]" * 100_000))
+    assert cli_main(["solve", "--channels", str(path), "--weights", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ") and "Traceback" not in err
+
+
 class TestSampling:
     def test_deterministic_in_seed(self):
         a = sample_channel_set(7, 2, 3, [2, 1], 2, 1.5)
@@ -228,6 +238,11 @@ class TestWeightVector:
         w = WeightVector([2.0, 2.0])
         assert w.weights == (0.5, 0.5)
         assert sum(w.weights) == pytest.approx(1.0, abs=1e-9)
+
+    def test_sum_past_the_largest_float(self):
+        # the sum overflows to inf, which once normalized every weight to 0
+        assert WeightVector([1e308, 1e308]).weights == (0.5, 0.5)
+        assert WeightVector([1.5e308, 0.0, 1.5e308]).weights == (0.5, 0.0, 0.5)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -202,6 +202,15 @@ class TestExitCodes:
                              "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
             assert "usage error" in capsys.readouterr().err
 
+    def test_usage_error_deeply_nested_config(self, example_file, tmp_path, capsys):
+        # past its nesting limit the JSON decoder raises RecursionError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"objective_tol": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert cli_main(["solve", "--channels", example_file,
+                         "--weights", "0.5,0.5", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: config") and "Traceback" not in err
+
     def test_usage_error_region_step(self, example_file, capsys):
         for step in ("0", "-0.5", "1.5", "nan"):
             assert cli_main(["region", "--channels", example_file,
