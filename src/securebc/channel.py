@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Union
 
@@ -148,18 +149,21 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
         raise ParseError(bad) from exc
 
 
-def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
-    """Parse a ChannelSet from a JSON byte stream, file object, or path."""
+def read_json_object(source: Union[str, bytes, IO]) -> dict:
+    """The JSON object in a byte stream, file object, or path (else ParseError)."""
     try:
-        if isinstance(source, (str, bytes)):
-            with open(source, "rb") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(source)
+        with open(source, "rb") if isinstance(source, (str, bytes)) else nullcontext(source) as fh:
+            doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # malformed, too deep, or not text
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
+    return doc
+
+
+def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
+    """Parse a ChannelSet from a JSON byte stream, file object, or path."""
+    doc = read_json_object(source)
     for key in ("power", "users", "eavesdropper"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
@@ -185,13 +189,9 @@ def save_channel_set(ch: ChannelSet, sink: Union[str, IO]) -> None:
         "users": [{"H": matrix_to_json(h)} for h in ch.user_channels],
         "eavesdropper": matrix_to_json(ch.eavesdropper),
     }
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-    else:
-        json.dump(doc, sink, indent=1)
-        sink.write("\n")
+    with open(sink, "w", encoding="ascii") if isinstance(sink, str) else nullcontext(sink) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def sample_channel_set(seed: int, K: int, n_t: int,

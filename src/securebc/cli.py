@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (WeightVector, load_channel_set, matrix_to_json,
+from .channel import (WeightVector, load_channel_set, matrix_to_json, read_json_object,
                       sample_channel_set, save_channel_set)
 from .duality import duality_property_ensemble
-from .errors import SecureBcError
+from .errors import ParseError, SecureBcError
 from .ordering import compare_orders, optimal_order
 from .rates import EncodingOrder
 from .region import BOTH_CORNERS, THEOREM, hull_2d, trace_region
@@ -70,13 +70,10 @@ def _parse_order(text: str, K: int) -> Optional[EncodingOrder]:
 def _load_config(path: Optional[str]) -> Optional[SolverConfig]:
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # malformed, too deep, or not text
-            raise UsageError(f"config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config {path}: top-level JSON value must be an object")
+    try:
+        doc = read_json_object(path)
+    except ParseError as exc:
+        raise UsageError(f"config {path}: {exc}") from exc
     known = {f.name for f in fields(SolverConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -107,7 +104,7 @@ def _report_json(report: SolverReport, order: EncodingOrder,
 
 @contextmanager
 def _output(path: Optional[str]):
-    """The ``--output`` sink: standard output for none or ``-``, else the file."""
+    """An output flag's sink: standard output for none or ``-``, else the file."""
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -115,17 +112,30 @@ def _output(path: Optional[str]):
             yield fh
 
 
+def _write_table(path: Optional[str], header: list[str], rows) -> None:
+    """A CSV table of string cells to the ``_output`` sink of ``path``."""
+    with _output(path) as out:
+        for row in [header, *rows]:
+            out.write(",".join(row) + "\n")
+
+
 def _order_tag(order: EncodingOrder) -> str:
     return ">".join(str(u) for u in order.permutation)
 
 
-def _cmd_solve(args) -> int:
+def _weighted_instance(args) -> tuple:
+    """The channels, weights and solver config named by ``args``."""
     ch = load_channel_set(args.channels)
     w = _parse_weights(args.weights)
     if len(w) != ch.num_users:
         raise UsageError(f"{len(w)} weights for {ch.num_users} users")
+    return ch, w, _load_config(args.config)
+
+
+def _cmd_solve(args) -> int:
+    ch, w, cfg = _weighted_instance(args)
     order = _parse_order(args.order, ch.num_users) or optimal_order(w)
-    report = solve_wsr(ch, w, order, _load_config(args.config))
+    report = solve_wsr(ch, w, order, cfg)
     json.dump(_report_json(report, order, w), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
@@ -142,24 +152,14 @@ def _cmd_region(args) -> int:
     cfg = _load_config(args.config)
     trace = trace_region(ch, args.step, policy, cfg)
     K = ch.num_users
-    with _output(args.output) as out:
-        header = ([f"w_{i + 1}" for i in range(K)]
-                  + [f"R_{i + 1}" for i in range(K)] + ["wsr", "order"])
-        out.write(",".join(header) + "\n")
-        for p in trace.points:
-            row = ([_fmt(v) for v in p.weights.weights]
-                   + [_fmt(r) for r in p.rates.per_user]
-                   + [_fmt(p.wsr), _order_tag(p.order)])
-            out.write(",".join(row) + "\n")
+    _write_table(args.output, [f"{c}_{i + 1}" for c in "wR" for i in range(K)] + ["wsr", "order"],
+                 ([_fmt(v) for v in (*p.weights.weights, *p.rates.per_user, p.wsr)]
+                  + [_order_tag(p.order)] for p in trace.points))
     if args.hull_output:
         if K == 2:
-            pts = [(p.rates.per_user[0], p.rates.per_user[1]) for p in trace.points]
-            pts.append((0.0, 0.0))
-            hull = hull_2d(pts)
-            with open(args.hull_output, "w", encoding="ascii", newline="") as fh:
-                fh.write("R_1,R_2\n")
-                for x, y in hull:
-                    fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+            hull = hull_2d([p.rates.per_user for p in trace.points] + [(0.0, 0.0)])
+            _write_table(args.hull_output, ["R_1", "R_2"],
+                         ([_fmt(x), _fmt(y)] for x, y in hull))
         else:
             print("hull output skipped: hulling supports two users only; "
                   "the raw point cloud is in the main CSV", file=sys.stderr)
@@ -167,20 +167,14 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_compare_orders(args) -> int:
-    ch = load_channel_set(args.channels)
-    w = _parse_weights(args.weights)
-    if len(w) != ch.num_users:
-        raise UsageError(f"{len(w)} weights for {ch.num_users} users")
-    cfg = _load_config(args.config)
+    ch, w, cfg = _weighted_instance(args)
     cmp = compare_orders(ch, w, cfg)
     K = ch.num_users
-    with _output(args.output) as out:
-        out.write(",".join(["order", "wsr"] + [f"R_{i + 1}" for i in range(K)]) + "\n")
-        for res in cmp.per_order:
-            rates = (res.rates.per_user if res.rates is not None
-                     else [float("nan")] * K)
-            out.write(",".join([_order_tag(res.order), _fmt(res.wsr)]
-                               + [_fmt(r) for r in rates]) + "\n")
+    nan = [float("nan")] * K
+    _write_table(args.output, ["order", "wsr"] + [f"R_{i + 1}" for i in range(K)],
+                 ([_order_tag(res.order), _fmt(res.wsr)]
+                  + [_fmt(r) for r in (nan if res.rates is None else res.rates.per_user)]
+                  for res in cmp.per_order))
     print(f"best order {cmp.best_order}; rule order {cmp.theorem_order}; "
           f"agreement: {'yes' if cmp.matches_rule(w) else 'no'}")
     return 0
@@ -222,7 +216,8 @@ def _cmd_gen_channels(args) -> int:
     if len(nk) == 1:
         nk = nk * args.K
     ch = sample_channel_set(args.seed, args.K, args.nt, nk, args.ne, args.power)
-    save_channel_set(ch, args.output)
+    with _output(args.output) as out:
+        save_channel_set(ch, out)
     return 0
 
 
@@ -230,29 +225,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="securebc",
                      description="secure broadcasting rate regions and solvers")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--channels", required=True)
+    instance.add_argument("--config", default=None)
 
-    p = sub.add_parser("solve", help="solve one weighted instance")
-    p.add_argument("--channels", required=True)
+    p = sub.add_parser("solve", parents=[instance], help="solve one weighted instance")
     p.add_argument("--weights", required=True, help="comma-separated, e.g. 0.5,0.5")
     p.add_argument("--order", default="theorem", help="'theorem' or e.g. 2,1")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("region", help="trace the rate region over a weight grid")
-    p.add_argument("--channels", required=True)
+    p = sub.add_parser("region", parents=[instance],
+                       help="trace the rate region over a weight grid")
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--policy", default=THEOREM,
                    help="'theorem', 'both_corners', or a fixed order like 2,1")
-    p.add_argument("--config", default=None)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.add_argument("--hull-output", default=None,
-                   help="optional convex-hull CSV (two users only)")
+                   help="optional convex-hull CSV (two users only; - for stdout)")
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("compare-orders", help="solve under every encoding order")
-    p.add_argument("--channels", required=True)
+    p = sub.add_parser("compare-orders", parents=[instance],
+                       help="solve under every encoding order")
     p.add_argument("--weights", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_compare_orders)
 
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nk", required=True, help="per-user antennas, e.g. 2,2,1")
     p.add_argument("--ne", type=int, required=True)
     p.add_argument("--power", type=float, required=True)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, help="JSON path (- for stdout)")
     p.set_defaults(func=_cmd_gen_channels)
     return parser
 

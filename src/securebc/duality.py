@@ -201,18 +201,13 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     * per-user rate preservation over a full round trip,
     * uplink-objective equivalence with effective eavesdropper channels,
     * ladder eigenvalue floor (C, D are identity plus PSD).
+
+    Raises ValueError for fewer than one instance.
     """
+    if num_instances < 1:
+        raise ValueError(f"num_instances must be at least 1, got {num_instances}")
     rng = np.random.default_rng(seed)
-    report = {
-        "instances": num_instances,
-        "tolerance": tol,
-        "max_rate_error": 0.0,
-        "max_trace_error": 0.0,
-        "max_roundtrip_error": 0.0,
-        "max_wsr_equivalence_error": 0.0,
-        "min_ladder_eigenvalue": np.inf,
-        "failures": 0,
-    }
+    rows = []  # per instance: the four errors, then the ladder eigenvalue floor
     for _ in range(num_instances):
         K = int(rng.integers(1, 4))
         n_t = int(rng.integers(1, 4))
@@ -239,21 +234,19 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
         r_back = np.array((mac_rates if mac_first else bc_rates)(ch, order, back).per_user)
         obj, wsr = wsr_equivalence_pair(ch, order, plan_mac, w)
-        errors = {"max_rate_error": float(np.max(np.abs(r_bc - r_mac))),
-                  "max_trace_error": abs(plan_bc.total_trace - plan_mac.total_trace),
-                  "max_roundtrip_error": float(np.max(np.abs(r_bc - r_back))),
-                  "max_wsr_equivalence_error": abs(obj - wsr)}
-
         lows = [min_eigenvalue(c) for c in ctx.c_list]
         lows.extend(np.linalg.eigvalsh(np.array(ctx.d_list))[:, 0])
-        floor = float(np.min(lows))
+        rows.append([np.max(np.abs(r_bc - r_mac)),
+                     abs(plan_bc.total_trace - plan_mac.total_trace),
+                     np.max(np.abs(r_bc - r_back)), abs(obj - wsr), np.min(lows)])
 
-        # np.maximum and np.minimum keep a NaN, and the negated tests fail on one
-        for key, err in errors.items():
-            report[key] = float(np.maximum(report[key], err))
-        report["min_ladder_eigenvalue"] = float(
-            np.minimum(report["min_ladder_eigenvalue"], floor))
-        if not (all(e <= tol for e in errors.values()) and floor >= 1 - 1e-10):
-            report["failures"] += 1
-    report["passed"] = report["failures"] == 0
-    return report
+    table = np.array(rows, dtype=float)
+    errors, floors = table[:, :4], table[:, 4]
+    # np.max and np.min keep a NaN, and the negated test counts it a failure
+    failures = int(np.sum(~((errors <= tol).all(axis=1) & (floors >= 1 - 1e-10))))
+    keys = ("max_rate_error", "max_trace_error", "max_roundtrip_error",
+            "max_wsr_equivalence_error")
+    return {"instances": num_instances, "tolerance": tol,
+            **{key: float(v) for key, v in zip(keys, np.max(errors, axis=0))},
+            "min_ladder_eigenvalue": float(np.min(floors)),
+            "failures": failures, "passed": failures == 0}

@@ -114,14 +114,10 @@ def hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    chains: tuple[list, list] = ([], [])  # lower, then upper
+    for chain, run in zip(chains, (pts, pts[::-1])):
+        for p in run:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return chains[0][:-1] + chains[1][:-1]

@@ -133,7 +133,9 @@ class _Problem:
 
     __slots__ = ("ch", "order", "H", "G", "w", "P", "K", "n_t", "idx")
 
-    def __init__(self, ch: ChannelSet, order: EncodingOrder, w: WeightVector):
+    def __init__(self, ch: ChannelSet, order: EncodingOrder,
+                 w: Union[WeightVector, Sequence[float]]):
+        w = WeightVector.of(w)
         if len(order) != ch.num_users or len(w) != ch.num_users:
             raise DimensionMismatch(
                 f"channels ({ch.num_users}), order ({len(order)}) and weights "
@@ -640,14 +642,14 @@ def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig
 
 
 def lagrangian(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-               w: WeightVector, lam: float) -> float:
+               w: Union[WeightVector, Sequence[float]], lam: float) -> float:
     """Weighted secrecy sum minus ``lam`` times the power excess."""
     prob = _Problem(ch, order, w)
     return _lagrangian(prob, prob.blocks(plan), lam)
 
 
 def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                w: WeightVector, k: int):
+                w: Union[WeightVector, Sequence[float]], k: int):
     """Problem and covariance copies by position for a 1-based block index."""
     prob = _Problem(ch, order, w)
     if not 1 <= k <= prob.K:
@@ -656,7 +658,8 @@ def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
 
 
 def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                    w: WeightVector, lam: float, k: int) -> tuple[float, float]:
+                    w: Union[WeightVector, Sequence[float]], lam: float, k: int
+                    ) -> tuple[float, float]:
     """(concave, convex) parts for block k (1-based position); they sum to
     the full penalized objective."""
     prob, Q = _block_args(ch, order, plan, w, k)
@@ -664,7 +667,7 @@ def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
 
 
 def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                 w: WeightVector, lam: float, k: int) -> np.ndarray:
+                 w: Union[WeightVector, Sequence[float]], lam: float, k: int) -> np.ndarray:
     """Analytic gradient of the convex block part at the current plan."""
     prob, Q = _block_args(ch, order, plan, w, k)
     return _grad_cvx(prob, suffix_sums(Q), k - 1)[0]
@@ -679,7 +682,8 @@ def _check_price(lam: float) -> None:
 
 
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                     w: WeightVector, lam: float, k: int) -> np.ndarray:
+                     w: Union[WeightVector, Sequence[float]], lam: float, k: int
+                     ) -> np.ndarray:
     """One ascent step on block k's surrogate (see :func:`_block_update`);
     other blocks stay fixed.  At position 1 it is the exact maximizer."""
     _check_price(lam)
@@ -687,8 +691,8 @@ def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     return _block_update(prob, Q, lam, k - 1)
 
 
-def maximize_lagrangian(ch: ChannelSet, w: WeightVector, order: EncodingOrder,
-                        lam: float, cfg: Optional[SolverConfig] = None,
+def maximize_lagrangian(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
+                        order: EncodingOrder, lam: float, cfg: Optional[SolverConfig] = None,
                         plan0: Optional[CovariancePlan] = None,
                         per_block_trace: bool = False
                         ) -> tuple[CovariancePlan, list[float]]:
@@ -723,7 +727,6 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """
     cfg = cfg or SolverConfig()
     ahead, task = _made_ahead.get(), (ch, w, order, cfg)
-    w = WeightVector.of(w)
     prob = _Problem(ch, order, w)
     if ahead is not None and all(a is b for a, b in zip(ahead[0], task)):
         evals = ahead[1]
@@ -777,7 +780,7 @@ def solve_wsr_batch(tasks: Sequence[tuple[ChannelSet, Union[WeightVector, Sequen
     groups: dict = {}
     for i, (ch, w, order) in enumerate(tasks):
         try:
-            prob = _Problem(ch, order, WeightVector.of(w))
+            prob = _Problem(ch, order, w)
         except Exception:
             continue  # solve_wsr raises it again
         groups.setdefault((prob.G.shape, tuple(h.shape for h in prob.H)), []).append((i, prob))

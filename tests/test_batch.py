@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import securebc.solver as lockstep_mod
 import securebc.ordering as ordering_mod
 import securebc.region as region_mod
 import securebc.solver as solver_mod
@@ -45,26 +44,26 @@ def group_spy(monkeypatch):
     """Record the size of every group the tick loop runs (a single solve
     is a group of one)."""
     sizes = []
-    true_lockstep = lockstep_mod.lockstep
+    true_lockstep = solver_mod.lockstep
 
     def spy(members, cfg):
         sizes.append(len(members))
         return true_lockstep(members, cfg)
 
-    monkeypatch.setattr(lockstep_mod, "lockstep", spy)
+    monkeypatch.setattr(solver_mod, "lockstep", spy)
     return sizes
 
 
 def stack_spy(monkeypatch):
     """Record the row count of every stacked sweep."""
     counts = []
-    true_stacked = lockstep_mod._sweep_stacked
+    true_stacked = solver_mod._sweep_stacked
 
     def spy(group, rows):
         counts.append(len(rows))
         return true_stacked(group, rows)
 
-    monkeypatch.setattr(lockstep_mod, "_sweep_stacked", spy)
+    monkeypatch.setattr(solver_mod, "_sweep_stacked", spy)
     return counts
 
 
@@ -104,7 +103,7 @@ class TestEqualsSolo:
         out = solve_wsr_batch(tasks)
         assert sizes == [4, 4, 4]
         # ticks with fewer pending rows sweep them one by one
-        assert stacked and min(stacked) >= lockstep_mod.LOCKSTEP_MIN
+        assert stacked and min(stacked) >= solver_mod.LOCKSTEP_MIN
         monkeypatch.undo()
         assert_equals_solo(list(zip(tasks, out)))
 
@@ -129,7 +128,7 @@ class TestEqualsSolo:
         # at P = 1e2 and 1e7 some sweeps creep; the per-problem _anderson
         # steps beat plans that stacked sweeps made (on two transmit
         # antennas, as in the region's instances, none was kept)
-        true_anderson, true_stacked = solver_mod._anderson, lockstep_mod._sweep_stacked
+        true_anderson, true_stacked = solver_mod._anderson, solver_mod._sweep_stacked
         last, kept = [[]], []  # kept: per kept step, whether a stacked sweep made the plan it beat
 
         def in_stack(*args):
@@ -142,7 +141,7 @@ class TestEqualsSolo:
                 kept.append(any(pairs[-1][1] is plan for plan, _, _ in last[0]))
             return out
 
-        monkeypatch.setattr(lockstep_mod, "_sweep_stacked", in_stack)
+        monkeypatch.setattr(solver_mod, "_sweep_stacked", in_stack)
         monkeypatch.setattr(solver_mod, "_anderson", spy)
         tasks = [(sample_channel_set(5, 2, 3, 2, 1, power), WeightVector(w), order)
                  for power in (1e2, 1e7) for w in ((0.3, 0.7), (0.6, 0.4))
@@ -173,7 +172,7 @@ def branch_rows():
 
 def stack_of(probs, plans):
     """Problems of one shape and their plans by position, stacked by row."""
-    st = lockstep_mod.Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
+    st = solver_mod.Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
                             np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
                             np.array([p.P for p in probs]))
     return st, [np.stack(q) for q in zip(*plans)]
@@ -371,7 +370,7 @@ class TestFailureIsolation:
         tasks = [(ch, WeightVector([a, 1 - a]), EncodingOrder([2, 1]))
                  for a in (0.1, 0.2, 0.3, 0.4)]
         raised = []
-        true_stacked = lockstep_mod._sweep_stacked
+        true_stacked = solver_mod._sweep_stacked
 
         def stacked(group, rows):
             try:
@@ -380,7 +379,7 @@ class TestFailureIsolation:
                 raised.append(exc)
                 raise
 
-        monkeypatch.setattr(lockstep_mod, "_sweep_stacked", stacked)
+        monkeypatch.setattr(solver_mod, "_sweep_stacked", stacked)
         self.no_ascent(monkeypatch, tasks[1][1].weights[::-1])  # by position
         out = solve_wsr_batch(tasks)
         assert len(raised) == 1 and isinstance(raised[0], InnerNotImproved)
@@ -434,7 +433,7 @@ class TestFailureIsolation:
         true_update = solver_mod._block_update
 
         def update(prob, Q, lam, k):
-            if isinstance(prob, lockstep_mod.Stack):
+            if isinstance(prob, solver_mod.Stack):
                 calls.append(len(lam))
                 raise FloatingPointError("stacked")
             if prob.order.permutation == (1, 2, 3):
@@ -445,7 +444,7 @@ class TestFailureIsolation:
         w = WeightVector([0.15, 0.2, 0.65])
         monkeypatch.setattr(solver_mod, "_block_update", update)
         cmp = compare_orders(ch, w)
-        assert calls[0] == 6 and min(calls) >= lockstep_mod.LOCKSTEP_MIN
+        assert calls[0] == 6 and min(calls) >= solver_mod.LOCKSTEP_MIN
         failed = [r for r in cmp.per_order if r.error is not None]
         assert [r.order.permutation for r in failed] == [(1, 2, 3)]
         assert failed[0].error == "RuntimeError: boom"
@@ -462,7 +461,7 @@ class TestFailureIsolation:
         calls = []
 
         def flaky(prob, Q, lam, k):
-            if isinstance(prob, lockstep_mod.Stack):
+            if isinstance(prob, solver_mod.Stack):
                 calls.append(k)
                 if k == 0 and calls.count(0) % 3 == 0:
                     raise FloatingPointError("stacked")
@@ -483,7 +482,7 @@ class TestFailureIsolation:
         tasks = [(ch, w, o) for ch in (sample_channel_set(5, 2, 2, [1, 2], 1, 1.0),
                                        sample_channel_set(5, 2, 2, [2, 2], 1, 1.0))
                  for o in enumerate_orders(2)]
-        assert lockstep_mod.LOCKSTEP_MIN > 2
+        assert solver_mod.LOCKSTEP_MIN > 2
         out = solve_wsr_batch(tasks)
         assert stacked == []
         monkeypatch.undo()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -43,6 +44,19 @@ class TestGenChannels:
         ch = load_channel_set(a)
         assert (ch.num_users, ch.n_t, ch.n_k, ch.n_e) == (2, 2, (2, 1), 1)
         assert ch.power == 1.5
+
+    def test_dash_writes_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # "-" names standard output, as it does for the other output flags
+        monkeypatch.chdir(tmp_path)
+        args = ["gen-channels", "--seed", "7", "--K", "2", "--nt", "2",
+                "--nk", "2,1", "--ne", "1", "--power", "1.5"]
+        assert cli_main(args + ["--output", "-"]) == 0
+        text = capsys.readouterr().out
+        assert cli_main(args + ["--output", "ch.json"]) == 0
+        assert text == (tmp_path / "ch.json").read_text()
+        ch = load_channel_set(io.StringIO(text))
+        assert (ch.num_users, ch.n_k, ch.n_e, ch.power) == (2, (2, 1), 1, 1.5)
+        assert not (tmp_path / "-").exists()
 
     def test_scalar_nk_broadcasts(self, tmp_path):
         out = str(tmp_path / "c.json")
@@ -95,6 +109,19 @@ class TestRegion:
         lines = open(hull).read().strip().splitlines()
         assert lines[0] == "R_1,R_2"
         assert len(lines) >= 4  # origin plus at least three achieved points
+
+    def test_dash_writes_both_tables_to_stdout(self, example_file, fast_cfg_file,
+                                               tmp_path, monkeypatch, capsys):
+        # "-" names standard output for --output and --hull-output alike
+        monkeypatch.chdir(tmp_path)
+        args = ["region", "--channels", example_file, "--step", "0.5",
+                "--config", fast_cfg_file]
+        assert cli_main(args + ["--output", "r.csv", "--hull-output", "h.csv"]) == 0
+        capsys.readouterr()
+        assert cli_main(args + ["--output", "-", "--hull-output", "-"]) == 0
+        table, hull = (tmp_path / "r.csv").read_text(), (tmp_path / "h.csv").read_text()
+        assert capsys.readouterr().out == table + hull
+        assert not (tmp_path / "-").exists()
 
     def test_hull_output_skipped_beyond_two_users(self, three_user_file, fast_cfg_file,
                                                   tmp_path, capsys):

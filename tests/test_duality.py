@@ -259,6 +259,12 @@ class TestEnsemble:
         assert cli_main(["duality-check", "--seeds", "1"]) == 2
         assert "duality-check FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_no_instances_is_refused(self, count):
+        # an empty ensemble checks nothing, so it must not report a pass
+        with pytest.raises(ValueError, match="at least 1"):
+            duality_property_ensemble(num_instances=count, seed=1)
+
     def test_property_ensemble_passes(self):
         report = duality_property_ensemble(num_instances=60, seed=123, tol=1e-8)
         assert report["passed"], report

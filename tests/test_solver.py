@@ -499,6 +499,23 @@ class TestAndersonSteps:
         assert sweeps <= 1000
 
 
+@pytest.mark.parametrize("entry", ["lagrangian", "split_objective", "gradient_cvx",
+                                   "surrogate_update", "maximize_lagrangian"])
+def test_entry_takes_raw_weights(entry):
+    # every solver entry normalizes a raw weight sequence as WeightVector does
+    ch, order = example_two_user(), EncodingOrder([2, 1])
+    plan = rand_bc_plan(np.random.default_rng(3), ch)
+    call = {
+        "lagrangian": lambda w: lagrangian(ch, order, plan, w, 0.5),
+        "split_objective": lambda w: split_objective(ch, order, plan, w, 0.5, 2),
+        "gradient_cvx": lambda w: gradient_cvx(ch, order, plan, w, 0.5, 2),
+        "surrogate_update": lambda w: surrogate_update(ch, order, plan, w, 0.5, 2),
+        "maximize_lagrangian": lambda w: maximize_lagrangian(ch, w, order, 0.5, FAST,
+                                                             plan0=plan)[0].matrices,
+    }[entry]
+    assert np.array_equal(np.asarray(call([3, 7])), np.asarray(call(WeightVector([3, 7]))))
+
+
 class TestSolveWsr:
     def test_two_user_benchmark_both_orders(self):
         ch = ChannelSet([np.array([[1.0, -0.5], [0.5, 2.0]]),
@@ -530,6 +547,38 @@ class TestSolveWsr:
         assert report.plan.total_trace == 0.0
         assert report.rates.per_user == (0.0,)
         assert report.termination == "converged"
+
+    @staticmethod
+    def _fake_evaluations(monkeypatch, power):
+        # each evaluation asks for no sweep: it keeps its start plan and
+        # reports the power power(lam, P)
+        def evaluation(prob, lam, start, cfg, power_stop):
+            return solver_mod._Eval(lam, start.Q, power(lam, prob.P), 0.0, False,
+                                    (0.0,), (0.0,))
+            yield  # a generator, as the price search drives it
+
+        monkeypatch.setattr(solver_mod, "_evaluation", evaluation)
+
+    def test_secant_off_the_bracket_takes_the_midpoint(self, monkeypatch):
+        # a bottom residual of 1e300 P rounds the secant price onto the top
+        # of the bracket, so the search evaluates the midpoint instead
+        lo = solver_mod.LAMBDA_LO
+        self._fake_evaluations(monkeypatch, lambda lam, P: 1e300 * P if lam == lo else P)
+        ch, w, order = example_two_user(), WeightVector([0.3, 0.7]), EncodingOrder([1, 2])
+        top = solver_mod._top_price(solver_mod._Problem(ch, order, w))
+        report = solve_wsr(ch, w, order)
+        assert report.lambda_trace == (lo, (lo + top) / 2)
+        assert report.termination == "converged"
+
+    def test_no_feasible_record_returns_the_lowest_power(self, monkeypatch):
+        # every price overshoots the budget by more than P, so the bracket
+        # closes with no feasible record and the solve reports the
+        # lowest-power one, at the highest price, as stalled
+        self._fake_evaluations(monkeypatch, lambda lam, P: P * (2 + 1 / (1 + lam)))
+        report = solve_wsr(example_two_user(), [0.3, 0.7], EncodingOrder([1, 2]))
+        assert report.termination == "stalled"
+        assert len(report.lambda_trace) == 12
+        assert report.lambda_final == max(report.lambda_trace)
 
     def test_converged_means_power_tight(self):
         # criterion 6's instances at a loose lambda_tol: a converged report
