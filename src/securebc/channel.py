@@ -25,6 +25,7 @@ variance (real and imaginary parts each carry variance 1/2).
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -113,10 +114,13 @@ class WeightVector:
         object.__setattr__(self, "weights", tuple(float(x) for x in w / total))
 
     @classmethod
-    def of(cls, w: Union["WeightVector", Sequence[float]]) -> "WeightVector":
+    def of(cls, w: Union["WeightVector", Sequence[float]], users: int) -> "WeightVector":
         """``w`` itself if it is a WeightVector, else the vector of the raw
-        sequence ``w``."""
-        return w if isinstance(w, cls) else cls(w)
+        sequence ``w``; LengthMismatch unless it holds ``users`` weights."""
+        w = w if isinstance(w, cls) else cls(w)
+        if len(w) != users:
+            raise LengthMismatch(f"{len(w)} weights for {users} users")
+        return w
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -149,10 +153,12 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
         raise ParseError(bad) from exc
 
 
-def read_json_object(source: Union[str, bytes, IO]) -> dict:
-    """The JSON object in a byte stream, file object, or path (else ParseError)."""
+def read_json_object(source: Union[str, bytes, os.PathLike, IO]) -> dict:
+    """The JSON object in a byte stream, file object, or path (``str``,
+    ``bytes`` or ``os.PathLike``), else ParseError."""
+    path = isinstance(source, (str, bytes, os.PathLike))
     try:
-        with open(source, "rb") if isinstance(source, (str, bytes)) else nullcontext(source) as fh:
+        with open(source, "rb") if path else nullcontext(source) as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # malformed, too deep, or not text
         raise ParseError(f"malformed JSON: {exc}") from exc
@@ -161,8 +167,9 @@ def read_json_object(source: Union[str, bytes, IO]) -> dict:
     return doc
 
 
-def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
-    """Parse a ChannelSet from a JSON byte stream, file object, or path."""
+def load_channel_set(source: Union[str, bytes, os.PathLike, IO]) -> ChannelSet:
+    """Parse a ChannelSet from a JSON byte stream, file object, or path
+    (``str``, ``bytes`` or ``os.PathLike``)."""
     doc = read_json_object(source)
     for key in ("power", "users", "eavesdropper"):
         if key not in doc:
@@ -182,14 +189,16 @@ def load_channel_set(source: Union[str, bytes, IO]) -> ChannelSet:
     return ChannelSet(users, eve, float(power))
 
 
-def save_channel_set(ch: ChannelSet, sink: Union[str, IO]) -> None:
-    """Write a ChannelSet in the documented JSON schema."""
+def save_channel_set(ch: ChannelSet, sink: Union[str, os.PathLike, IO]) -> None:
+    """Write a ChannelSet in the documented JSON schema to a text stream or
+    a path (``str`` or ``os.PathLike``)."""
     doc = {
         "power": ch.power,
         "users": [{"H": matrix_to_json(h)} for h in ch.user_channels],
         "eavesdropper": matrix_to_json(ch.eavesdropper),
     }
-    with open(sink, "w", encoding="ascii") if isinstance(sink, str) else nullcontext(sink) as fh:
+    path = isinstance(sink, (str, os.PathLike))
+    with open(sink, "w", encoding="ascii") if path else nullcontext(sink) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

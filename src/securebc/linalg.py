@@ -92,22 +92,27 @@ def logdet_hpd(m: np.ndarray) -> float:
             ``SINGULAR_REL_TOL`` times the largest one.
     """
     w = np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex)))
-    largest = w[-1]
-    if largest <= 0.0 or w[0] <= SINGULAR_REL_TOL * largest:
+    if _near_singular(w):
         raise NonPositiveDefinite(
-            f"eigenvalue range [{w[0]:.3e}, {largest:.3e}] is not safely positive")
+            f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")
     return float(np.sum(np.log(w)))
 
 
-def _i_plus_2x2(m: np.ndarray):
-    """Diagonal entries, averaged off-diagonal entry and determinant of I + m.
+def _near_singular(w: np.ndarray) -> bool:
+    """Whether ascending eigenvalues ``w`` are not safely positive: the largest
+    at or below zero, or the smallest at or below SINGULAR_REL_TOL times it."""
+    return w[-1] <= 0.0 or w[0] <= SINGULAR_REL_TOL * w[-1]
+
+
+def _i_plus_2x2(m: np.ndarray, shift: float):
+    """Diagonal entries, averaged off-diagonal entry and determinant of shift I + m.
 
     Python scalars: numpy's per-element indexing and scalar arithmetic
     dominated this hot path, and the IEEE results are the same.
     """
     (p, q), (r, s) = m.tolist()
-    a = 1.0 + p.real
-    d = 1.0 + s.real
+    a = shift + p.real
+    d = shift + s.real
     b = 0.5 * (q + r.conjugate())
     return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
 
@@ -122,7 +127,7 @@ def logdet_i_plus(m: np.ndarray) -> float:
     fallback for inputs that round-off pushed slightly indefinite.  A stack
     gives one log-det per matrix, bit for bit: by the closed forms of
     :func:`_logdet_i_plus_stack`, or by one stacked Cholesky, and matrix by
-    matrix if that fails.
+    matrix if either leaves its domain.
     """
     n = m.shape[-1]
     if m.ndim > 2 and n <= 2:
@@ -132,7 +137,7 @@ def logdet_i_plus(m: np.ndarray) -> float:
         if x > -1.0:
             return float(np.log1p(x))
     elif n == 2:
-        a, _, _, det = _i_plus_2x2(m)
+        a, _, _, det = _i_plus_2x2(m, 1.0)
         if a > 0.0 and det > 0.0:
             return float(np.log(det))
     a = hermitize(np.asarray(m, dtype=complex)) + np.eye(n)
@@ -156,13 +161,13 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.array([[1.0 / (1.0 + m.item().real)]], dtype=complex)
     if n == 2:
-        a, d, b, det = _i_plus_2x2(m)
+        a, d, b, det = _i_plus_2x2(m, 1.0)
         return np.array([[d, -b], [-b.conjugate(), a]]) / det
     return np.linalg.inv(np.eye(n) + hermitize(m))
 
 
 def _i_plus_2x2_stack(m: np.ndarray):
-    """:func:`_i_plus_2x2` of every matrix in a (B, 2, 2) stack."""
+    """:func:`_i_plus_2x2` at shift 1 of every matrix in a (B, 2, 2) stack."""
     a = 1.0 + m[:, 0, 0].real
     d = 1.0 + m[:, 1, 1].real
     b = 0.5 * (m[:, 0, 1] + m[:, 1, 0].conj())
@@ -171,20 +176,15 @@ def _i_plus_2x2_stack(m: np.ndarray):
 
 def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
     """:func:`logdet_i_plus`'s closed forms on every matrix of a (B, n, n)
-    stack with n <= 2, and the per-matrix routine for rows that leave their
-    domain."""
+    stack with n <= 2; if a row leaves their domain, the whole stack goes
+    matrix by matrix, as after a failed stacked Cholesky."""
     if m.shape[-1] == 1:
         x = np.ascontiguousarray(m[:, 0, 0].real)
         ok, log = x > -1.0, np.log1p
     else:
         a, _, _, x = _i_plus_2x2_stack(m)
         ok, log = (a > 0.0) & (x > 0.0), np.log
-    if ok.all():
-        return log(x)
-    out = np.empty(len(m))
-    out[ok] = log(x[ok])
-    out[~ok] = [logdet_i_plus(r) for r in m[~ok]]
-    return out
+    return log(x) if ok.all() else np.array([logdet_i_plus(r) for r in m])
 
 
 def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
@@ -202,7 +202,7 @@ def _sqrt_closed(m: np.ndarray):
     """:func:`sqrt_pair` at sizes 1 and 2, or None outside the domain.  At
     size 2, R = (M + s I) / t with s = sqrt(det M), t = sqrt(tr M + 2 s) has
     determinant s, so R^-1 = adj(M + s I) / (t s).  Python scalars, as in
-    :func:`_i_plus_2x2`."""
+    :func:`_i_plus_2x2`, at shift 0."""
     n = m.shape[0]
     if n == 1:
         x = m.item().real
@@ -210,10 +210,8 @@ def _sqrt_closed(m: np.ndarray):
             root = math.sqrt(x)
             return np.array([[root]], dtype=complex), np.array([[1.0 / root]], dtype=complex)
     elif n == 2:
-        (p, q), (r, u) = m.tolist()
-        a, d, b = p.real, u.real, 0.5 * (q + r.conjugate())
+        a, d, b, det = _i_plus_2x2(m, 0.0)
         tr = a + d
-        det = a * d - (b.real * b.real + b.imag * b.imag)
         if a > 0.0 and 1e-300 < SQRT_2X2_MIN_DET * tr * tr < det < math.inf:
             s = math.sqrt(det)
             t = math.sqrt(tr + 2.0 * s)
@@ -258,10 +256,9 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pair is not None:
         return pair
     w, v = np.linalg.eigh(hermitize(m))
-    largest = w[-1]
-    if largest <= 0.0 or w[0] <= SINGULAR_REL_TOL * largest:
+    if _near_singular(w):
         raise SingularMatrix(
-            f"eigenvalue range [{w[0]:.3e}, {largest:.3e}] cannot be inverted")
+            f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] cannot be inverted")
     r = np.sqrt(w)
     return hermitize((v * r) @ v.conj().T), hermitize((v / r) @ v.conj().T)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
-from .errors import InnerNotImproved, LengthMismatch, TooManyUsers
+from .errors import InnerNotImproved, TooManyUsers
 from .rates import EncodingOrder, RatePoint
 from .solver import SolverConfig, solve_wsr_batch
 
@@ -82,9 +82,7 @@ def compare_orders(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     order is optimal, so a tie with it is not evidence against it), then
     the lexicographically first.
     """
-    w = WeightVector.of(w)
-    if len(w) != ch.num_users:
-        raise LengthMismatch(f"{len(w)} weights for {ch.num_users} users")
+    w = WeightVector.of(w, ch.num_users)
     orders = enumerate_orders(ch.num_users)
 
     def result(outcome) -> OrderResult:

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channel import ChannelSet, WeightVector
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import DimensionMismatch
 from .linalg import (PSD_TOL, frozen, herm, logdet_i_plus, min_eigenvalue,
                      random_psd)
 
@@ -184,14 +184,6 @@ def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
     return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 
-def mac_rates_arrays(H: Sequence[np.ndarray],
-                     s_by_pos: Sequence[np.ndarray]) -> np.ndarray:
-    """Uplink rates by position; position k is interfered by positions < k."""
-    terms = [herm(hk) @ s @ hk for hk, s in zip(H, s_by_pos)]
-    prefix = suffix_sums(terms[::-1])[::-1]  # prefix[k] = sum of terms[:k]
-    return np.diff([0.0] + [logdet_i_plus(p) for p in prefix[1:]])
-
-
 def by_position(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                 side: str):
     """Check a ``side`` plan against the channels and order; return the
@@ -237,19 +229,18 @@ def bc_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> Rate
 
 
 def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> RatePoint:
-    """Rates in the dual uplink under the same position ordering."""
+    """Rates in the dual uplink under the same position ordering; position
+    k is interfered by positions < k."""
     idx, H, mats = by_position(ch, order, plan, MAC)
-    return _rate_point(mac_rates_arrays(H, mats), idx)
+    terms = [herm(hk) @ s @ hk for hk, s in zip(H, mats)]
+    prefix = suffix_sums(terms[::-1])[::-1]  # prefix[k] = sum of terms[:k]
+    return _rate_point(np.diff([0.0] + [logdet_i_plus(p) for p in prefix[1:]]), idx)
 
 
 def weighted_sum(rates: RatePoint, w: Union[WeightVector, Sequence[float]]) -> float:
     """Weighted sum of per-user rates; raw weights are normalized as a
     :class:`WeightVector`."""
-    w = WeightVector.of(w)
-    if len(rates.per_user) != len(w):
-        raise LengthMismatch(
-            f"{len(rates.per_user)} rates vs {len(w)} weights")
-    return float(w.as_array() @ np.array(rates.per_user))
+    return float(WeightVector.of(w, len(rates.per_user)).as_array() @ np.array(rates.per_user))
 
 
 def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -272,10 +263,7 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
     if len(effective_eve) != K:
         raise DimensionMismatch(
             f"{len(effective_eve)} effective eavesdropper channels for {K} positions")
-    weights = WeightVector.of(w).as_array()
-    if weights.size != K:
-        raise LengthMismatch(f"{weights.size} weights for {K} users")
-    weights = weights[idx]
+    weights = WeightVector.of(w, K).as_array()[idx]
     n_e = ch.n_e
     for k, ge in enumerate(effective_eve):
         if ge.shape != (H[k].shape[0], n_e):

@@ -46,7 +46,6 @@ class RegionPoint:
 @dataclass(frozen=True)
 class RegionTrace:
     points: tuple[RegionPoint, ...]
-    sweep_spec: str
 
     def rate_array(self) -> np.ndarray:
         return np.array([p.rates.per_user for p in self.points])
@@ -96,9 +95,7 @@ def trace_region(ch: ChannelSet, step: float,
                            wsr=report.rates.weighted_sum)
 
     reports = solve_wsr_batch([(ch, w, order) for w, order in tasks], cfg)
-    points = map_ordered(point, list(zip(tasks, reports)))
-    spec = f"K={ch.num_users} step=1/{max(1, round(1.0 / step))} policy={order_policy}"
-    return RegionTrace(points=tuple(points), sweep_spec=spec)
+    return RegionTrace(points=tuple(map_ordered(point, list(zip(tasks, reports)))))
 
 
 def hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:

@@ -135,11 +135,10 @@ class _Problem:
 
     def __init__(self, ch: ChannelSet, order: EncodingOrder,
                  w: Union[WeightVector, Sequence[float]]):
-        w = WeightVector.of(w)
-        if len(order) != ch.num_users or len(w) != ch.num_users:
+        w = WeightVector.of(w, ch.num_users)
+        if len(order) != ch.num_users:
             raise DimensionMismatch(
-                f"channels ({ch.num_users}), order ({len(order)}) and weights "
-                f"({len(w)}) disagree on the user count")
+                f"channels ({ch.num_users}) and order ({len(order)}) disagree on the user count")
         self.ch, self.order = ch, order
         self.idx = order.zero_based
         self.H = [ch.user_channels[u] for u in self.idx]
@@ -193,19 +192,6 @@ def _concave_value(w: np.ndarray, lam: float, k: int, user: np.ndarray,
     for j, e in enumerate(eve):
         v += w[j] * logdet_i_plus(e)
     return v - lam * power
-
-
-def _split(prob: _Problem, Q: Sequence[np.ndarray], lam: float, k: int
-           ) -> tuple[float, float]:
-    """(concave, convex) block decomposition of the penalized objective: the
-    concave part at Q[k] less its constant w_k logdet(I + H_k S_{k+1} H_k^H)."""
-    suf, hk, G = suffix_sums(Q), prob.H[k], prob.G
-    hkh, gh = herm(hk), herm(G)
-    ccv = (_concave_value(prob.w, lam, k, hk @ suf[k] @ hkh,
-                          [G @ suf[j + 1] @ gh for j in range(k)],
-                          float(np.trace(Q[k]).real))
-           - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ hkh))
-    return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
 
 def _grad_cvx(prob: _Problem, suf: Sequence[np.ndarray], k: int) -> tuple:
@@ -661,9 +647,18 @@ def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                     w: Union[WeightVector, Sequence[float]], lam: float, k: int
                     ) -> tuple[float, float]:
     """(concave, convex) parts for block k (1-based position); they sum to
-    the full penalized objective."""
+    the full penalized objective.  The concave part is block k's
+    :func:`_concave_value` at Q_k less its constant
+    w_k logdet(I + H_k S_{k+1} H_k^H)."""
     prob, Q = _block_args(ch, order, plan, w, k)
-    return _split(prob, Q, lam, k - 1)
+    k -= 1
+    suf, hk, G = suffix_sums(Q), prob.H[k], prob.G
+    hkh, gh = herm(hk), herm(G)
+    ccv = (_concave_value(prob.w, lam, k, hk @ suf[k] @ hkh,
+                          [G @ suf[j + 1] @ gh for j in range(k)],
+                          float(np.trace(Q[k]).real))
+           - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ hkh))
+    return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
 
 def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,

@@ -83,6 +83,17 @@ class TestChannelFileIO:
             assert np.array_equal(a, b)
         assert np.array_equal(back.eavesdropper, ch.eavesdropper)
 
+    def test_path_objects(self, tmp_path):
+        # a pathlib.Path for save and load, and its bytes for load
+        ch, path = example_two_user(), tmp_path / "ch.json"
+        save_channel_set(ch, path)
+        for source in (path, bytes(path)):
+            back = load_channel_set(source)
+            assert back.power == ch.power
+            for a, b in zip(back.user_channels + (back.eavesdropper,),
+                            ch.user_channels + (ch.eavesdropper,)):
+                assert np.array_equal(a, b)
+
     def test_loads_example_instance(self, tmp_path):
         path = str(tmp_path / "ex1.json")
         save_channel_set(example_two_user(), path)

@@ -91,6 +91,20 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def unread_helpers(trees):
+    """Every module-level function or class whose name starts with a single
+    underscore that no module of ``trees`` reads, as a name or as an
+    attribute, with its module and line."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [(str(path), node.lineno, node.name)
+            for path, tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
 def parse_at_floor(src, name="<string>"):
     """``ast.parse`` with the grammar of the declared Python floor."""
     return ast.parse(src, name, feature_version=PYTHON_FLOOR)
@@ -187,3 +201,20 @@ def test_unused_imports_are_seen():
                      "import os.path\nfrom .a import b, c as d\n"
                      "def f():\n    import re\n    return np.sum(b)\n")
     assert unused_imports(tree) == [(3, "os"), (4, "d"), (6, "re")]
+
+
+def test_every_helper_is_read():
+    """A private helper that nothing reads is dead code: a fold left it
+    behind, or it never had a caller."""
+    trees = package_trees()
+    assert not unread_helpers(trees), unread_helpers(trees)
+
+
+def test_unread_helpers_are_seen():
+    trees = [("a.py", ast.parse("def _called():\n    pass\ndef _dead():\n    _gone = 1\n"
+                                "class _Unused:\n    pass\ndef __dunder__():\n    pass\n"
+                                "def public():\n    return _called()\n")),
+             ("b.py", ast.parse("from a import _dead\nimport c\nx = c._by_attribute\n"
+                                "def _by_attribute():\n    pass\nasync def _gone():\n    pass\n"))]
+    assert unread_helpers(trees) == [("a.py", 3, "_dead"), ("a.py", 5, "_Unused"),
+                                     ("b.py", 6, "_gone")]

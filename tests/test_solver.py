@@ -5,7 +5,7 @@ import securebc.solver as solver_mod
 from conftest import (fd_gradient, herm, rand_bc_plan, rand_instance,
                       waterfilling_capacity, waterfilling_covariance)
 from securebc import (BC, ChannelSet, CovariancePlan, EncodingOrder,
-                      InnerNotImproved, SolverConfig, WeightVector,
+                      InnerNotImproved, LengthMismatch, SolverConfig, WeightVector,
                       dpc_secrecy_rates, example_three_user, example_two_user,
                       gradient_cvx, lagrangian,
                       maximize_lagrangian, optimal_order, sample_channel_set, solve_wsr,
@@ -500,9 +500,10 @@ class TestAndersonSteps:
 
 
 @pytest.mark.parametrize("entry", ["lagrangian", "split_objective", "gradient_cvx",
-                                   "surrogate_update", "maximize_lagrangian"])
+                                   "surrogate_update", "maximize_lagrangian", "solve_wsr"])
 def test_entry_takes_raw_weights(entry):
-    # every solver entry normalizes a raw weight sequence as WeightVector does
+    # every solver entry normalizes a raw weight sequence as WeightVector does,
+    # and refuses a wrong weight count as WeightVector.of does
     ch, order = example_two_user(), EncodingOrder([2, 1])
     plan = rand_bc_plan(np.random.default_rng(3), ch)
     call = {
@@ -512,8 +513,11 @@ def test_entry_takes_raw_weights(entry):
         "surrogate_update": lambda w: surrogate_update(ch, order, plan, w, 0.5, 2),
         "maximize_lagrangian": lambda w: maximize_lagrangian(ch, w, order, 0.5, FAST,
                                                              plan0=plan)[0].matrices,
+        "solve_wsr": lambda w: solve_wsr(ch, w, order, FAST).plan.matrices,
     }[entry]
     assert np.array_equal(np.asarray(call([3, 7])), np.asarray(call(WeightVector([3, 7]))))
+    with pytest.raises(LengthMismatch, match="3 weights for 2 users"):
+        call([1, 2, 3])
 
 
 class TestSolveWsr:
