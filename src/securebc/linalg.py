@@ -100,8 +100,9 @@ def logdet_hpd(m: np.ndarray) -> float:
 
 def _near_singular(w: np.ndarray) -> bool:
     """Whether ascending eigenvalues ``w`` are not safely positive: the largest
-    at or below zero, or the smallest at or below SINGULAR_REL_TOL times it."""
-    return w[-1] <= 0.0 or w[0] <= SINGULAR_REL_TOL * w[-1]
+    at or below zero, or the smallest at or below SINGULAR_REL_TOL times it,
+    or either not finite (every comparison with NaN is false)."""
+    return not (0.0 < w[-1] < np.inf and w[0] > SINGULAR_REL_TOL * w[-1])
 
 
 def _i_plus_2x2(m: np.ndarray, shift: float):

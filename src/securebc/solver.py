@@ -12,7 +12,8 @@ Structure:
   stationary (see :func:`_top_price`), by regula falsi (Illinois) on the
   power residual against ``1/lam`` (see :func:`_price_search`); each price
   evaluation is one :class:`_Eval` record, and the search stops at the
-  first record that passes the budget rule.  Sweeps run at
+  first record that passes the budget rule.  Each new price starts from
+  the bracket's two end plans interpolated at that price.  Sweeps run at
   ``objective_tol`` until a record lands within ``NEAR * P`` of the
   budget, and are tight (``objective_tol * 1e-6``, at least 5e-15) from
   that price on,
@@ -502,10 +503,10 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     together (:func:`lockstep`).
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is below
-    the gap floor.  Each price after the bottom one warm-starts from the
-    record at the bracket's top (the zero plan, until a later record lands
-    on the feasible side), and the tight re-run from the loose record at its
-    price.
+    the gap floor.  Each price after the bottom one starts from a predictor:
+    the plans of the bracket's two end records (at first the bottom record
+    and the zero plan), interpolated at the new price linearly in 1/lam;
+    the tight re-run starts from the loose record at its price.
     """
     P = prob.P
     power_stop = max(2.0 * P, P + 1.0)
@@ -513,22 +514,26 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop))]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price
-    hi = replace(zero, lam=_top_price(prob))
-    lam_lo, r_lo, r_hi = LAMBDA_LO, evals[0].power - P, -P
+    lo, hi = evals[0], replace(zero, lam=_top_price(prob))
+    r_lo, r_hi = lo.power - P, -P
     tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-6, 5e-15))
     run_cfg, side = cfg, 0
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
-        width = hi.lam - lam_lo
+        width = hi.lam - lo.lam
         if width <= gap_floor * max(1.0, hi.lam):
             break
         # r_lo > 0 > r_hi, so the secant root lies inside the bracket up to
         # rounding
-        m_lo, m_hi = 1.0 / lam_lo, 1.0 / hi.lam
+        m_lo, m_hi = 1.0 / lo.lam, 1.0 / hi.lam
         lam = 1.0 / (m_hi - r_hi * (m_lo - m_hi) / (r_lo - r_hi))
-        if not lam_lo < lam < hi.lam:
-            lam = 0.5 * (lam_lo + hi.lam)
-        ev = yield from _evaluation(prob, lam, hi, run_cfg, power_stop)
+        if not lo.lam < lam < hi.lam:
+            lam = 0.5 * (lo.lam + hi.lam)
+        # predictor: the two ends' plans interpolated at lam in 1/lam; theta
+        # is in (0, 1), so the start is a convex combination of PSD plans
+        theta = (m_hi - 1.0 / lam) / (m_hi - m_lo)
+        start = _Eval.cold(prob, [(1 - theta) * a + theta * b for a, b in zip(hi.Q, lo.Q)])
+        ev = yield from _evaluation(prob, lam, start, run_cfg, power_stop)
         evals.append(ev)
         if run_cfg is cfg and not ev.passes(P, cfg) and abs(ev.power - P) <= NEAR * P:
             run_cfg = tight
@@ -542,7 +547,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
         if r > 0:
             if side > 0:
                 r_hi *= 0.5
-            lam_lo, r_lo, side = lam, r, 1
+            lo, r_lo, side = ev, r, 1
         else:
             if side < 0:
                 r_lo *= 0.5

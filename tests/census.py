@@ -11,6 +11,13 @@ solve by solve (a label flip shows as one changed row)::
     PYTHONPATH=src python tests/census.py --seed 7 --count 40 --out rows.csv
 
 A solve that raises gets its error class as its label and NaN numbers.
+
+``--diff OLD.csv NEW.csv`` compares two such files, row by row, with the
+standard library alone: it prints the sweep and price-evaluation totals by
+power, every label flip and every row whose weighted sum moved by more than
+``WSR_MOVE * (1 + |old WSR|)``::
+
+    python tests/census.py --diff old.csv new.csv
 """
 
 from __future__ import annotations
@@ -19,16 +26,20 @@ import argparse
 import csv
 import math
 
-import numpy as np
-
-from securebc import WeightVector, optimal_order, sample_channel_set, solve_wsr
-
 POWERS = (1e-3, 1.0, 1e2, 1e4, 1e7)
-FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps")
+FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps",
+          "evals")
+# a weighted sum that moves by more than this times 1 + |old WSR| is listed
+WSR_MOVE = 1e-6
 
 
 def cases(seed: int, count: int):
     """(instance seed, channels, weights) of each of ``count`` solves."""
+    # imported here and in solve(), so that --diff needs no package
+    import numpy as np
+
+    from securebc import WeightVector, sample_channel_set
+
     rng = np.random.default_rng(seed)
     for i in range(count):
         K = int(rng.integers(1, 7))
@@ -42,6 +53,8 @@ def cases(seed: int, count: int):
 
 def solve(ch, w):
     """A census solve: the report of ``solve_wsr`` under ``optimal_order(w)``."""
+    from securebc import optimal_order, solve_wsr
+
     return solve_wsr(ch, w, optimal_order(w))
 
 
@@ -53,17 +66,60 @@ def row(s: int, ch, w) -> dict:
         report = solve(ch, w)
     except Exception as exc:
         return dict(out, label=type(exc).__name__, wsr=math.nan, tr_over_P=math.nan,
-                    sweeps=0)
+                    sweeps=0, evals=0)
     return dict(out, label=report.termination, wsr=report.rates.weighted_sum,
-                tr_over_P=report.plan.total_trace / ch.power, sweeps=report.outer_iters)
+                tr_over_P=report.plan.total_trace / ch.power, sweeps=report.outer_iters,
+                evals=len(report.lambda_trace))
+
+
+def diff(old: list[dict], new: list[dict]) -> list[str]:
+    """The report lines of ``--diff`` on two censuses' rows, matched by place."""
+    if [(r["seed"], r["P"]) for r in old] != [(r["seed"], r["P"]) for r in new]:
+        raise ValueError("the two censuses hold different solves")
+    lines = ["power      sweeps old -> new      evals old -> new"]
+    sums: dict[str, list[int]] = {}
+    for a, b in zip(old, new):
+        tally = sums.setdefault(a["P"], [0, 0, 0, 0])
+        for i, v in enumerate((a["sweeps"], b["sweeps"], a["evals"], b["evals"])):
+            tally[i] += int(v)
+    sums["total"] = [sum(t[i] for t in sums.values()) for i in range(4)]
+    for power, (s0, s1, e0, e1) in sums.items():
+        lines.append(f"{power:<10} {s0:>8} -> {s1:<8}    {e0:>6} -> {e1:<6}")
+    tag = [f"row {i} (seed {a['seed']}, K {a['K']}, n_t {a['n_t']}, P {a['P']})"
+           for i, a in enumerate(old)]
+    flips = [f"  {tag[i]}: {a['label']} -> {b['label']}"
+             for i, (a, b) in enumerate(zip(old, new)) if a["label"] != b["label"]]
+    lines.append(f"label flips: {len(flips)}")
+    lines += flips
+    moves = []
+    for i, (a, b) in enumerate(zip(old, new)):
+        w0, w1 = float(a["wsr"]), float(b["wsr"])
+        if math.isnan(w0) and math.isnan(w1):
+            continue
+        if not abs(w1 - w0) <= WSR_MOVE * (1.0 + abs(w0)):  # a NaN on one side moves too
+            moves.append(f"  {tag[i]}: {w0:.9g} -> {w1:.9g} ({w1 - w0:+.3g})")
+    lines.append(f"weighted sums moved by more than {WSR_MOVE:g} (1 + |WSR|): {len(moves)}")
+    return lines + moves
+
+
+def _read(path: str) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True, help="CSV path")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int)
+    p.add_argument("--out", help="CSV path")
+    p.add_argument("--diff", nargs=2, metavar=("OLD.csv", "NEW.csv"),
+                   help="compare two census files instead of running one")
     args = p.parse_args(argv)
+    if args.diff:
+        print("\n".join(diff(*map(_read, args.diff))))
+        return
+    if None in (args.seed, args.count, args.out):
+        p.error("--seed, --count and --out are required without --diff")
     with open(args.out, "w", newline="") as fh:
         sink = csv.DictWriter(fh, FIELDS)
         sink.writeheader()

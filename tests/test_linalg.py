@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,18 @@ class TestSqrtClosedForms:
                 sqrt_pair(m)
             with pytest.raises(SingularMatrix):
                 psd_inv_sqrt(m)
+
+    @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0]])
+    def test_nan_eigenvalue_raises_without_warning(self, diag):
+        # every comparison with NaN is false, so a NaN must count as not
+        # safely positive rather than slip through to the roots
+        m = np.diag(diag).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                sqrt_pair(m)
+            with pytest.raises(NonPositiveDefinite):
+                logdet_hpd(m)
 
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)

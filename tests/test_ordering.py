@@ -4,7 +4,7 @@ import pytest
 import securebc.ordering as ordering_mod
 from securebc import (InnerNotImproved, SolverConfig, TooManyUsers,
                       WeightVector, compare_orders, enumerate_orders,
-                      optimal_order, sample_channel_set)
+                      example_three_user, optimal_order, sample_channel_set)
 
 rng = np.random.default_rng(31)
 
@@ -129,3 +129,22 @@ class TestCompareOrders:
                             failing_batch((2, 1), InnerNotImproved("no ascent")))
         with pytest.raises(InnerNotImproved):
             compare_orders(ch, WeightVector([0.3, 0.7]), FAST)
+
+    def test_criterion_2_sweep_budget(self, monkeypatch):
+        # the 12 solves behind criterion 2's two verdicts, counted in sweeps
+        # (machine independent): 663 when each price started from the
+        # bracket's top record, 459 from the predictor start
+        reports = []
+        true_batch = ordering_mod.solve_wsr_batch
+
+        def batch(tasks, cfg=None):
+            out = true_batch(tasks, cfg)
+            reports.extend(out)
+            return out
+
+        monkeypatch.setattr(ordering_mod, "solve_wsr_batch", batch)
+        for weights in ((0.15, 0.2, 0.65), (0.2, 0.1, 0.7)):
+            compare_orders(example_three_user(), WeightVector(weights))
+        assert len(reports) == 12
+        assert all(r.termination == "converged" for r in reports)
+        assert sum(r.outer_iters for r in reports) <= 500
