@@ -88,10 +88,13 @@ def logdet_hpd(m: np.ndarray) -> float:
     determinant, which would over/underflow already at moderate size.
 
     Raises:
-        NonPositiveDefinite: if any eigenvalue is at or below
-            ``SINGULAR_REL_TOL`` times the largest one.
+        NonPositiveDefinite: if an entry is not finite, or any eigenvalue is
+            at or below ``SINGULAR_REL_TOL`` times the largest one.
     """
-    w = np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex)))
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NonPositiveDefinite("a non-finite entry is not safely positive")
+    w = np.linalg.eigvalsh(hermitize(m))
     if _near_singular(w):
         raise NonPositiveDefinite(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")
@@ -249,13 +252,15 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigendecomposition; the square root equals :func:`psd_sqrt`'s.
 
     Raises:
-        SingularMatrix: if any eigenvalue is at or below
-            ``SINGULAR_REL_TOL`` times the largest.
+        SingularMatrix: if an entry is not finite, or any eigenvalue is at or
+            below ``SINGULAR_REL_TOL`` times the largest.
     """
     m = np.asarray(m, dtype=complex)
     pair = _sqrt_closed(m)
     if pair is not None:
         return pair
+    if not np.isfinite(m).all():
+        raise SingularMatrix("a non-finite entry cannot be inverted")
     w, v = np.linalg.eigh(hermitize(m))
     if _near_singular(w):
         raise SingularMatrix(

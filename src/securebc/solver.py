@@ -5,52 +5,14 @@ relabeled so that position k encodes user pi_k; everything below then runs
 in position space with ascending indices; the relabelling also checks that
 every incoming plan is a downlink plan of the right shape.
 
-Structure:
+Layers, outermost first; each function's docstring describes its layer:
 
-* a price search finds the budget-tight power price ``lam`` between
-  ``LAMBDA_LO`` and the instance's top price, above which the zero plan is
-  stationary (see :func:`_top_price`), by regula falsi (Illinois) on the
-  power residual against ``1/lam`` (see :func:`_price_search`); each price
-  evaluation is one :class:`_Eval` record, and the search stops at the
-  first record that passes the budget rule.  Each new price starts from
-  the bracket's two end plans interpolated at that price.  Sweeps run at
-  ``objective_tol`` until a record lands within ``NEAR * P`` of the
-  budget, and are tight (``objective_tol * 1e-6``, at least 5e-15) from
-  that price on,
-* at fixed ``lam`` the penalized objective (weighted secrecy sum minus
-  ``lam`` times the power excess) is maximized by cyclic block updates; a
-  sweep computes the weighted sum once and derives the objective from it,
-* each block update is one ascent step on a concave surrogate: the block's
-  concave part of the objective plus the tangent plane of its convex part.
-  The step's target maximizes the surrogate with its eavesdropper logs
-  linearized too, by generalized water-filling, and an Armijo search along
-  the segment to it picks the step; the segment stays in the PSD cone.  At
-  encoding position 1 the surrogate has no eavesdropper log, and the full
-  step is its exact maximizer.  An update depends only on the current plan
-  and price, so a sweep is :func:`surrogate_update` on each block in turn.
-  Solves start from the zero plan,
-* every evaluation of the price search follows a sweep that creeps (its
-  objective gain exceeds half the previous sweep's) with a projected
-  Anderson step on its last ``ANDERSON_MEMORY`` (start, swept) plans,
-  kept only if it raises the penalized objective within the power cap;
-  when it does not, the sweep's own step is over-relaxed by doubling
-  factors under the same two tests, which carries a sweep that drifts at
-  constant velocity (see :func:`_anderson`); :func:`maximize_lagrangian`
-  sweeps plainly,
-* a solve's whole control flow is one generator: the price search runs
-  each evaluation by ``yield from`` :func:`_evaluation`, which holds the
-  stop test, the Anderson steps and the traces and yields ``(lam, Q)`` for
-  each sweep, a pure function of problem, price and plan (:func:`_sweep`).
-  One tick loop (:func:`lockstep`) drives every search, a single
-  problem's for :func:`solve_wsr` or a shape group's (antenna counts by
-  position) for :func:`solve_wsr_batch`.  Each tick sweeps every pending
-  request once, as one :func:`_sweep` of their problems stacked along a
-  leading row axis (a :class:`Stack`, one price per row) when at least
-  ``LOCKSTEP_MIN`` are pending, one by one otherwise, and sends each row's
-  sweep to its search.  A stack's rows equal the per-problem results bit
-  for bit, so a search may change sides at any tick.  A stacked sweep that
-  raises has advanced nothing, so its tick is swept again row by row, and
-  an error stays with the row whose sweep or search raised it.
+* the tick loop over one search or a shape group's: :func:`lockstep`
+  (:func:`solve_wsr_batch` forms the groups),
+* the price search: :func:`_price_search`,
+* one evaluation at a fixed price: :func:`_evaluation` and :func:`_anderson`,
+* one sweep: :func:`_sweep`,
+* one block update: :func:`_block_update`.
 
 The budget rule: a record passes when its power is at most
 ``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
@@ -276,28 +238,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.vdot(a, b).real
 
 
-def _block_step(prob: _Problem, Q: Sequence[np.ndarray], lam, k: int) -> tuple:
-    """The set-up of block k's update (see :func:`_block_update`): (x, d,
-    user, eve, hdh, gdg, tr x, tr d, <A, d>, ascent gap, concave value at x)."""
-    suf = suffix_sums(Q)
-    hk, G, w = prob.H[k], prob.G, prob.w.T  # weights by position, then row
-    hkh, gh = herm(hk), herm(G)
-    x = Q[k]
-    A, gsg, gam = _grad_cvx(prob, suf, k)
-    user = hk @ suf[k] @ hkh
-    eve = gsg[1:]
-    M = np.multiply.outer(lam, np.eye(x.shape[-1])) - A
-    for j in range(k):
-        M = M - w[j, ..., None, None] * gam[j + 1]
-    M = hermitize(M)
-    power = real_trace(x)
-    d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, prob.P, power) - x
-    hdh, gdg = hk @ d @ hkh, G @ d @ gh
-    gap = w[k] * _inner(inv_i_plus(user), hdh) - _inner(M, d)
-    return (x, d, user, eve, hdh, gdg, power, real_trace(d), _inner(A, d), gap,
-            _concave_value(prob.w, lam, k, user, eve, power))
-
-
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam, k: int) -> np.ndarray:
     """One ascent step on block k's surrogate (concave part plus the convex
     part's tangent at x = Q[k]), other blocks fixed.
@@ -317,7 +257,23 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam, k: int) -> np.ndarra
     Returns Q[k] itself when the gap is at round-off level (on every row),
     and raises :class:`InnerNotImproved` when a larger gap admits no step.
     """
-    x, d, user, eve, hdh, gdg, power, tr_d, tr_ad, gap, u0 = _block_step(prob, Q, lam, k)
+    suf = suffix_sums(Q)
+    hk, G, w = prob.H[k], prob.G, prob.w.T  # weights by position, then row
+    hkh, gh = herm(hk), herm(G)
+    x = Q[k]
+    A, gsg, gam = _grad_cvx(prob, suf, k)
+    user = hk @ suf[k] @ hkh
+    eve = gsg[1:]
+    M = np.multiply.outer(lam, np.eye(x.shape[-1])) - A
+    for j in range(k):
+        M = M - w[j, ..., None, None] * gam[j + 1]
+    M = hermitize(M)
+    power = real_trace(x)
+    d = _waterfill(hk, w[k], hk @ suf[k + 1] @ hkh, M, prob.P, power) - x
+    hdh, gdg = hk @ d @ hkh, G @ d @ gh
+    gap = w[k] * _inner(inv_i_plus(user), hdh) - _inner(M, d)
+    tr_d, tr_ad = real_trace(d), _inner(A, d)
+    u0 = _concave_value(prob.w, lam, k, user, eve, power)
     # rows whose gap is not round-off in the concave value, NaN too; the
     # tests read .flat, as numpy's any() and all() are slow on a 0-d mask
     search = ~(gap <= np.finfo(float).eps * (1.0 + abs(u0)))
@@ -370,7 +326,8 @@ def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
                 power_stop: Optional[float]
                 ) -> Generator[tuple[float, list], tuple[list, float, float], _Eval]:
     """One evaluation: cyclic block sweeps at price ``lam`` from ``start``'s
-    plan under ``cfg`` until the penalized objective settles.
+    plan under ``cfg`` until the penalized objective (weighted secrecy sum
+    minus ``lam`` times the power excess) settles.
 
     A generator: it yields ``(lam, Q)`` for each sweep it needs, the price
     and the plan to sweep from, and is sent back the swept plan with its
@@ -452,8 +409,12 @@ def _anderson(prob: _Problem, lam: float, pairs: list, wsr: float, power: float,
 
 def _sweep(prob: _Problem, lam, Q: list, trace: Optional[list] = None) -> tuple:
     """One sweep from plan ``Q``: a block update at every position in turn.
-    Returns the new plan, its weighted sum and its power (lists by row for a
-    stack); appends the objective after each block update to ``trace`` if given."""
+    An update depends only on the current plan and price, so a sweep is
+    :func:`surrogate_update` on each block in turn.  Returns the new plan,
+    its weighted sum and its power (lists by row for a stack), from which
+    the evaluation derives the penalized objective without a second rate
+    evaluation; appends the objective after each block update to ``trace``
+    if given."""
     Q = list(Q)
     for k in range(len(Q)):
         Q[k] = _block_update(prob, Q, lam, k)
@@ -564,26 +525,28 @@ class Stack(NamedTuple):
     w: np.ndarray
     P: np.ndarray
 
-    def rows(self, r: np.ndarray) -> "Stack":
-        return Stack([h[r] for h in self.H], self.G[r], self.w[r], self.P[r])
+    @classmethod
+    def of(cls, probs: Sequence[_Problem]) -> "Stack":
+        return cls([np.stack(h) for h in zip(*(p.H for p in probs))],
+                   np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
+                   np.array([p.P for p in probs]))
 
 
 class Row(NamedTuple):
-    """One task of a tick loop: its index, its row in the group, its
-    problem, its price search and the sweep ``(lam, Q)`` the search waits
-    for (None before the search starts)."""
+    """One task of a tick loop: its index, its problem, its price search and
+    the sweep ``(lam, Q)`` the search waits for (None before the search
+    starts)."""
 
     i: int
-    j: int
     prob: _Problem
     search: Generator
     request: Optional[tuple[float, list]]
 
 
-def _sweep_stacked(group: Stack, rows: list[Row]) -> list[tuple[list, float, float]]:
-    """:func:`_sweep` of every row's request at once, on a stack taken from
-    the group's.  Returns by row what the per-problem sweep returns."""
-    Q, wsr, power = _sweep(group.rows(np.array([row.j for row in rows])),
+def _sweep_stacked(rows: list[Row]) -> list[tuple[list, float, float]]:
+    """:func:`_sweep` of every row's request at once, on the stack of the
+    rows' problems.  Returns by row what the per-problem sweep returns."""
+    Q, wsr, power = _sweep(Stack.of([row.prob for row in rows]),
                            np.array([row.request[0] for row in rows]),
                            [np.stack(q) for q in zip(*(row.request[1] for row in rows))])
     return [([q[b] for q in Q], wsr[b], power[b]) for b in range(len(rows))]
@@ -591,27 +554,28 @@ def _sweep_stacked(group: Stack, rows: list[Row]) -> list[tuple[list, float, flo
 
 def lockstep(members: list[tuple[int, _Problem]], cfg: SolverConfig
              ) -> dict[int, Union[list[_Eval], Exception]]:
-    """Run the price searches of problems of one shape by ticks.  Each tick
-    sweeps every pending request once, on stacks if at least
-    ``LOCKSTEP_MIN`` are pending and one by one otherwise, and sends each
-    row's sweep to its search, whose next request joins the next tick.
+    """Run the price searches of problems of one shape by ticks: one search
+    for :func:`solve_wsr`, a shape group's (antenna counts by position) for
+    :func:`solve_wsr_batch`.  Each tick sweeps every pending request once,
+    as one :func:`_sweep` of their problems stacked along a leading row axis
+    (a :class:`Stack`, one price per row) if at least ``LOCKSTEP_MIN`` are
+    pending and one by one otherwise, and sends each row's sweep to its
+    search, whose next request joins the next tick.  A stack's rows equal
+    the per-problem results bit for bit, so a search may change sides at any
+    tick.  A stacked sweep that raises has advanced nothing, so its tick is
+    swept again row by row, and an error stays with the row whose sweep or
+    search raised it.
 
     Returns, by task index, each search's evaluations or the error its
     sweep or search raised."""
     out: dict = {}
-    probs = [prob for _, prob in members]
-    # stacked once; each stacked tick takes its rows
-    group = Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
-                  np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
-                  np.array([p.P for p in probs]))
-    rows = [Row(i, j, prob, _price_search(prob, cfg), None)
-            for j, (i, prob) in enumerate(members)]
+    rows = [Row(i, prob, _price_search(prob, cfg), None) for i, prob in members]
     while rows:
         # the first tick starts every search; later ones sweep their requests
         swept = [None] * len(rows)
         if len(rows) >= LOCKSTEP_MIN and rows[0].request is not None:
             try:
-                swept = _sweep_stacked(group, rows)
+                swept = _sweep_stacked(rows)
             except Exception:
                 pass  # it advanced nothing: the rows sweep alone this tick
         pending = []
@@ -697,8 +661,9 @@ def maximize_lagrangian(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
                         per_block_trace: bool = False
                         ) -> tuple[CovariancePlan, list[float]]:
     """Fixed-multiplier block-sweep maximization from ``plan0`` (default:
-    the zero plan); returns plan and the penalized-objective trace (per
-    block update when requested)."""
+    the zero plan), in plain sweeps with no Anderson or over-relaxed steps;
+    returns plan and the penalized-objective trace (per block update when
+    requested)."""
     _check_price(lam)
     prob = _Problem(ch, order, w)
     per_block = [] if per_block_trace else None

@@ -59,9 +59,9 @@ def stack_spy(monkeypatch):
     counts = []
     true_stacked = solver_mod._sweep_stacked
 
-    def spy(group, rows):
+    def spy(rows):
         counts.append(len(rows))
-        return true_stacked(group, rows)
+        return true_stacked(rows)
 
     monkeypatch.setattr(solver_mod, "_sweep_stacked", spy)
     return counts
@@ -172,10 +172,7 @@ def branch_rows():
 
 def stack_of(probs, plans):
     """Problems of one shape and their plans by position, stacked by row."""
-    st = solver_mod.Stack([np.stack(h) for h in zip(*(p.H for p in probs))],
-                            np.stack([p.G for p in probs]), np.stack([p.w for p in probs]),
-                            np.array([p.P for p in probs]))
-    return st, [np.stack(q) for q in zip(*plans)]
+    return solver_mod.Stack.of(probs), [np.stack(q) for q in zip(*plans)]
 
 
 def test_stacked_block_update_row_by_row(monkeypatch):
@@ -308,20 +305,21 @@ class TestFailureIsolation:
     @staticmethod
     def fail_rows(monkeypatch, after):
         """Make the block update fail on the rows with these weights by
-        position, each from its given call of its set-up, on a stack or a
-        single problem.  A stacked tick that fails is swept again row by
-        row, where only the target row fails."""
-        true_step = solver_mod._block_step
+        position, each from its given block update on, on a stack or a
+        single problem (every update takes one convex-part gradient).  A
+        stacked tick that fails is swept again row by row, where only the
+        target row fails."""
+        true_grad = solver_mod._grad_cvx
         calls = [0]
 
-        def step(prob, *args):
+        def grad(prob, *args):
             calls[0] += 1
             for w in np.atleast_2d(prob.w).tolist():
                 if calls[0] >= after.get(tuple(w), np.inf):
                     raise InnerNotImproved(f"injected at {tuple(w)}")
-            return true_step(prob, *args)
+            return true_grad(prob, *args)
 
-        monkeypatch.setattr(solver_mod, "_block_step", step)
+        monkeypatch.setattr(solver_mod, "_grad_cvx", grad)
 
     def test_row_failure_stays_in_its_row(self, monkeypatch):
         ch = example_two_user()
@@ -338,16 +336,24 @@ class TestFailureIsolation:
 
     @staticmethod
     def no_ascent(monkeypatch, target):
-        """Give the row with these weights by position an ascent gap that no
-        Armijo step meets, on a stack or a single problem."""
-        true_step = solver_mod._block_step
+        """Let no Armijo step pass on the row with these weights by position,
+        on a stack or a single problem: after each block update's first
+        concave value (its start, u0), the row's trial points score -inf.
+        Every update takes one convex-part gradient, which marks its start."""
+        true_grad, true_value = solver_mod._grad_cvx, solver_mod._concave_value
+        values = [0]
 
-        def step(prob, *args):
-            out = list(true_step(prob, *args))
-            out[9] = np.where(np.all(prob.w == target, axis=-1), 1e300, out[9])
-            return tuple(out)
+        def grad(*args):
+            values[0] = 0
+            return true_grad(*args)
 
-        monkeypatch.setattr(solver_mod, "_block_step", step)
+        def value(w, *args):
+            values[0] += 1
+            v = true_value(w, *args)
+            return v if values[0] == 1 else np.where(np.all(w == target, axis=-1), -np.inf, v)
+
+        monkeypatch.setattr(solver_mod, "_grad_cvx", grad)
+        monkeypatch.setattr(solver_mod, "_concave_value", value)
 
     def test_row_without_ascent_raises_in_its_stack_and_task(self, monkeypatch):
         order = EncodingOrder([1, 2])
@@ -359,7 +365,7 @@ class TestFailureIsolation:
         st, Q = stack_of(probs, plans)
         self.no_ascent(monkeypatch, probs[2].w)
         # the message names the gap of the row that found no step
-        no_step = r"^no ascent found for block 2 despite ascent gap 1\.000e\+300$"
+        no_step = r"^no ascent found for block 2 despite ascent gap \d\.\d{3}e[+-]\d+$"
         with pytest.raises(InnerNotImproved, match=no_step):
             solver_mod._block_update(st, Q, np.array(lams), 1)
         with pytest.raises(InnerNotImproved, match=no_step):
@@ -372,9 +378,9 @@ class TestFailureIsolation:
         raised = []
         true_stacked = solver_mod._sweep_stacked
 
-        def stacked(group, rows):
+        def stacked(rows):
             try:
-                return true_stacked(group, rows)
+                return true_stacked(rows)
             except Exception as exc:
                 raised.append(exc)
                 raise

@@ -142,10 +142,13 @@ class TestSqrtClosedForms:
             with pytest.raises(SingularMatrix):
                 psd_inv_sqrt(m)
 
-    @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0]])
+    @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0],
+                                      [np.inf], [np.inf, 1.0], [np.inf, 1.0, 2.0]])
     def test_nan_eigenvalue_raises_without_warning(self, diag):
         # every comparison with NaN is false, so a NaN must count as not
-        # safely positive rather than slip through to the roots
+        # safely positive rather than slip through to the roots; an infinite
+        # entry raises the same errors before the Hermitian average could
+        # warn on it
         m = np.diag(diag).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
