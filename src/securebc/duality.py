@@ -10,23 +10,27 @@ For position k under encoding order ``pi`` define
   or ``I + sum of later-position H^H S H`` (``mac_ladder="following"``).
 
 With the economy SVD ``D_k^{-1/2} H_{pi_k}^H C_k^{-1/2} = E L F^H`` the two
-sides map into each other by one congruence each,
+sides map into each other by one congruence each, which defines the map,
 
     S_k = T Q_k T^H,   T = C^{-1/2} F E^H D^{1/2}
     Q_k = U S_k U^H,   U = D^{-1/2} E F^H C^{1/2}
 
-so a position builds its factor once and reuses ``F E^H`` for the effective
-eavesdropper channel below.  This preserves the per-position rate exactly
-and, for plans that put no power into subspaces their own channel cannot
-see, the total trace as well.
+and the effective eavesdropper channel is ``Ge_k = U^H G^H`` (n_k x n_e).
+This preserves the per-position rate exactly and, for plans that put no
+power into subspaces their own channel cannot see, the total trace as well.
+
+If that matrix has full rank min(n_k, n_t), ``F E^H`` is its polar factor and
+one matrix geometric mean (``linalg.inv_geometric_mean``) gives both factors; the
+SVD form runs only where the mean is undefined (a rank-deficient channel, or
+outside the 2x2 mean's conditioning guard):
+
+    n_k <= n_t:  A = H D^-1 H^H,  Gam = (C # A)^-1,  T = Gam H,  U = D^-1 H^H Gam C
+    n_t <  n_k:  B = H^H C^-1 H,  Lam = (D # B)^-1,  T = C^-1 H Lam D,  U = Lam H^H
 
 The "preceding" ladder reproduces the textbook per-user rate equality
 between ``bc_rates`` and ``mac_rates`` at the same order.  The "following"
 ladder is the one under which the uplink-side weighted objective
-(``rates.mac_side_objective``) with effective eavesdropper channels
-
-    Ge_k = C_k^{1/2} F_k E_k^H D_k^{-1/2} G^H        (shape n_k x n_e)
-
+(``rates.mac_side_objective``) with the effective eavesdropper channels
 equals the downlink weighted secrecy sum of the dual plan, term by term.
 
 Both directions run one ladder sweep.  The ladder of the given plan's side
@@ -42,8 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet, WeightVector, sample_channel_set
-from .linalg import (herm, hermitize, min_eigenvalue, project_psd, sqrt_pair,
-                     svd_square_diag)
+from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_psd,
+                     sqrt_pair, svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, bc_rates,
                     by_position, by_user, dpc_secrecy_rates, mac_rates,
                     mac_side_objective, random_plan, weighted_sum)
@@ -69,90 +73,105 @@ class DualityContext:
     effective_eve: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.mac_ladder not in (PRECEDING, FOLLOWING):
-            raise ValueError(f"unknown mac_ladder {self.mac_ladder!r}")
         K = len(self.order)
-        edge = self.d_list[0] if self.mac_ladder == PRECEDING else self.d_list[K - 1]
+        edge = self.d_list[_along(self.mac_ladder, K)[0]]
         for name, m in (("C at the last", self.c_list[K - 1]), ("D at the empty-ladder", edge)):
             if not np.abs(m - np.eye(len(m))).max() <= 1e-9:  # a NaN fails too
                 raise ValueError(f"ladder inconsistency: {name} position must be I")
 
 
-def _position_transform(hk: np.ndarray, G: np.ndarray, C: np.ndarray, D: np.ndarray,
+def _along(mac_ladder: str, K: int) -> range:
+    """Positions in the order the uplink ladder grows."""
+    if mac_ladder not in (PRECEDING, FOLLOWING):
+        raise ValueError(f"unknown mac_ladder {mac_ladder!r}")
+    return range(K) if mac_ladder == PRECEDING else range(K - 1, -1, -1)
+
+
+def _position_transform(hk: np.ndarray, hkh: np.ndarray, C: np.ndarray, D: np.ndarray,
                         cov: np.ndarray, downlink: bool):
     """Transform one position's covariance ``cov`` to the other side;
-    ``downlink`` says which side it is on.
+    ``downlink`` says which side it is on, ``hkh`` is ``herm(hk)``.  Returns
+    (other-side covariance, uplink-to-downlink factor U)."""
+    if hk.shape[0] <= hk.shape[1]:
+        w = inv_hpd(D) @ hkh
+        gam = inv_geometric_mean(C, hk @ w)
+        t, u = (None, None) if gam is None else (gam @ hk if downlink else None, w @ gam @ C)
+    else:
+        v = inv_hpd(C) @ hk
+        lam = inv_geometric_mean(D, hkh @ v)
+        t, u = (None, None) if lam is None else (v @ lam @ D if downlink else None, lam @ hkh)
+    if u is None:
+        dp, dm = sqrt_pair(D)
+        cp, cm = sqrt_pair(C)
+        svd = svd_square_diag(dm @ hkh @ cm)
+        fe = svd.right @ herm(svd.left)
+        t, u = cm @ fe @ dp, dm @ herm(fe) @ cp
+    f = t if downlink else u
+    return project_psd(f @ cov @ herm(f)), u
 
-    Returns (other-side covariance, effective eavesdropper channel).
-    """
-    dp, dm = sqrt_pair(D)
-    cp, cm = sqrt_pair(C)
-    svd = svd_square_diag(dm @ herm(hk) @ cm)
-    fe = svd.right @ herm(svd.left)
-    ge = cp @ fe @ dm @ herm(G)
-    t = cm @ fe @ dp if downlink else dm @ herm(fe) @ cp
-    return project_psd(t @ cov @ herm(t)), ge
 
-
-def _c_ladder(H: Sequence[np.ndarray], Q: Sequence[np.ndarray]):
+def _c_ladder(H: Sequence[np.ndarray], Hh: Sequence[np.ndarray], Q: Sequence[np.ndarray]):
     """(k, C_k) from the last position back; Q[k] is read after C_k is yielded."""
-    tail = np.zeros((H[0].shape[1],) * 2, dtype=complex)
+    tail = None
     for k in range(len(H) - 1, -1, -1):
-        yield k, hermitize(np.eye(H[k].shape[0]) + H[k] @ tail @ herm(H[k]))
-        tail = tail + Q[k]
+        eye = np.eye(H[k].shape[0], dtype=complex)
+        yield k, eye if tail is None else eye + H[k] @ tail @ Hh[k]
+        tail = Q[k] if tail is None else tail + Q[k]
 
 
-def _d_ladder(H: Sequence[np.ndarray], S: Sequence[np.ndarray], positions):
+def _d_ladder(H: Sequence[np.ndarray], Hh: Sequence[np.ndarray], S: Sequence[np.ndarray],
+              positions):
     """(k, D_k) along the uplink ladder; S[k] is read after D_k is yielded."""
     d = np.eye(H[0].shape[1], dtype=complex)
     for k in positions:
         yield k, d
-        d = hermitize(d + herm(H[k]) @ S[k] @ H[k])
+        d = d + Hh[k] @ S[k] @ H[k]
 
 
 def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
-           mac_ladder: str = PRECEDING) -> tuple[DualityContext, CovariancePlan]:
+           mac_ladder: str = PRECEDING, context: bool = True):
     """Map a ``side`` plan to the other side, one position at a time.
 
     The ladder of the given side (C for a downlink plan, D for an uplink
     one) is summed up front.  The other ladder grows from the mapped
     covariances, so the walk follows its direction: D along ``mac_ladder``,
-    C from the last position back.
+    C from the last position back.  Ladders are not re-symmetrized: every
+    consumer reads one triangle or the averaged off-diagonal.
 
-    Returns the context (whose construction checks the ladder name) and
-    the other side's plan.
+    Returns the context (None unless ``context``) and the other side's plan.
     """
     idx, H, given = by_position(ch, order, plan, side)
+    Hh = [herm(h) for h in H]
     K = len(H)
     mapped: list = [None] * K
-    along = range(K) if mac_ladder == PRECEDING else range(K - 1, -1, -1)
+    along = _along(mac_ladder, K)
     downlink = side == BC
     if downlink:
-        fixed, walk = dict(_c_ladder(H, given)), _d_ladder(H, mapped, along)
+        fixed, walk = dict(_c_ladder(H, Hh, given)), _d_ladder(H, Hh, mapped, along)
     else:
-        fixed, walk = dict(_d_ladder(H, given, along)), _c_ladder(H, mapped)
+        fixed, walk = dict(_d_ladder(H, Hh, given, along)), _c_ladder(H, Hh, mapped)
     c_list: list = [None] * K
     d_list: list = [None] * K
-    eve_list: list = [None] * K
+    u_list: list = [None] * K
     for k, grown in walk:
-        c, d = (fixed[k], grown) if downlink else (grown, fixed[k])
-        mapped[k], eve_list[k] = _position_transform(
-            H[k], ch.eavesdropper, c, d, given[k], downlink)
-        c_list[k], d_list[k] = c, d
-    return (DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list), tuple(eve_list)),
-            CovariancePlan._of_projected(MAC if downlink else BC, by_user(mapped, idx)))
+        c_list[k], d_list[k] = (fixed[k], grown) if downlink else (grown, fixed[k])
+        mapped[k], u_list[k] = _position_transform(
+            H[k], Hh[k], c_list[k], d_list[k], given[k], downlink)
+    ctx = DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list),
+                         tuple(herm(ch.eavesdropper @ u) for u in u_list)) if context else None
+    return ctx, CovariancePlan._of_projected(MAC if downlink else BC, by_user(mapped, idx))
 
 
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map a downlink plan to the rate-equivalent uplink plan."""
-    return _sweep(ch, order, plan, BC, mac_ladder)[1]
+    return _sweep(ch, order, plan, BC, mac_ladder, context=False)[1]
 
 
 def mac_to_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
               mac_ladder: str = PRECEDING) -> CovariancePlan:
     """Map an uplink plan to the rate-equivalent downlink plan."""
-    return _sweep(ch, order, plan, MAC, mac_ladder)[1]
+    return _sweep(ch, order, plan, MAC, mac_ladder, context=False)[1]
 
 
 def build_context_from_bc(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -202,10 +221,12 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     * uplink-objective equivalence with effective eavesdropper channels,
     * ladder eigenvalue floor (C, D are identity plus PSD).
 
-    Raises ValueError for fewer than one instance.
+    Raises ValueError for fewer than one instance or a tol not finite and positive.
     """
     if num_instances < 1:
         raise ValueError(f"num_instances must be at least 1, got {num_instances}")
+    if not 0.0 < tol < np.inf:  # a NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
     rows = []  # per instance: the four errors, then the ladder eigenvalue floor
     for _ in range(num_instances):
@@ -234,8 +255,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
         r_back = np.array((mac_rates if mac_first else bc_rates)(ch, order, back).per_user)
         obj, wsr = wsr_equivalence_pair(ch, order, plan_mac, w)
-        lows = [min_eigenvalue(c) for c in ctx.c_list]
-        lows.extend(np.linalg.eigvalsh(np.array(ctx.d_list))[:, 0])
+        lows = [min_eigenvalue(m) for m in ctx.c_list + ctx.d_list]
         rows.append([np.max(np.abs(r_bc - r_mac)),
                      abs(plan_bc.total_trace - plan_mac.total_trace),
                      np.max(np.abs(r_bc - r_back)), abs(obj - wsr), np.min(lows)])

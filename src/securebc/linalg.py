@@ -9,10 +9,10 @@ and is either clamped (projection contexts) or raised (validation contexts).
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off:
 
-* 1x1: ``logdet_i_plus``, ``inv_i_plus``, ``sqrt_pair``, ``psd_sqrt``, and bit
-  for bit ``project_psd`` and ``min_eigenvalue`` (1x1 eigh returns the real part);
-* 2x2: ``logdet_i_plus``, ``inv_i_plus``; well-conditioned ``sqrt_pair``, ``psd_sqrt``;
-* 1xn and nx1: ``svd_square_diag``.
+* 1x1 and 2x2: ``logdet_i_plus``, ``inv_i_plus``, ``inv_hpd``, ``min_eigenvalue``
+  (bit for bit at 1x1) and well-conditioned ``inv_geometric_mean``;
+* 3x3: ``logdet_i_plus``, from LDL^H pivots (a cofactor determinant lost 0.3 nats);
+* up to 3x3: bit for bit ``project_psd`` of a PSD 1x1 or certified-PD input.
 
 Other input, singular or ill-conditioned included, goes to LAPACK.
 """
@@ -30,10 +30,9 @@ from .errors import NonPositiveDefinite, SingularMatrix
 PSD_TOL = 1e-10
 # Relative floor below which an eigenvalue is treated as zero for inversion.
 SINGULAR_REL_TOL = 1e-14
-# det / tr^2 floor of the 2x2 closed-form square root: condition numbers up to
-# about 1e3, where it still agrees with the eigh route to about 2e-13 (a det
-# near the subnormal range, or past overflow, also goes to eigh).
-SQRT_2X2_MIN_DET = 1e-3
+# det / tr^2 floor of each argument of the 2x2 closed-form geometric mean: condition
+# numbers up to about 1e3 (a det near the subnormal range, or past overflow, also fails).
+MEAN_2X2_MIN_DET = 1e-3
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -62,6 +61,9 @@ def real_trace(m: np.ndarray) -> np.ndarray:
 def min_eigenvalue(m: np.ndarray) -> float:
     if m.shape[0] == 1:
         return float(m.item().real)
+    if m.shape[0] == 2:  # (a + d) / 2 - sqrt(((a - d) / 2)^2 + |b|^2)
+        a, d, b, _ = _i_plus_2x2(m, 0.0)
+        return (a + d) / 2 - math.sqrt(((a - d) / 2) ** 2 + b.real * b.real + b.imag * b.imag)
     return float(np.linalg.eigvalsh(hermitize(m))[0])
 
 
@@ -121,29 +123,55 @@ def _i_plus_2x2(m: np.ndarray, shift: float):
     return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
 
 
+def _pivots_3x3(m: np.ndarray, shift: float):
+    """LDL^H pivots of shift I + the Hermitian part of a 3x3 matrix, or of each
+    of a (B, 3, 3) stack, in real arithmetic so that both give the same bits; a
+    single matrix's stop at the first that is not positive (so is the last)."""
+    single = m.ndim == 2
+    e = m.tolist() if single else [[m[:, i, j] for j in range(3)] for i in range(3)]
+    b12, b13, b23 = (0.5 * (e[i][j] + e[j][i].conjugate()) for i, j in ((0, 1), (0, 2), (1, 2)))
+    d1 = shift + e[0][0].real
+    if single and not d1 > 0.0:
+        return (d1,)
+    d2 = shift + e[1][1].real - (b12.real * b12.real + b12.imag * b12.imag) / d1
+    if single and not d2 > 0.0:
+        return d1, d2
+    s33 = shift + e[2][2].real - (b13.real * b13.real + b13.imag * b13.imag) / d1
+    u_re = b23.real - (b12.real * b13.real + b12.imag * b13.imag) / d1
+    u_im = b23.imag - (b12.real * b13.imag - b12.imag * b13.real) / d1
+    return d1, d2, s33 - (u_re * u_re + u_im * u_im) / d2
+
+
 def logdet_i_plus(m: np.ndarray) -> float:
     """Fast ``log det(I + m)`` for PSD ``m``.
 
     This is the hot-loop variant used by rate and solver evaluations, where
     the argument is I plus a PSD product and positive definiteness is
-    structural.  Dimensions 1 and 2 use the closed-form determinant (exact
-    at that size); larger matrices go through Cholesky with an eigenvalue
+    structural.  Dimensions 1 to 3 use closed forms (the determinant, then
+    the LDL^H pivots); larger matrices go through Cholesky with an eigenvalue
     fallback for inputs that round-off pushed slightly indefinite.  A stack
     gives one log-det per matrix, bit for bit: by the closed forms of
     :func:`_logdet_i_plus_stack`, or by one stacked Cholesky, and matrix by
-    matrix if either leaves its domain.
+    matrix if either leaves its domain.  A non-finite matrix raises
+    ``NonPositiveDefinite``.
     """
     n = m.shape[-1]
-    if m.ndim > 2 and n <= 2:
+    if m.ndim > 2 and n <= 3:
         return _logdet_i_plus_stack(m)
     if n == 1:
         x = m.item().real
-        if x > -1.0:
+        if -1.0 < x < math.inf:
             return float(np.log1p(x))
     elif n == 2:
         a, _, _, det = _i_plus_2x2(m, 1.0)
-        if a > 0.0 and det > 0.0:
+        if a > 0.0 and 0.0 < det < math.inf:
             return float(np.log(det))
+    elif n == 3:
+        p = _pivots_3x3(m, 1.0)
+        if p[-1] > 0.0 and p[0] * p[1] * p[2] < math.inf:
+            return float(np.log(p[0] * p[1] * p[2]))
+    if m.ndim == 2 and not np.isfinite(m).all():
+        raise NonPositiveDefinite("a non-finite entry is not safely positive")
     a = hermitize(np.asarray(m, dtype=complex)) + np.eye(n)
     try:
         chol = np.linalg.cholesky(a)
@@ -158,16 +186,30 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
     :func:`logdet_i_plus`: it reads the same Hermitian part of ``m`` and
     shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
     one inverse per matrix, bit for bit (the closed forms elementwise, see
-    :func:`_inv_i_plus_stack`)."""
-    n = m.shape[-1]
-    if m.ndim > 2 and n <= 2:
+    :func:`_inv_i_plus_stack`).  A non-finite matrix raises ``SingularMatrix``."""
+    if m.ndim > 2 and m.shape[-1] <= 2:
         return _inv_i_plus_stack(m)
-    if n == 1:
-        return np.array([[1.0 / (1.0 + m.item().real)]], dtype=complex)
-    if n == 2:
-        a, d, b, det = _i_plus_2x2(m, 1.0)
-        return np.array([[d, -b], [-b.conjugate(), a]]) / det
-    return np.linalg.inv(np.eye(n) + hermitize(m))
+    return _inv_shifted(m, 1.0)
+
+
+def inv_hpd(m: np.ndarray) -> np.ndarray:
+    """Inverse of a Hermitian positive definite matrix, :func:`inv_i_plus` at shift 0."""
+    return _inv_shifted(m, 0.0)
+
+
+def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
+    """Inverse of shift I + m (of m itself, not its Hermitian part, at shift 0 past 2x2)."""
+    if m.shape == (1, 1):
+        x = shift + m.item().real
+        if 0.0 < x < math.inf:
+            return np.array([[1.0 / x]], dtype=complex)
+    elif m.shape == (2, 2):
+        a, d, b, det = _i_plus_2x2(m, shift)
+        if 0.0 < det < math.inf:
+            return np.array([[d, -b], [-b.conjugate(), a]]) / det
+    if m.ndim == 2 and not np.isfinite(m).all():
+        raise SingularMatrix("a non-finite entry cannot be inverted")
+    return np.linalg.inv(np.eye(m.shape[-1]) + hermitize(m) if shift else m)
 
 
 def _i_plus_2x2_stack(m: np.ndarray):
@@ -180,14 +222,18 @@ def _i_plus_2x2_stack(m: np.ndarray):
 
 def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
     """:func:`logdet_i_plus`'s closed forms on every matrix of a (B, n, n)
-    stack with n <= 2; if a row leaves their domain, the whole stack goes
+    stack with n <= 3; if a row leaves their domain, the whole stack goes
     matrix by matrix, as after a failed stacked Cholesky."""
     if m.shape[-1] == 1:
         x = np.ascontiguousarray(m[:, 0, 0].real)
         ok, log = x > -1.0, np.log1p
-    else:
+    elif m.shape[-1] == 2:
         a, _, _, x = _i_plus_2x2_stack(m)
         ok, log = (a > 0.0) & (x > 0.0), np.log
+    else:
+        p = _pivots_3x3(m, 1.0)
+        x = p[0] * p[1] * p[2]
+        ok, log = (np.min(p, axis=0) > 0.0) & (x < math.inf), np.log
     return log(x) if ok.all() else np.array([logdet_i_plus(r) for r in m])
 
 
@@ -202,39 +248,39 @@ def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
     return out / det[:, None, None]
 
 
-def _sqrt_closed(m: np.ndarray):
-    """:func:`sqrt_pair` at sizes 1 and 2, or None outside the domain.  At
-    size 2, R = (M + s I) / t with s = sqrt(det M), t = sqrt(tr M + 2 s) has
-    determinant s, so R^-1 = adj(M + s I) / (t s).  Python scalars, as in
-    :func:`_i_plus_2x2`, at shift 0."""
-    n = m.shape[0]
+def inv_geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Inverse of the geometric mean a # b = a^1/2 (a^-1/2 b a^-1/2)^1/2 a^1/2 of
+    Hermitian positive definite a, b; None if b is singular or a 2x2 input fails
+    MEAN_2X2_MIN_DET.  1x1: 1 / sqrt(ab).  2x2: a # b = (alpha beta)^1/4 S / sqrt(det S)
+    with alpha = det a, beta = det b, S = a / sqrt(alpha) + b / sqrt(beta) (Bhatia,
+    Positive Definite Matrices, 2007, Prop. 4.1.12).  Larger: with a = L L^H and
+    M = L^-1 b L^-H, it is L^-H M^-1/2 L^-1: one Cholesky, one inverse, one eigh."""
+    n = a.shape[0]
     if n == 1:
-        x = m.item().real
-        if 0.0 < x < math.inf:
-            root = math.sqrt(x)
-            return np.array([[root]], dtype=complex), np.array([[1.0 / root]], dtype=complex)
-    elif n == 2:
-        a, d, b, det = _i_plus_2x2(m, 0.0)
-        tr = a + d
-        if a > 0.0 and 1e-300 < SQRT_2X2_MIN_DET * tr * tr < det < math.inf:
-            s = math.sqrt(det)
-            t = math.sqrt(tr + 2.0 * s)
-            return (np.array([[a + s, b], [b.conjugate(), d + s]], dtype=complex) / t,
-                    np.array([[d + s, -b], [-b.conjugate(), a + s]], dtype=complex) / (t * s))
-    return None
+        x = a.item().real * b.item().real
+        return np.array([[1.0 / math.sqrt(x)]], dtype=complex) if 0.0 < x < math.inf else None
+    if n == 2:
+        (a1, a2, ab, alpha), (b1, b2, bb, beta) = _i_plus_2x2(a, 0.0), _i_plus_2x2(b, 0.0)
+        if not all(x > 0.0 and 1e-300 < MEAN_2X2_MIN_DET * t * t < det < math.inf
+                   for x, t, det in ((a1, a1 + a2, alpha), (b1, b1 + b2, beta))):
+            return None
+        ra, rb = math.sqrt(alpha), math.sqrt(beta)
+        s1, s2, s12 = a1 / ra + b1 / rb, a2 / ra + b2 / rb, ab / ra + bb / rb
+        k = 1.0 / (math.sqrt(ra * rb) * math.sqrt(s1 * s2 - (s12.real ** 2 + s12.imag ** 2)))
+        return np.array([[s2 * k, -s12 * k], [-s12.conjugate() * k, s1 * k]], dtype=complex)
+    l_inv = np.linalg.inv(np.linalg.cholesky(a))
+    w, v = np.linalg.eigh(l_inv @ b @ herm(l_inv))
+    x = herm(l_inv) @ v
+    return None if _near_singular(w) else (x / np.sqrt(w)) @ herm(x)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, through :func:`sqrt_pair`'s
-    closed forms where they apply.
+    """Hermitian square root of a PSD matrix.
 
     Eigenvalues are clamped at zero before taking roots, so inputs that are
     PSD up to round-off never produce NaNs.
     """
     m = np.asarray(m, dtype=complex)
-    pair = _sqrt_closed(m)
-    if pair is not None:
-        return pair[0]
     w, v = np.linalg.eigh(hermitize(m))
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
@@ -248,17 +294,13 @@ def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(square root, inverse square root) of a Hermitian positive definite
-    matrix, in closed form at sizes 1 and 2 and otherwise from one
-    eigendecomposition; the square root equals :func:`psd_sqrt`'s.
+    matrix from one eigendecomposition; the square root equals :func:`psd_sqrt`'s.
 
     Raises:
         SingularMatrix: if an entry is not finite, or any eigenvalue is at or
             below ``SINGULAR_REL_TOL`` times the largest.
     """
     m = np.asarray(m, dtype=complex)
-    pair = _sqrt_closed(m)
-    if pair is not None:
-        return pair
     if not np.isfinite(m).all():
         raise SingularMatrix("a non-finite entry cannot be inverted")
     w, v = np.linalg.eigh(hermitize(m))
@@ -270,9 +312,16 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept."""
+    """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept; an h
+    certified positive definite (2x2: lambda_min > 1e-12 tr, 3x3: pivots of
+    h - 1e-10 tr I positive) skips ``eigh``, which would return h too."""
     h = hermitize(np.asarray(m, dtype=complex))
-    if h.shape[0] == 1 and h.item().real >= 0.0:
+    n = h.shape[0]
+    if n == 1 and h.item().real >= 0.0:
+        return h
+    if n == 2 and min_eigenvalue(h) > 1e-12 * sum(h.diagonal().real.tolist()):
+        return h
+    if n == 3 and _pivots_3x3(h, -1e-10 * sum(h.diagonal().real.tolist()))[-1] > 0.0:
         return h
     w, v = np.linalg.eigh(h)
     if w[0] >= 0.0:
@@ -303,18 +352,8 @@ def anderson_psd(pairs: list) -> list[np.ndarray]:
 
 
 def svd_square_diag(m: np.ndarray) -> SvdTriple:
-    """Economy SVD with the square-diagonal convention (see SvdTriple); a
-    single row or column a gives left = a / |a| or right = a^H / |a|, and the
-    other factor [[1]]."""
-    m = np.asarray(m, dtype=complex)
-    if 1 in m.shape:
-        norm = math.sqrt(np.vdot(m, m).real)
-        if 0.0 < norm < math.inf:
-            one = np.ones((1, 1), dtype=complex)
-            if m.shape[0] == 1:
-                return SvdTriple(left=one, singular=np.array([norm]), right=herm(m) / norm)
-            return SvdTriple(left=m / norm, singular=np.array([norm]), right=one)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    """Economy SVD with the square-diagonal convention (see SvdTriple)."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
     return SvdTriple(left=u, singular=s, right=vh.conj().T)
 
 

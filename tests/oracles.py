@@ -1,4 +1,4 @@
-"""Closed-form answers that run no optimization, from numpy alone.
+"""Closed-form answers and textbook references that run no optimization, from numpy alone.
 
 Nothing here imports the package, so a test built on these trusts nothing
 in ``src/``.
@@ -21,3 +21,42 @@ def misome_capacity(h, G, P):
     a = l_inv @ (eye + P * (h.conj().T @ h)) @ l_inv.conj().T
     lam_max = np.linalg.eigvalsh((a + a.conj().T) / 2)[-1]
     return max(0.0, float(np.log(lam_max)))
+
+
+def _psd_power(m, p):
+    """m^p of a Hermitian positive definite m, through eigh."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return (v * w ** p) @ v.conj().T
+
+
+def duality_map(H, G, given, downlink, preceding):
+    """The BC-MAC covariance map with effective eavesdropper channels
+    (Vishwanath, Jindal & Goldsmith, IEEE Trans. IT 49(10), 2003), from its
+    textbook factors: two eigh square roots and one SVD per position.
+
+    ``H`` and ``given`` are indexed by encoding position; ``given`` holds
+    downlink covariances (n_t x n_t) if ``downlink``, else uplink ones
+    (n_k x n_k).  C_k = I + H_k (sum of later downlink covariances) H_k^H and
+    D_k = I + sum of H_j^H S_j H_j over the uplink positions before k
+    (``preceding``) or after it.  With D^-1/2 H^H C^-1/2 = E L F^H,
+    T = C^-1/2 F E^H D^1/2 maps downlink to uplink, U = D^-1/2 E F^H C^1/2
+    maps back, and Ge = U^H G^H.  Returns (mapped covariances, Ge), both by
+    position."""
+    K, n_t = len(H), H[0].shape[1]
+    mapped, eve = [None] * K, [None] * K
+    down, up = (given, mapped) if downlink else (mapped, given)
+    along = range(K) if preceding else range(K - 1, -1, -1)
+    for k in (along if downlink else range(K - 1, -1, -1)):
+        h = H[k]
+        C = np.eye(h.shape[0]) + sum(h @ down[j] @ h.conj().T for j in range(k + 1, K))
+        before = range(k) if preceding else range(k + 1, K)
+        D = np.eye(n_t) + sum(H[j].conj().T @ up[j] @ H[j] for j in before)
+        e, _, fh = np.linalg.svd(_psd_power(D, -0.5) @ h.conj().T @ _psd_power(C, -0.5),
+                                 full_matrices=False)
+        fe = fh.conj().T @ e.conj().T
+        t = _psd_power(C, -0.5) @ fe @ _psd_power(D, 0.5)
+        u = _psd_power(D, -0.5) @ fe.conj().T @ _psd_power(C, 0.5)
+        f = t if downlink else u
+        mapped[k] = f @ given[k] @ f.conj().T
+        eve[k] = u.conj().T @ G.conj().T
+    return mapped, eve

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import herm, rand_bc_plan, rand_instance
+from conftest import herm, rand_bc_plan, rand_complex, rand_instance
+from oracles import duality_map
 from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
                       EncodingOrder, RatePoint, bc_rates, bc_to_mac,
                       build_context_from_bc, build_context_from_mac,
@@ -13,6 +15,7 @@ from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
 from securebc.cli import cli_main
 from securebc.duality import FOLLOWING, PRECEDING
 from securebc.linalg import random_psd
+from securebc.rates import random_plan
 
 rng = np.random.default_rng(17)
 
@@ -116,8 +119,13 @@ class TestLadders:
     def test_unknown_ladder_rejected(self):
         ch = rand_instance(rng, K=1)
         plan = CovariancePlan.zero(BC, ch)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mac_ladder"):
             bc_to_mac(ch, EncodingOrder([1]), plan, mac_ladder="sideways")
+        with pytest.raises(ValueError, match="unknown mac_ladder"):
+            mac_to_bc(ch, EncodingOrder([1]), CovariancePlan.zero(MAC, ch), mac_ladder="sideways")
+        ctx = build_context_from_bc(ch, EncodingOrder([1]), plan)
+        with pytest.raises(ValueError, match="unknown mac_ladder"):
+            dataclasses.replace(ctx, mac_ladder="sideways")
 
 
 class TestTransforms:
@@ -210,6 +218,55 @@ class TestTransforms:
         assert len(checked) == 1
 
 
+def _close(got, want, rel):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+class TestAgainstOracle:
+    def test_sweep_matches_textbook_factors(self):
+        # the geometric-mean factors against two eigh roots and an SVD per
+        # position, on both sides and both ladders, with K 1-3 and n_t, n_k 1-4
+        gen = np.random.default_rng(29)
+        positions = 0
+        while positions < 200:
+            K, n_t = int(gen.integers(1, 4)), int(gen.integers(1, 5))
+            n_k = [int(gen.integers(1, 5)) for _ in range(K)]
+            ch = sample_channel_set(int(gen.integers(2 ** 31)), K, n_t, n_k,
+                                    int(gen.integers(1, 3)), 1.5)
+            order = EncodingOrder(gen.permutation(K) + 1)
+            side = BC if gen.random() < 0.5 else MAC
+            ladder = PRECEDING if gen.random() < 0.5 else FOLLOWING
+            plan = random_plan(side, [n_t] * K if side == BC else n_k, ch.power, gen)
+            ctx, mapped = duality._sweep(ch, order, plan, side, ladder)
+            pos = order.zero_based
+            want, eve = duality_map([ch.user_channels[u] for u in pos], ch.eavesdropper,
+                                    [plan.matrices[u] for u in pos], side == BC,
+                                    ladder == PRECEDING)
+            for k, u in enumerate(pos):
+                assert _close(mapped.matrices[u], want[k], 1e-10), (n_t, n_k, side, ladder)
+                assert _close(ctx.effective_eve[k], eve[k], 1e-10), (n_t, n_k, side, ladder)
+            positions += K
+
+    def test_rank_deficient_channel_takes_the_svd_route(self, monkeypatch):
+        # a 2 x 3 channel of rank 1 makes A = H D^-1 H^H singular, so the
+        # geometric mean is undefined and the SVD definition maps the
+        # position; per-user rates are still preserved, both ways
+        gen = np.random.default_rng(4)
+        low = rand_complex(gen, 2, 1) @ rand_complex(gen, 1, 3)
+        ch = ChannelSet([low, rand_complex(gen, 2, 3)], rand_complex(gen, 1, 3), 2.0)
+        shapes = []
+        real = duality.svd_square_diag
+        monkeypatch.setattr(duality, "svd_square_diag", lambda m: shapes.append(m.shape) or real(m))
+        for order in (EncodingOrder([1, 2]), EncodingOrder([2, 1])):
+            plan = rand_bc_plan(gen, ch)
+            mac = bc_to_mac(ch, order, plan)
+            back = mac_to_bc(ch, order, mac)
+            r_bc = np.array(bc_rates(ch, order, plan).per_user)
+            assert np.max(np.abs(r_bc - mac_rates(ch, order, mac).per_user)) < 1e-10
+            assert np.max(np.abs(r_bc - bc_rates(ch, order, back).per_user)) < 1e-10
+        assert shapes == [(3, 2)] * 4  # the rank-one user's position, each time
+
+
 class TestEquivalenceContext:
     def test_following_ladder_context_from_mac(self):
         ch = rand_instance(rng, K=3, square=False)
@@ -258,6 +315,26 @@ class TestEnsemble:
         assert np.isnan(report["max_rate_error"])
         assert cli_main(["duality-check", "--seeds", "1"]) == 2
         assert "duality-check FAIL" in capsys.readouterr().out
+
+    def test_lapack_calls(self, monkeypatch):
+        # a machine-free record of the geometric-mean map: the square-root
+        # and SVD route made 4,453 such calls here, 681 of them SVDs
+        counts = collections.Counter()
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "inv"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, _name=name, **kw:
+                                counts.update([_name]) or _real(*a, **kw))
+        duality_property_ensemble(num_instances=200, seed=0)
+        assert counts["svd"] == 0, counts
+        assert sum(counts.values()) <= 2400, counts
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch):
+        # a NaN, zero or negative tolerance fails every correct instance and
+        # an infinite one passes any finite error; refused before any work
+        monkeypatch.setattr(duality, "sample_channel_set", None)
+        with pytest.raises(ValueError, match="finite and positive"):
+            duality_property_ensemble(num_instances=5, seed=1, tol=tol)
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_no_instances_is_refused(self, count):

@@ -7,7 +7,8 @@ from conftest import herm, rand_complex, rand_hermitian, rand_hpd
 from securebc import (NonPositiveDefinite, SingularMatrix, logdet_hpd,
                       project_psd, psd_inv_sqrt, psd_sqrt, random_psd,
                       svd_square_diag)
-from securebc.linalg import _sqrt_closed, anderson_psd, min_eigenvalue, sqrt_pair
+from securebc.linalg import (anderson_psd, inv_geometric_mean, inv_hpd, inv_i_plus,
+                             logdet_i_plus, min_eigenvalue, sqrt_pair)
 
 rng = np.random.default_rng(42)
 
@@ -96,7 +97,7 @@ class TestPsdInvSqrt:
 
 
 def _eigh_roots(m):
-    """(root, inverse root) through eigh, the route the closed forms replace."""
+    """(root, inverse root) through eigh, without the Hermitian averaging."""
     w, v = np.linalg.eigh(m)
     return (v * np.sqrt(w)) @ herm(v), (v / np.sqrt(w)) @ herm(v)
 
@@ -110,29 +111,29 @@ def _hpd_with_condition(gen, n, cond):
 
 class TestSqrtClosedForms:
     def test_match_eigh_route(self):
-        # conditions past about 1e3 leave the closed form for eigh
+        # conditions up to 1e12
         gen = np.random.default_rng(5)
-        closed = fallback = 0
         for _ in range(300):
             n = int(gen.integers(1, 3))
             m = _hpd_with_condition(gen, n, 10.0 ** gen.uniform(0, 12))
-            used = _sqrt_closed(m) is not None
-            closed, fallback = closed + used, fallback + (not used)
             root, inv_root = sqrt_pair(m)
             ref_root, ref_inv = _eigh_roots(m)
             assert np.linalg.norm(root - ref_root) <= 1e-12 * np.linalg.norm(ref_root)
             assert np.linalg.norm(inv_root - ref_inv) <= 1e-12 * np.linalg.norm(ref_inv)
             assert np.array_equal(psd_sqrt(m), root)
             assert np.array_equal(psd_inv_sqrt(m), inv_root)
-        assert closed > 50 and fallback > 50
 
     def test_closed_form_domain(self):
-        assert _sqrt_closed(np.diag([1.0, 2.0])) is not None
-        assert _sqrt_closed(np.diag([1.0, 1e-6])) is None
-        assert _sqrt_closed(np.eye(2) * 1e-160) is None  # det would be subnormal
-        assert _sqrt_closed(np.eye(2) * 1e160) is None  # tr^2 would overflow
-        assert _sqrt_closed(np.array([[4.0]])) is not None
-        assert _sqrt_closed(np.eye(3)) is None
+        # MEAN_2X2_MIN_DET guards each argument of the 2x2 geometric mean
+        eye = np.eye(2)
+        for a, b in ((eye, eye * 1e-160), (eye * 1e-160, eye)):  # det would be subnormal
+            assert inv_geometric_mean(a, b) is None
+        for a, b in ((eye, eye * 1e160), (eye * 1e160, eye)):  # tr^2 would overflow
+            assert inv_geometric_mean(a, b) is None
+        for a, b in ((eye, np.diag([1.0, 1e-6])), (np.diag([1.0, 1e-6]), eye)):
+            assert inv_geometric_mean(a, b) is None
+        assert inv_geometric_mean(eye, np.diag([1.0, 2.0])) is not None
+        assert inv_geometric_mean(np.array([[1.0]]), np.array([[4.0]])) is not None
 
     def test_singular_and_negative_raise(self):
         for m in (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((1, 1)),
@@ -142,13 +143,14 @@ class TestSqrtClosedForms:
             with pytest.raises(SingularMatrix):
                 psd_inv_sqrt(m)
 
-    @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0],
-                                      [np.inf], [np.inf, 1.0], [np.inf, 1.0, 2.0]])
+    @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0], [np.inf],
+                                      [np.inf, 1.0], [np.inf, 1.0, 2.0], [np.nan]])
     def test_nan_eigenvalue_raises_without_warning(self, diag):
         # every comparison with NaN is false, so a NaN must count as not
         # safely positive rather than slip through to the roots; an infinite
         # entry raises the same errors before the Hermitian average could
-        # warn on it
+        # warn on it; the closed forms of logdet_i_plus and inv_i_plus refuse
+        # both, rather than return inf or 0
         m = np.diag(diag).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,6 +158,10 @@ class TestSqrtClosedForms:
                 sqrt_pair(m)
             with pytest.raises(NonPositiveDefinite):
                 logdet_hpd(m)
+            with pytest.raises(NonPositiveDefinite):
+                logdet_i_plus(m)
+            with pytest.raises(SingularMatrix):
+                inv_i_plus(m)
 
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
@@ -196,6 +202,119 @@ class TestProjectPsd:
             once = project_psd(m)
             twice = project_psd(once)
             assert np.max(np.abs(twice - once)) < 1e-12
+
+
+def _rank_psd(gen, n, rank, scale):
+    """Exactly Hermitian PSD n x n matrix of the given rank and trace."""
+    a = rand_complex(gen, n, rank)
+    m = a @ herm(a)
+    m = m * (scale / np.trace(m).real)
+    return (m + herm(m)) / 2
+
+
+class TestLogdetIPlus3x3:
+    SCALES = (1e-3, 1e-1, 1.0, 1e2, 1e4, 1e7)
+
+    @staticmethod
+    def _max_error(gen, n, scale):
+        err = 0.0
+        for rank in range(1, n + 1):
+            for _ in range(60):
+                m = _rank_psd(gen, n, rank, scale)
+                ref = np.linalg.slogdet(np.eye(n) + m)[1]
+                err = max(err, abs(logdet_i_plus(m) - ref))
+        return err
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_pivots_as_accurate_as_the_2x2_closed_form(self, scale):
+        # the cofactor determinant was off by up to 0.3 nats on rank-one
+        # input at 1e7; the pivots stay within twice the 2x2 closed form's
+        # error at the same scale (nine entries to its four)
+        gen = np.random.default_rng(int(np.log10(scale)) + 40)
+        err3 = self._max_error(gen, 3, scale)
+        err2 = self._max_error(gen, 2, scale)
+        assert err3 <= 2.0 * err2 + 1e-15, (err3, err2)
+
+    def test_stack_equals_single_bit_for_bit(self):
+        gen = np.random.default_rng(8)
+        m = np.array([_rank_psd(gen, 3, 1 + i % 3, 10.0 ** gen.uniform(-3, 7))
+                      + 1e-9 * rand_complex(gen, 3, 3) for i in range(40)])
+        got = logdet_i_plus(m)
+        assert np.array_equal(got, [logdet_i_plus(x) for x in m])
+
+    def test_indefinite_input_leaves_the_closed_form(self):
+        m = np.diag([1.0, -2.0, 1.0]).astype(complex)  # I + m is singular
+        with pytest.raises(NonPositiveDefinite):
+            logdet_i_plus(m)
+        stack = np.array([np.zeros((3, 3)), m])
+        with pytest.raises(NonPositiveDefinite):
+            logdet_i_plus(stack)
+
+
+def _eigh_route(m):
+    """project_psd without its closed-form shortcut."""
+    h = (m + herm(m)) / 2
+    w, v = np.linalg.eigh(h)
+    if w[0] >= 0.0:
+        return h
+    w = np.clip(w, 0.0, None)
+    out = (v * w) @ herm(v)
+    return (out + herm(out)) / 2
+
+
+class TestProjectPsdShortcut:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_same_bytes_as_the_eigh_route(self, n, monkeypatch):
+        gen = np.random.default_rng(n)
+        cases = []
+        for _ in range(100):
+            scale = 10.0 ** gen.uniform(-6, 6)
+            cases.append(_rank_psd(gen, n, n, scale))  # positive definite
+            cases.append(_rank_psd(gen, n, int(gen.integers(1, n)), scale))  # rank-deficient
+            h = _rank_psd(gen, n, n, scale)
+            low = np.linalg.eigvalsh(h)[0] + 1e-13 * scale
+            cases.append(h - low * np.eye(n))  # slightly indefinite
+            cases.append(h + 1e-3 * scale * rand_complex(gen, n, n))  # not Hermitian
+        cases.append(np.zeros((n, n), dtype=complex))
+        want = [_eigh_route(m).tobytes() for m in cases]
+        eigh_calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: eigh_calls.append(1) or real(h))
+        assert [project_psd(m).tobytes() for m in cases] == want
+        assert 0 < len(eigh_calls) < len(cases)  # the shortcut ran, and not always
+
+    def test_min_eigenvalue_2x2_closed_form(self):
+        gen = np.random.default_rng(12)
+        for _ in range(100):
+            m = rand_hermitian(gen, 2, scale=10.0 ** gen.uniform(-3, 3))
+            ref = np.linalg.eigvalsh(m)
+            assert abs(min_eigenvalue(m) - ref[0]) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _eigh_inv_mean(a, b):
+    """(a # b)^-1 from eigh square roots: a^-1/2 (a^-1/2 b a^-1/2)^-1/2 a^-1/2."""
+    ra = _eigh_roots(a)[1]
+    w, v = np.linalg.eigh(ra @ b @ ra)
+    return ra @ (v / np.sqrt(w)) @ herm(v) @ ra
+
+
+class TestInvGeometricMean:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_eigh_route(self, n):
+        gen = np.random.default_rng(30 + n)
+        for _ in range(50):
+            a = rand_hpd(gen, n, scale=10.0 ** gen.uniform(-1, 2))
+            b = rand_hpd(gen, n, scale=10.0 ** gen.uniform(-1, 2))
+            got, want = inv_geometric_mean(a, b), _eigh_inv_mean(a, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # the mean is symmetric in its arguments, and the inverse of a # a is a^-1
+            assert np.allclose(inv_geometric_mean(b, a), got, rtol=1e-12, atol=0.0)
+            assert np.allclose(inv_geometric_mean(a, a), inv_hpd(a), rtol=1e-12, atol=0.0)
+
+    def test_singular_argument_is_none(self):
+        for n in (1, 2, 3, 4):
+            a, singular = np.eye(n), np.diag([1.0] * (n - 1) + [0.0]).astype(complex)
+            assert inv_geometric_mean(a, singular) is None
 
 
 class TestAndersonPsd:
