@@ -25,7 +25,9 @@ SVD form runs only where the mean is undefined (a rank-deficient channel, or
 outside the 2x2 mean's conditioning guard):
 
     n_k <= n_t:  A = H D^-1 H^H,  Gam = (C # A)^-1,  T = Gam H,  U = D^-1 H^H Gam C
-    n_t <  n_k:  B = H^H C^-1 H,  Lam = (D # B)^-1,  T = C^-1 H Lam D,  U = Lam H^H
+
+and a position with n_t < n_k takes the same formula on its conjugate transpose
+(H -> H^H and C <-> D), whose two factors are then U and T.
 
 The "preceding" ladder reproduces the textbook per-user rate equality
 between ``bc_rates`` and ``mac_rates`` at the same order.  The "following"
@@ -92,15 +94,14 @@ def _position_transform(hk: np.ndarray, hkh: np.ndarray, C: np.ndarray, D: np.nd
     """Transform one position's covariance ``cov`` to the other side;
     ``downlink`` says which side it is on, ``hkh`` is ``herm(hk)``.  Returns
     (other-side covariance, uplink-to-downlink factor U)."""
-    if hk.shape[0] <= hk.shape[1]:
-        w = inv_hpd(D) @ hkh
-        gam = inv_geometric_mean(C, hk @ w)
-        t, u = (None, None) if gam is None else (gam @ hk if downlink else None, w @ gam @ C)
+    wide = hk.shape[0] <= hk.shape[1]  # else the conjugate transpose's T and U are U and T
+    h, hh, c, d = (hk, hkh, C, D) if wide else (hkh, hk, D, C)
+    w = inv_hpd(d) @ hh
+    gam = inv_geometric_mean(c, h @ w)
+    if gam is not None:
+        t, u = gam @ h, w @ gam @ c
+        t, u = (t, u) if wide else (u, t)
     else:
-        v = inv_hpd(C) @ hk
-        lam = inv_geometric_mean(D, hkh @ v)
-        t, u = (None, None) if lam is None else (v @ lam @ D if downlink else None, lam @ hkh)
-    if u is None:
         dp, dm = sqrt_pair(D)
         cp, cm = sqrt_pair(C)
         svd = svd_square_diag(dm @ hkh @ cm)

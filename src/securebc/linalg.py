@@ -93,14 +93,20 @@ def logdet_hpd(m: np.ndarray) -> float:
         NonPositiveDefinite: if an entry is not finite, or any eigenvalue is
             at or below ``SINGULAR_REL_TOL`` times the largest one.
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise NonPositiveDefinite("a non-finite entry is not safely positive")
-    w = np.linalg.eigvalsh(hermitize(m))
+    w = np.linalg.eigvalsh(hermitize(_finite(m, NonPositiveDefinite)))
     if _near_singular(w):
         raise NonPositiveDefinite(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")
     return float(np.sum(np.log(w)))
+
+
+def _finite(m: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """``m`` as a complex array; raises ``error``, the caller's NonPositiveDefinite
+    or SingularMatrix, on a non-finite entry, before ``hermitize`` could warn on it."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise error("matrix has a non-finite entry")
+    return m
 
 
 def _near_singular(w: np.ndarray) -> bool:
@@ -111,12 +117,13 @@ def _near_singular(w: np.ndarray) -> bool:
 
 
 def _i_plus_2x2(m: np.ndarray, shift: float):
-    """Diagonal entries, averaged off-diagonal entry and determinant of shift I + m.
+    """Diagonal entries, averaged off-diagonal entry and determinant of shift I + m,
+    or of each matrix of a (B, 2, 2) stack.
 
-    Python scalars: numpy's per-element indexing and scalar arithmetic
-    dominated this hot path, and the IEEE results are the same.
+    A single matrix's entries are Python scalars: numpy's per-element indexing
+    and scalar arithmetic dominated this hot path, and the IEEE results are the same.
     """
-    (p, q), (r, s) = m.tolist()
+    (p, q), (r, s) = m.tolist() if m.ndim == 2 else [[m[:, i, j] for j in (0, 1)] for i in (0, 1)]
     a = shift + p.real
     d = shift + s.real
     b = 0.5 * (q + r.conjugate())
@@ -170,9 +177,7 @@ def logdet_i_plus(m: np.ndarray) -> float:
         p = _pivots_3x3(m, 1.0)
         if p[-1] > 0.0 and p[0] * p[1] * p[2] < math.inf:
             return float(np.log(p[0] * p[1] * p[2]))
-    if m.ndim == 2 and not np.isfinite(m).all():
-        raise NonPositiveDefinite("a non-finite entry is not safely positive")
-    a = hermitize(np.asarray(m, dtype=complex)) + np.eye(n)
+    a = hermitize(_finite(m, NonPositiveDefinite) if m.ndim == 2 else m) + np.eye(n)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -207,17 +212,9 @@ def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
         a, d, b, det = _i_plus_2x2(m, shift)
         if 0.0 < det < math.inf:
             return np.array([[d, -b], [-b.conjugate(), a]]) / det
-    if m.ndim == 2 and not np.isfinite(m).all():
-        raise SingularMatrix("a non-finite entry cannot be inverted")
+    if m.ndim == 2:
+        m = _finite(m, SingularMatrix)
     return np.linalg.inv(np.eye(m.shape[-1]) + hermitize(m) if shift else m)
-
-
-def _i_plus_2x2_stack(m: np.ndarray):
-    """:func:`_i_plus_2x2` at shift 1 of every matrix in a (B, 2, 2) stack."""
-    a = 1.0 + m[:, 0, 0].real
-    d = 1.0 + m[:, 1, 1].real
-    b = 0.5 * (m[:, 0, 1] + m[:, 1, 0].conj())
-    return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
 
 
 def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
@@ -228,7 +225,7 @@ def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(m[:, 0, 0].real)
         ok, log = x > -1.0, np.log1p
     elif m.shape[-1] == 2:
-        a, _, _, x = _i_plus_2x2_stack(m)
+        a, _, _, x = _i_plus_2x2(m, 1.0)
         ok, log = (a > 0.0) & (x > 0.0), np.log
     else:
         p = _pivots_3x3(m, 1.0)
@@ -242,7 +239,7 @@ def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
     with n <= 2."""
     if m.shape[-1] == 1:
         return (1.0 / (1.0 + m[:, :1, :1].real)).astype(complex)
-    a, d, b, det = _i_plus_2x2_stack(m)
+    a, d, b, det = _i_plus_2x2(m, 1.0)
     out = np.empty(m.shape, dtype=complex)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d, -b, -b.conj(), a
     return out / det[:, None, None]
@@ -300,10 +297,7 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         SingularMatrix: if an entry is not finite, or any eigenvalue is at or
             below ``SINGULAR_REL_TOL`` times the largest.
     """
-    m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise SingularMatrix("a non-finite entry cannot be inverted")
-    w, v = np.linalg.eigh(hermitize(m))
+    w, v = np.linalg.eigh(hermitize(_finite(m, SingularMatrix)))
     if _near_singular(w):
         raise SingularMatrix(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] cannot be inverted")
