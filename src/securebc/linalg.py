@@ -6,6 +6,13 @@ accumulating across chained products.  Eigenvalues in ``[-PSD_TOL, 0)`` are
 considered numerical zeros; anything more negative is a genuine sign problem
 and is either clamped (projection contexts) or raised (validation contexts).
 
+Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` take
+one non-empty square 2-D matrix, else raise ``DimensionMismatch``.  These,
+``min_eigenvalue``, and ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` of one matrix
+raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a non-finite
+entry, before any arithmetic could warn or return NaN.  Stacks, the solver's own
+finite products, are not checked.
+
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off:
 
@@ -19,12 +26,13 @@ Other input, singular or ill-conditioned included, goes to LAPACK.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, SingularMatrix
+from .errors import DimensionMismatch, NonPositiveDefinite, SingularMatrix
 
 # Eigenvalues above -PSD_TOL count as nonnegative.
 PSD_TOL = 1e-10
@@ -59,12 +67,23 @@ def real_trace(m: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    if m.shape[0] == 1:
-        return float(m.item().real)
+    """Smallest eigenvalue of the Hermitian part of a square matrix, by closed form
+    at 1x1 (bit for bit ``eigvalsh``) and 2x2 unless it overflows, else ``eigvalsh``.
+
+    Raises:
+        NonPositiveDefinite: if an entry is not finite.
+    """
+    if m.shape[0] == 1 and cmath.isfinite(x := m.item()):
+        return float(x.real)
     if m.shape[0] == 2:  # (a + d) / 2 - sqrt(((a - d) / 2)^2 + |b|^2)
         a, d, b, _ = _i_plus_2x2(m, 0.0)
-        return (a + d) / 2 - math.sqrt(((a - d) / 2) ** 2 + b.real * b.real + b.imag * b.imag)
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
+        try:
+            low = (a + d) / 2 - math.sqrt(((a - d) / 2) ** 2 + b.real * b.real + b.imag * b.imag)
+        except OverflowError:  # the float power, past |a - d| of about 2.7e154
+            low = math.nan
+        if math.isfinite(low):
+            return low
+    return float(np.linalg.eigvalsh(hermitize(_as_matrix(m, NonPositiveDefinite)))[0])
 
 
 class SvdTriple(NamedTuple):
@@ -93,17 +112,20 @@ def logdet_hpd(m: np.ndarray) -> float:
         NonPositiveDefinite: if an entry is not finite, or any eigenvalue is
             at or below ``SINGULAR_REL_TOL`` times the largest one.
     """
-    w = np.linalg.eigvalsh(hermitize(_finite(m, NonPositiveDefinite)))
+    w = np.linalg.eigvalsh(hermitize(_as_matrix(m, NonPositiveDefinite)))
     if _near_singular(w):
         raise NonPositiveDefinite(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] is not safely positive")
     return float(np.sum(np.log(w)))
 
 
-def _finite(m: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """``m`` as a complex array; raises ``error``, the caller's NonPositiveDefinite
-    or SingularMatrix, on a non-finite entry, before ``hermitize`` could warn on it."""
+def _as_matrix(m: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """``m`` as a complex matrix; raises DimensionMismatch unless it is 2-D, square and
+    not empty, and ``error``, the caller's NonPositiveDefinite or SingularMatrix, on
+    a non-finite entry, before ``hermitize`` could warn on it."""
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise error("matrix has a non-finite entry")
     return m
@@ -177,7 +199,7 @@ def logdet_i_plus(m: np.ndarray) -> float:
         p = _pivots_3x3(m, 1.0)
         if p[-1] > 0.0 and p[0] * p[1] * p[2] < math.inf:
             return float(np.log(p[0] * p[1] * p[2]))
-    a = hermitize(_finite(m, NonPositiveDefinite) if m.ndim == 2 else m) + np.eye(n)
+    a = hermitize(_as_matrix(m, NonPositiveDefinite) if m.ndim == 2 else m) + np.eye(n)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -212,8 +234,7 @@ def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
         a, d, b, det = _i_plus_2x2(m, shift)
         if 0.0 < det < math.inf:
             return np.array([[d, -b], [-b.conjugate(), a]]) / det
-    if m.ndim == 2:
-        m = _finite(m, SingularMatrix)
+    m = _as_matrix(m, SingularMatrix) if m.ndim == 2 else m
     return np.linalg.inv(np.eye(m.shape[-1]) + hermitize(m) if shift else m)
 
 
@@ -277,8 +298,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues are clamped at zero before taking roots, so inputs that are
     PSD up to round-off never produce NaNs.
     """
-    m = np.asarray(m, dtype=complex)
-    w, v = np.linalg.eigh(hermitize(m))
+    w, v = np.linalg.eigh(hermitize(_as_matrix(m, NonPositiveDefinite)))
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
@@ -297,7 +317,7 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         SingularMatrix: if an entry is not finite, or any eigenvalue is at or
             below ``SINGULAR_REL_TOL`` times the largest.
     """
-    w, v = np.linalg.eigh(hermitize(_finite(m, SingularMatrix)))
+    w, v = np.linalg.eigh(hermitize(_as_matrix(m, SingularMatrix)))
     if _near_singular(w):
         raise SingularMatrix(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] cannot be inverted")
@@ -309,7 +329,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: eigenvalues clamped at 0, vectors kept; an h
     certified positive definite (2x2: lambda_min > 1e-12 tr, 3x3: pivots of
     h - 1e-10 tr I positive) skips ``eigh``, which would return h too."""
-    h = hermitize(np.asarray(m, dtype=complex))
+    h = hermitize(_as_matrix(m, NonPositiveDefinite))
     n = h.shape[0]
     if n == 1 and h.item().real >= 0.0:
         return h

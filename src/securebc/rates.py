@@ -166,21 +166,27 @@ def suffix_sums(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _log_ratios(H: Sequence[np.ndarray], suf: Sequence[np.ndarray]) -> np.ndarray:
-    """Per position k: log det(I + H_k suf[k] H_k^H) - log det(I + H_k suf[k+1] H_k^H)."""
-    return np.array([
-        logdet_i_plus(hk @ suf[k] @ herm(hk)) - logdet_i_plus(hk @ suf[k + 1] @ herm(hk))
-        for k, hk in enumerate(H)])
+    """Per position k: log det(I + H_k suf[k] H_k^H) - log det(I + H_k suf[k+1] H_k^H),
+    where the last suffix is zero, so the last position's second term is 0."""
+    out = []
+    for k, hk in enumerate(H):
+        hkh = herm(hk)
+        ld = logdet_i_plus(hk @ suf[k] @ hkh)
+        out.append(ld - logdet_i_plus(hk @ suf[k + 1] @ hkh) if k + 1 < len(H) else ld)
+    return np.array(out)
 
 
 def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
                      q_by_pos: Sequence[np.ndarray]) -> np.ndarray:
     """Secrecy rates by position for position-ordered channels/covariances.
 
-    The eavesdropper's log-dets, one per suffix sum, serve two positions each.
+    The eavesdropper's log-dets, one per suffix sum but the last, zero one,
+    serve two positions each.
     """
     suf = suffix_sums(q_by_pos)
     gh = herm(G)
-    eve = np.array([logdet_i_plus(G @ s @ gh) for s in suf])
+    eve = [logdet_i_plus(G @ s @ gh) for s in suf[:-1]]
+    eve = np.array(eve + [np.zeros_like(eve[-1])])
     return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 

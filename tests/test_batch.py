@@ -108,7 +108,7 @@ class TestEqualsSolo:
         assert_equals_solo(list(zip(tasks, out)))
 
     def test_four_transmit_antennas(self, monkeypatch):
-        # 4 x 4 eigh stacks, and n = 3 log-dets and inverses by Cholesky
+        # 4 x 4 eigh stacks; n = 3 log-dets by LDL^H pivots, n = 3 inverses by np.linalg.inv
         ch = sample_channel_set(9, 2, 4, [3, 3], 2, 1.0)
         tasks = [(ch, WeightVector(w), order) for w in ((0.3, 0.7), (0.5, 0.5), (0.8, 0.2))
                  for order in enumerate_orders(2)]

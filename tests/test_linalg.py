@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import herm, rand_complex, rand_hermitian, rand_hpd
-from securebc import (NonPositiveDefinite, SingularMatrix, logdet_hpd,
-                      project_psd, psd_inv_sqrt, psd_sqrt, random_psd,
-                      svd_square_diag)
+from securebc import (BC, CovariancePlan, DimensionMismatch, NonPositiveDefinite,
+                      SingularMatrix, logdet_hpd, project_psd, psd_inv_sqrt, psd_sqrt,
+                      random_psd, svd_square_diag)
 from securebc.linalg import (anderson_psd, inv_geometric_mean, inv_hpd, inv_i_plus,
                              logdet_i_plus, min_eigenvalue, sqrt_pair)
 
@@ -144,13 +144,14 @@ class TestSqrtClosedForms:
                 psd_inv_sqrt(m)
 
     @pytest.mark.parametrize("diag", [[np.nan, 1.0], [np.nan, 1.0, 2.0], [np.inf],
-                                      [np.inf, 1.0], [np.inf, 1.0, 2.0], [np.nan]])
+                                      [np.inf, 1.0], [np.inf, 1.0, 2.0], [np.nan],
+                                      [1.0, np.nan]])
     def test_nan_eigenvalue_raises_without_warning(self, diag):
         # every comparison with NaN is false, so a NaN must count as not
         # safely positive rather than slip through to the roots; an infinite
         # entry raises the same errors before the Hermitian average could
-        # warn on it; the closed forms of logdet_i_plus and inv_i_plus refuse
-        # both, rather than return inf or 0
+        # warn on it; the closed forms of logdet_i_plus, inv_i_plus and
+        # min_eigenvalue refuse both, rather than return inf, NaN or 0
         m = np.diag(diag).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -162,6 +163,19 @@ class TestSqrtClosedForms:
                 logdet_i_plus(m)
             with pytest.raises(SingularMatrix):
                 inv_i_plus(m)
+            for f in (project_psd, psd_sqrt, min_eigenvalue):
+                with pytest.raises(NonPositiveDefinite):
+                    f(m)
+
+    @pytest.mark.parametrize("m", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(3),
+                                   np.ones((2, 2, 2))], ids=["0x0", "2x3", "1-d", "3-d"])
+    @pytest.mark.parametrize("f", [project_psd, psd_sqrt, psd_inv_sqrt, logdet_hpd],
+                             ids=lambda f: f.__name__)
+    def test_malformed_shape_raises_dimension_mismatch(self, f, m):
+        # not an IndexError, numpy's broadcast ValueError or AxisError, and
+        # no empty or meaningless result
+        with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
+            f(m)
 
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
@@ -177,6 +191,15 @@ class TestProjectPsd:
             assert np.array_equal(project_psd(m), [[max(x.real, 0.0)]])
             assert min_eigenvalue(m) == np.linalg.eigvalsh((m + herm(m)) / 2)[0]
         assert np.array_equal(project_psd(np.array([[-0.5 + 1j]])), np.zeros((1, 1)))
+
+    def test_2x2_past_the_float_power_overflow(self):
+        # ((a - d) / 2) ** 2 raises OverflowError past |a - d| of about
+        # 2.7e154; min_eigenvalue then takes eigvalsh, and a valid PSD plan
+        # with that spread builds
+        m = np.diag([1e200, 1.0]).astype(complex)
+        assert min_eigenvalue(m) == 1.0
+        assert np.array_equal(project_psd(m), m)
+        assert np.array_equal(CovariancePlan(BC, [m]).matrices[0], m)
 
     def test_clamps_negative_eigenvalue(self):
         assert np.allclose(project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]),

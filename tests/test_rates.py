@@ -9,7 +9,8 @@ from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
                       mac_rates, mac_side_objective, sample_channel_set,
                       weighted_sum, wsr_equivalence_pair)
 from securebc.duality import FOLLOWING
-from securebc.linalg import random_psd
+from securebc import rates as rates_mod
+from securebc.linalg import logdet_i_plus, random_psd
 from securebc.rates import _log_ratios, dpc_rates_arrays, suffix_sums
 
 rng = np.random.default_rng(7)
@@ -116,6 +117,19 @@ class TestDpcSecrecyRates:
         order = EncodingOrder([2, 3, 1])
         assert (dpc_secrecy_rates(ch, order, plan).per_user
                 == bc_rates(ch, order, plan).per_user)
+
+    def test_no_logdet_of_the_empty_suffix(self, monkeypatch):
+        # the suffix after the last position is zero and its log det is 0, so
+        # K = 3 secrecy rates take 3K - 1 = 8 log-dets and plain rates 2K - 1 = 5
+        calls = []
+        monkeypatch.setattr(rates_mod, "logdet_i_plus",
+                            lambda m: calls.append(m) or logdet_i_plus(m))
+        ch = sample_channel_set(4, 3, 2, [2, 1, 2], 2, 1.0)
+        plan, order = rand_bc_plan(rng, ch), EncodingOrder([2, 3, 1])
+        dpc_secrecy_rates(ch, order, plan)
+        assert len(calls) == 8
+        bc_rates(ch, order, plan)
+        assert len(calls) == 8 + 5
 
     def test_wrong_side_rejected(self):
         ch = sample_channel_set(1, 1, 2, [2], 1, 1.0)
