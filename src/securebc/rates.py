@@ -124,8 +124,7 @@ class CovariancePlan:
         if len(self.matrices) != ch.num_users:
             raise DimensionMismatch(
                 f"plan has {len(self.matrices)} matrices for {ch.num_users} users")
-        for idx, m in enumerate(self.matrices):
-            want = ch.n_t if self.side == BC else ch.n_k[idx]
+        for idx, (m, want) in enumerate(zip(self.matrices, _block_sizes(self.side, ch))):
             if m.shape[0] != want:
                 raise DimensionMismatch(
                     f"user {idx + 1} {self.side} covariance is {m.shape[0]}x{m.shape[0]}, "
@@ -136,8 +135,12 @@ class CovariancePlan:
 
     @classmethod
     def zero(cls, side: str, ch: ChannelSet) -> "CovariancePlan":
-        dims = [ch.n_t] * ch.num_users if side == BC else list(ch.n_k)
-        return cls(side, [np.zeros((d, d), dtype=complex) for d in dims])
+        return cls(side, [np.zeros((d, d), dtype=complex) for d in _block_sizes(side, ch)])
+
+
+def _block_sizes(side: str, ch: ChannelSet) -> list[int]:
+    """Each user's covariance size on ``side``: n_t downlink, n_k uplink."""
+    return [ch.n_t] * ch.num_users if side == BC else list(ch.n_k)
 
 
 @dataclass(frozen=True)
@@ -190,21 +193,24 @@ def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
     return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 
-def by_position(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
-                side: str):
+def positions(ch: ChannelSet, order: EncodingOrder) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Check that ``order`` covers the channels' users; return the
+    position-to-user map and the channels by position."""
+    if len(order) != ch.num_users:
+        raise DimensionMismatch(
+            f"order ({len(order)}) and channels ({ch.num_users}) disagree on the user count")
+    idx = order.zero_based
+    return idx, [ch.user_channels[u] for u in idx]
+
+
+def by_position(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str):
     """Check a ``side`` plan against the channels and order; return the
     position-to-user map and the channels and covariances by position."""
     if plan.side != side:
         raise DimensionMismatch(f"expected a {side} plan, got {plan.side}")
-    if len(order) != ch.num_users or len(plan) != ch.num_users:
-        raise DimensionMismatch(
-            f"order ({len(order)}), plan ({len(plan)}) and channels "
-            f"({ch.num_users}) disagree on the user count")
+    idx, H = positions(ch, order)
     plan.validate_for(ch)
-    idx = order.zero_based
-    H = [ch.user_channels[u] for u in idx]
-    mats = [plan.matrices[u] for u in idx]
-    return idx, H, mats
+    return idx, H, [plan.matrices[u] for u in idx]
 
 
 def by_user(by_pos: Sequence, idx: np.ndarray) -> list:

@@ -43,7 +43,7 @@ from .linalg import (anderson_psd, herm, hermitize, inv_i_plus, logdet_i_plus,
                      project_psd, real_trace)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
-                    suffix_sums, weighted_sum)
+                    positions, suffix_sums, weighted_sum)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -94,28 +94,21 @@ class SolverReport:
 class _Problem:
     """Channels, weights and budget relabeled into position space."""
 
-    __slots__ = ("ch", "order", "H", "G", "w", "P", "K", "n_t", "idx")
+    __slots__ = ("ch", "order", "H", "G", "w", "P", "idx")
 
     def __init__(self, ch: ChannelSet, order: EncodingOrder,
                  w: Union[WeightVector, Sequence[float]]):
         w = WeightVector.of(w, ch.num_users)
-        if len(order) != ch.num_users:
-            raise DimensionMismatch(
-                f"channels ({ch.num_users}) and order ({len(order)}) disagree on the user count")
         self.ch, self.order = ch, order
-        self.idx = order.zero_based
-        self.H = [ch.user_channels[u] for u in self.idx]
+        self.idx, self.H = positions(ch, order)
         self.G = ch.eavesdropper
         self.w = w.as_array()[self.idx]
         self.P = ch.power
-        self.K = ch.num_users
-        self.n_t = ch.n_t
 
     def blocks(self, plan: Optional[CovariancePlan]) -> list[np.ndarray]:
-        """A downlink plan's covariances by position; None: the zero plan."""
-        if plan is None:
-            return [np.zeros((self.n_t, self.n_t), dtype=complex) for _ in range(self.K)]
-        return [np.array(q) for q in by_position(self.ch, self.order, plan, BC)[2]]
+        """A downlink plan's own covariances by position; None: the zero plan."""
+        plan = CovariancePlan.zero(BC, self.ch) if plan is None else plan
+        return by_position(self.ch, self.order, plan, BC)[2]
 
     def plan(self, Q: Sequence[np.ndarray]) -> CovariancePlan:
         """The downlink plan of covariances ``Q`` by position, each made PSD."""
@@ -605,10 +598,10 @@ def lagrangian(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
 
 def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                 w: Union[WeightVector, Sequence[float]], k: int):
-    """Problem and covariance copies by position for a 1-based block index."""
+    """Problem and covariances by position for a 1-based block index."""
     prob = _Problem(ch, order, w)
-    if not 1 <= k <= prob.K:
-        raise DimensionMismatch(f"block index {k} out of range 1..{prob.K}")
+    if not 1 <= k <= len(prob.H):
+        raise DimensionMismatch(f"block index {k} out of range 1..{len(prob.H)}")
     return prob, prob.blocks(plan)
 
 
