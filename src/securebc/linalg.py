@@ -7,11 +7,11 @@ considered numerical zeros; anything more negative is a genuine sign problem
 and is either clamped (projection contexts) or raised (validation contexts).
 
 Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` take
-one non-empty square 2-D matrix, else raise ``DimensionMismatch``.  These,
-``min_eigenvalue``, and ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` of one matrix
-raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a non-finite
-entry, before any arithmetic could warn or return NaN.  Stacks, the solver's own
-finite products, are not checked.
+one non-empty square 2-D matrix, else raise ``DimensionMismatch``, as do
+``min_eigenvalue``, ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` on a 2-D matrix.
+All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a
+non-finite entry of one matrix, before any arithmetic could warn or return NaN.
+Stacks, the solver's own finite products, are not checked.
 
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off:
@@ -73,9 +73,9 @@ def min_eigenvalue(m: np.ndarray) -> float:
     Raises:
         NonPositiveDefinite: if an entry is not finite.
     """
-    if m.shape[0] == 1 and cmath.isfinite(x := m.item()):
+    if m.shape == (1, 1) and cmath.isfinite(x := m.item()):
         return float(x.real)
-    if m.shape[0] == 2:  # (a + d) / 2 - sqrt(((a - d) / 2)^2 + |b|^2)
+    if m.shape == (2, 2):  # (a + d) / 2 - sqrt(((a - d) / 2)^2 + |b|^2)
         a, d, b, _ = _i_plus_2x2(m, 0.0)
         try:
             low = (a + d) / 2 - math.sqrt(((a - d) / 2) ** 2 + b.real * b.real + b.imag * b.imag)
@@ -187,15 +187,15 @@ def logdet_i_plus(m: np.ndarray) -> float:
     n = m.shape[-1]
     if m.ndim > 2 and n <= 3:
         return _logdet_i_plus_stack(m)
-    if n == 1:
+    if m.shape == (1, 1):
         x = m.item().real
         if -1.0 < x < math.inf:
             return float(np.log1p(x))
-    elif n == 2:
+    elif m.shape == (2, 2):
         a, _, _, det = _i_plus_2x2(m, 1.0)
         if a > 0.0 and 0.0 < det < math.inf:
             return float(np.log(det))
-    elif n == 3:
+    elif m.shape == (3, 3):
         p = _pivots_3x3(m, 1.0)
         if p[-1] > 0.0 and p[0] * p[1] * p[2] < math.inf:
             return float(np.log(p[0] * p[1] * p[2]))

@@ -177,6 +177,17 @@ class TestSqrtClosedForms:
         with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
             f(m)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (2, 1), (4, 3)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("f", [min_eigenvalue, logdet_i_plus, inv_i_plus],
+                             ids=lambda f: f.__name__)
+    def test_non_square_matrix_raises_dimension_mismatch(self, f, shape):
+        # the closed forms read a matrix by its size: a non-square one must
+        # not reach them, where it raised ValueError or IndexError, or gave
+        # the log-det of its top 3x3 block
+        with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
+            f(np.ones(shape))
+
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
         assert np.array_equal(psd_sqrt(np.zeros((1, 1))), np.zeros((1, 1)))
