@@ -12,12 +12,26 @@ solve by solve (a label flip shows as one changed row)::
 
 A solve that raises gets its error class as its label and NaN numbers.
 
+``--oracle`` adds two reference columns to each row whose users all have
+one antenna, from the single-user secrecy capacities C_k of
+``oracles.misome_capacity``: ``floor`` = max_k w_k C_k(P), what serving the
+best user alone reaches, and ``ceiling`` = sum_k w_k C_k((1 + BUDGET_SLACK) P),
+as no user's secrecy rate beats its capacity at the largest power a plan
+may use.  At K = 1 both are the capacity.  Other rows leave them empty.
+
 ``--diff OLD.csv NEW.csv`` compares two such files, row by row, with the
 standard library alone: it prints the sweep and price-evaluation totals by
 power, every label flip and every row whose weighted sum moved by more than
 ``WSR_MOVE * (1 + |old WSR|)``::
 
     python tests/census.py --diff old.csv new.csv
+
+``--gate FILE`` reads an ``--oracle`` census, with the standard library
+alone, and lists every ``converged`` row more than ``WSR_MOVE * (1 + floor)``
+below its floor or more than ``CEILING_TOL`` above its ceiling; it exits 1
+if it lists any::
+
+    python tests/census.py --gate rows.csv
 """
 
 from __future__ import annotations
@@ -25,12 +39,17 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import sys
 
 POWERS = (1e-3, 1.0, 1e2, 1e4, 1e7)
 FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps",
           "evals")
-# a weighted sum that moves by more than this times 1 + |old WSR| is listed
+ORACLE_FIELDS = ("floor", "ceiling")
+# a weighted sum that moves by more than this times 1 + |old WSR| is listed,
+# and so is a converged one this far below its floor (times 1 + floor)
 WSR_MOVE = 1e-6
+# a weighted sum more than this above its ceiling is listed
+CEILING_TOL = 1e-12
 
 
 def cases(seed: int, count: int):
@@ -58,10 +77,40 @@ def solve(ch, w):
     return solve_wsr(ch, w, optimal_order(w))
 
 
-def row(s: int, ch, w) -> dict:
-    """The CSV row of one solve."""
+def sandwich(ch, w):
+    """(floor, ceiling) of a solve whose users all have one antenna (see
+    ``--oracle``), else None."""
+    from oracles import misome_capacity
+    from securebc.rates import BUDGET_SLACK
+
+    if set(ch.n_k) != {1}:
+        return None
+    G, P = ch.eavesdropper, ch.power
+    floor = max(wk * misome_capacity(h, G, P) for wk, h in zip(w.weights, ch.user_channels))
+    ceiling = sum(wk * misome_capacity(h, G, (1.0 + BUDGET_SLACK) * P)
+                  for wk, h in zip(w.weights, ch.user_channels))
+    return floor, ceiling
+
+
+def outside(label: str, wsr: float, floor: float, ceiling: float):
+    """How a solve's answer leaves its sandwich, or None if it does not: a
+    ``converged`` one more than ``WSR_MOVE * (1 + floor)`` below its floor
+    or more than ``CEILING_TOL`` above its ceiling."""
+    if label != "converged":
+        return None
+    if wsr < floor - WSR_MOVE * (1.0 + floor):
+        return f"{wsr:.9g} below floor {floor:.9g} ({wsr - floor:+.3g})"
+    if wsr > ceiling + CEILING_TOL:
+        return f"{wsr:.9g} above ceiling {ceiling:.9g} ({wsr - ceiling:+.3g})"
+    return None
+
+
+def row(s: int, ch, w, oracle: bool = False) -> dict:
+    """The CSV row of one solve, with the ``--oracle`` columns if asked."""
     out = {"seed": s, "K": ch.num_users, "n_t": ch.n_t, "n_k": " ".join(map(str, ch.n_k)),
            "n_e": ch.n_e, "P": ch.power}
+    if oracle:
+        out.update(zip(ORACLE_FIELDS, sandwich(ch, w) or ("", "")))
     try:
         report = solve(ch, w)
     except Exception as exc:
@@ -85,8 +134,7 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
     sums["total"] = [sum(t[i] for t in sums.values()) for i in range(4)]
     for power, (s0, s1, e0, e1) in sums.items():
         lines.append(f"{power:<10} {s0:>8} -> {s1:<8}    {e0:>6} -> {e1:<6}")
-    tag = [f"row {i} (seed {a['seed']}, K {a['K']}, n_t {a['n_t']}, P {a['P']})"
-           for i, a in enumerate(old)]
+    tag = [_tag(i, a) for i, a in enumerate(old)]
     flips = [f"  {tag[i]}: {a['label']} -> {b['label']}"
              for i, (a, b) in enumerate(zip(old, new)) if a["label"] != b["label"]]
     lines.append(f"label flips: {len(flips)}")
@@ -102,6 +150,20 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
     return lines + moves
 
 
+def gate(rows: list[dict]) -> list[str]:
+    """The report lines of ``--gate`` on a census's rows: a count, then every
+    row outside its sandwich."""
+    checked = [(i, r) for i, r in enumerate(rows) if r.get("floor")]
+    out = [f"  {_tag(i, r)}: {why}" for i, r in checked
+           if (why := outside(r["label"], float(r["wsr"]), float(r["floor"]),
+                              float(r["ceiling"])))]
+    return [f"rows with a sandwich: {len(checked)}; converged outside it: {len(out)}"] + out
+
+
+def _tag(i: int, r: dict) -> str:
+    return f"row {i} (seed {r['seed']}, K {r['K']}, n_t {r['n_t']}, P {r['P']})"
+
+
 def _read(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -112,19 +174,30 @@ def main(argv=None) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--out", help="CSV path")
+    p.add_argument("--oracle", action="store_true",
+                   help="add the floor and ceiling columns of single-antenna rows")
     p.add_argument("--diff", nargs=2, metavar=("OLD.csv", "NEW.csv"),
                    help="compare two census files instead of running one")
+    p.add_argument("--gate", metavar="FILE",
+                   help="list the converged rows of an --oracle census outside their "
+                        "sandwich instead of running one; exit 1 if there are any")
     args = p.parse_args(argv)
     if args.diff:
         print("\n".join(diff(*map(_read, args.diff))))
         return
+    if args.gate:
+        lines = gate(_read(args.gate))
+        print("\n".join(lines))
+        if len(lines) > 1:
+            sys.exit(1)
+        return
     if None in (args.seed, args.count, args.out):
-        p.error("--seed, --count and --out are required without --diff")
+        p.error("--seed, --count and --out are required without --diff or --gate")
     with open(args.out, "w", newline="") as fh:
-        sink = csv.DictWriter(fh, FIELDS)
+        sink = csv.DictWriter(fh, FIELDS + ORACLE_FIELDS if args.oracle else FIELDS)
         sink.writeheader()
         for case in cases(args.seed, args.count):
-            sink.writerow(row(*case))
+            sink.writerow(row(*case, oracle=args.oracle))
 
 
 if __name__ == "__main__":

@@ -60,3 +60,27 @@ def duality_map(H, G, given, downlink, preceding):
         mapped[k] = f @ given[k] @ f.conj().T
         eve[k] = u.conj().T @ G.conj().T
     return mapped, eve
+
+
+def secure_dof(w, n_k, n_t, n_e):
+    """The pre-log d of the optimal weighted secrecy sum, which grows like
+    d ln P at high SNR, from the antenna counts and the weights ``w`` alone
+    (conjectured and checked numerically, not derived).
+
+    With the users sorted by weight, highest first, and
+    cap(S) = max(0, min(n_t, sum_{k in S} n_k + n_e) - n_e), it is
+    d = sum_i w_(i) (cap(first i users) - cap(first i - 1 users)), the greedy
+    maximum over a polymatroid.  At K = 1 it is the MIMOME wiretap channel's
+    secure degrees of freedom, min(n_t, n_k + n_e) - n_e when n_t > n_e,
+    else 0 (Khisti & Wornell, "Secure transmission with multiple antennas
+    II: the MIMOME wiretap channel", IEEE Trans. IT 56(11), 2010); the region
+    it would follow from is the S-DPC secrecy capacity region (Ekrem &
+    Ulukus, IEEE Trans. IT 57(4), 2011)."""
+    def cap(antennas):
+        return max(0, min(n_t, antennas + n_e) - n_e)
+
+    d, antennas = 0.0, 0
+    for wk, nk in sorted(zip(w, n_k), key=lambda user: -user[0]):
+        d += wk * (cap(antennas + nk) - cap(antennas))
+        antennas += nk
+    return d

@@ -1,13 +1,14 @@
 """The census slice: 40 seeded solves from K = 1 to 6 and n_t = 2 to 8, at
 -30 to +70 dB (see census.py), each with every warning an error.  A solve
-must not raise, its rates must be finite and its plan within the budget."""
+must not raise, its rates must be finite and its plan within the budget, and
+where every user has one antenna its answer must lie in its sandwich."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from census import cases, main, solve
+from census import cases, main, outside, sandwich, solve
 
 SLICE = list(cases(7, 40))
 
@@ -20,6 +21,9 @@ def test_census_slice(s, ch, w):
         report = solve(ch, w)
     assert np.isfinite(report.rates.per_user).all() and np.isfinite(report.rates.weighted_sum)
     report.plan.validate_for(ch, check_power=True)
+    bounds = sandwich(ch, w)
+    if bounds is not None:
+        assert outside(report.termination, report.rates.weighted_sum, *bounds) is None
 
 
 OLD = """seed,K,n_t,n_k,n_e,P,label,wsr,tr_over_P,sweeps,evals
@@ -51,3 +55,33 @@ def test_diff_of_two_censuses(tmp_path, capsys):
         "  row 1 (seed 12, K 3, n_t 2, P 1.0): stalled -> converged",
         "weighted sums moved by more than 1e-06 (1 + |WSR|): 1",
         "  row 1 (seed 12, K 3, n_t 2, P 1.0): 1.25 -> 1.5 (+0.25)"]
+
+
+ORACLE = """seed,K,n_t,n_k,n_e,P,label,wsr,tr_over_P,sweeps,evals,floor,ceiling
+21,1,4,1,2,1.0,converged,0.7,1.0,10,4,0.7,0.7000007
+22,2,4,1 1,1,1e7,converged,9.5,0.1,3,1,10.0,16.0
+23,2,4,1 1,1,1e7,stalled,9.5,0.1,3,1,10.0,16.0
+24,2,3,1 1,2,100.0,converged,3.9999999,1.0,20,6,4.0,5.0
+25,2,3,1 1,2,100.0,converged,5.000001,1.0,20,6,4.0,5.0
+26,2,3,2 1,2,100.0,converged,1.0,1.0,20,6,,
+27,1,3,1,2,1.0,converged,0.5000000000001,1.0,9,4,0.5,0.5
+"""
+
+
+def test_gate_lists_converged_rows_outside_their_sandwich(tmp_path, capsys):
+    # row 1 lies 0.5 below its floor and row 4 1e-6 above its ceiling; row 2
+    # is as far down but stalled, row 3 only 1e-7 below its floor, row 5 has
+    # no sandwich and row 6 is only 1e-13 above its ceiling
+    path = tmp_path / "rows.csv"
+    path.write_text(ORACLE)
+    with pytest.raises(SystemExit) as stop:
+        main(["--gate", str(path)])
+    assert stop.value.code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "rows with a sandwich: 6; converged outside it: 2",
+        "  row 1 (seed 22, K 2, n_t 4, P 1e7): 9.5 below floor 10 (-0.5)",
+        "  row 4 (seed 25, K 2, n_t 3, P 100.0): 5.000001 above ceiling 5 (+1e-06)"]
+    # a file with no row outside passes
+    path.write_text("\n".join(ORACLE.splitlines()[:2]) + "\n")
+    main(["--gate", str(path)])
+    assert capsys.readouterr().out == "rows with a sandwich: 1; converged outside it: 0\n"

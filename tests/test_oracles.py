@@ -1,10 +1,12 @@
-"""solve_wsr against the exact single-user secrecy capacity (tests/oracles.py)."""
+"""solve_wsr against the exact single-user secrecy capacity and the
+predicted high-SNR slope (tests/oracles.py)."""
 
 import numpy as np
 import pytest
 
-from oracles import misome_capacity
-from securebc import EncodingOrder, sample_channel_set, solve_wsr
+from oracles import misome_capacity, secure_dof
+from securebc import (EncodingOrder, WeightVector, optimal_order, sample_channel_set,
+                      solve_wsr)
 from securebc.rates import BUDGET_SLACK
 from securebc.solver import CONVERGED
 
@@ -44,3 +46,39 @@ def test_misome_capacity_closed_cases():
     for g in (0.5, 2.0):
         assert np.isclose(misome_capacity([[1.0j]], [[g]], 3.0),
                           max(0.0, np.log((1.0 + 3.0) / (1.0 + 3.0 * g * g))), atol=1e-15)
+
+
+def test_secure_dof_is_the_misome_slope():
+    # K = 1, n_k = 1 on the MISOME grid: the exact capacity's slope in ln P
+    # from 1e6 to 1e7 is 1 if n_t > n_e, else 0
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n_t, n_e, seed = rng.integers(2, 5), rng.integers(1, 5), rng.integers(2**31)
+        ch = sample_channel_set(int(seed), 1, int(n_t), [1], int(n_e), 1.0)
+        h, G = ch.user_channels[0], ch.eavesdropper
+        slope = (misome_capacity(h, G, 1e7) - misome_capacity(h, G, 1e6)) / np.log(10)
+        assert abs(slope - secure_dof([1.0], [1], int(n_t), int(n_e))) <= 1e-5, (seed, slope)
+
+
+# (K, n_t, n_k, n_e)
+SLOPE_SHAPES = [(2, 4, [2, 2], 2), (2, 4, [1, 1], 1), (3, 4, [1, 1, 1], 2), (2, 3, [2, 2], 1),
+                (2, 2, [1, 1], 1), (3, 4, [2, 1, 1], 1), (2, 4, [1, 2], 3), (3, 6, [2, 2, 2], 2)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at P = 1e7 the solve stops at the "
+                                       "bottom price, short of the budget")
+def test_high_snr_slope_matches_secure_dof():
+    # 3 instances per shape under the weight-sorted order: the weighted sum
+    # grows from P = 1e6 to 1e7 by secure_dof times ln 10, within 0.01
+    rng = np.random.default_rng(5)
+    off = []
+    for K, n_t, n_k, n_e in SLOPE_SHAPES:
+        for _ in range(3):
+            seed, w = int(rng.integers(2**31)), WeightVector(rng.random(K) + 0.05)
+            wsr = [solve_wsr(sample_channel_set(seed, K, n_t, n_k, n_e, P), w,
+                             optimal_order(w)).rates.weighted_sum for P in (1e6, 1e7)]
+            slope = (wsr[1] - wsr[0]) / np.log(10)
+            d = secure_dof(w.weights, n_k, n_t, n_e)
+            if abs(slope - d) > 0.01:
+                off.append((seed, round(slope, 3), round(d, 3)))
+    assert off == [], off
