@@ -446,8 +446,10 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     the bracket gives way to the arithmetic midpoint.  Sweeps run at
     ``cfg.objective_tol`` until a record lands within ``NEAR * P`` of the
     budget; that price is re-run once at the tight tolerance
-    ``objective_tol * 1e-6`` (at least 5e-15), and so is every later price,
+    ``objective_tol * 1e-4`` (at least 5e-15), and so is every later price,
     because the loose residual crosses zero a few 1e-5 P off the true root.
+    At the defaults that is 1e-12 = ``lambda_tol**2``, as a settled plan's
+    power error goes like the square root of its objective error.
     Every evaluation, loose or tight, takes Anderson steps on creeping
     sweeps (see :func:`_evaluation`).
 
@@ -470,7 +472,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
         return evals  # budget slack at the bottom price
     lo, hi = evals[0], replace(zero, lam=_top_price(prob))
     r_lo, r_hi = lo.power - P, -P
-    tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-6, 5e-15))
+    tight = replace(cfg, objective_tol=max(cfg.objective_tol * 1e-4, 5e-15))
     run_cfg, side = cfg, 0
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
