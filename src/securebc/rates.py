@@ -107,9 +107,6 @@ class CovariancePlan:
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "matrices", mats)
 
-    def __len__(self) -> int:
-        return len(self.matrices)
-
     @property
     def total_trace(self) -> float:
         return float(sum(np.trace(m).real for m in self.matrices))
