@@ -12,8 +12,8 @@ solve by solve (a label flip shows as one changed row)::
 
 A solve that raises gets its error class as its label and NaN numbers.
 
-``--oracle`` adds two reference columns to each row whose users all have
-one antenna, from the single-user secrecy capacities C_k of
+Each row whose users all have one antenna also gets two reference
+columns, from the single-user secrecy capacities C_k of
 ``oracles.misome_capacity``: ``floor`` = max_k w_k C_k(P), what serving the
 best user alone reaches, and ``ceiling`` = sum_k w_k C_k((1 + BUDGET_SLACK) P),
 as no user's secrecy rate beats its capacity at the largest power a plan
@@ -26,10 +26,10 @@ power, every label flip and every row whose weighted sum moved by more than
 
     python tests/census.py --diff old.csv new.csv
 
-``--gate FILE`` reads an ``--oracle`` census, with the standard library
-alone, and lists every ``converged`` row more than ``WSR_MOVE * (1 + floor)``
-below its floor or more than ``CEILING_TOL`` above its ceiling; it exits 1
-if it lists any::
+``--gate FILE`` reads a census, with the standard library alone, and lists
+every ``converged`` row more than ``WSR_MOVE * (1 + floor)`` below its floor
+or more than ``CEILING_TOL`` above its ceiling; it exits 1 if it lists any,
+and 2 if the file has no rows or no ``floor`` and ``ceiling`` columns::
 
     python tests/census.py --gate rows.csv
 """
@@ -42,9 +42,9 @@ import math
 import sys
 
 POWERS = (1e-3, 1.0, 1e2, 1e4, 1e7)
-FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps",
-          "evals")
 ORACLE_FIELDS = ("floor", "ceiling")
+FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps",
+          "evals") + ORACLE_FIELDS
 # a weighted sum that moves by more than this times 1 + |old WSR| is listed,
 # and so is a converged one this far below its floor (times 1 + floor)
 WSR_MOVE = 1e-6
@@ -79,7 +79,7 @@ def solve(ch, w):
 
 def sandwich(ch, w):
     """(floor, ceiling) of a solve whose users all have one antenna (see
-    ``--oracle``), else None."""
+    the module docstring), else None."""
     from oracles import misome_capacity
     from securebc.rates import BUDGET_SLACK
 
@@ -105,12 +105,11 @@ def outside(label: str, wsr: float, floor: float, ceiling: float):
     return None
 
 
-def row(s: int, ch, w, oracle: bool = False) -> dict:
-    """The CSV row of one solve, with the ``--oracle`` columns if asked."""
+def row(s: int, ch, w) -> dict:
+    """The CSV row of one solve."""
     out = {"seed": s, "K": ch.num_users, "n_t": ch.n_t, "n_k": " ".join(map(str, ch.n_k)),
            "n_e": ch.n_e, "P": ch.power}
-    if oracle:
-        out.update(zip(ORACLE_FIELDS, sandwich(ch, w) or ("", "")))
+    out.update(zip(ORACLE_FIELDS, sandwich(ch, w) or ("", "")))
     try:
         report = solve(ch, w)
     except Exception as exc:
@@ -174,19 +173,20 @@ def main(argv=None) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--out", help="CSV path")
-    p.add_argument("--oracle", action="store_true",
-                   help="add the floor and ceiling columns of single-antenna rows")
     p.add_argument("--diff", nargs=2, metavar=("OLD.csv", "NEW.csv"),
                    help="compare two census files instead of running one")
     p.add_argument("--gate", metavar="FILE",
-                   help="list the converged rows of an --oracle census outside their "
-                        "sandwich instead of running one; exit 1 if there are any")
+                   help="list the converged rows of a census outside their sandwich "
+                        "instead of running one; exit 1 if there are any")
     args = p.parse_args(argv)
     if args.diff:
         print("\n".join(diff(*map(_read, args.diff))))
         return
     if args.gate:
-        lines = gate(_read(args.gate))
+        rows = _read(args.gate)
+        if not rows or not set(ORACLE_FIELDS) <= rows[0].keys():
+            p.error(f"{args.gate} has no rows with the columns {' and '.join(ORACLE_FIELDS)}")
+        lines = gate(rows)
         print("\n".join(lines))
         if len(lines) > 1:
             sys.exit(1)
@@ -194,10 +194,10 @@ def main(argv=None) -> None:
     if None in (args.seed, args.count, args.out):
         p.error("--seed, --count and --out are required without --diff or --gate")
     with open(args.out, "w", newline="") as fh:
-        sink = csv.DictWriter(fh, FIELDS + ORACLE_FIELDS if args.oracle else FIELDS)
+        sink = csv.DictWriter(fh, FIELDS)
         sink.writeheader()
         for case in cases(args.seed, args.count):
-            sink.writerow(row(*case, oracle=args.oracle))
+            sink.writerow(row(*case))
 
 
 if __name__ == "__main__":

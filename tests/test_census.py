@@ -85,3 +85,21 @@ def test_gate_lists_converged_rows_outside_their_sandwich(tmp_path, capsys):
     path.write_text("\n".join(ORACLE.splitlines()[:2]) + "\n")
     main(["--gate", str(path)])
     assert capsys.readouterr().out == "rows with a sandwich: 1; converged outside it: 0\n"
+    # a file without the floor and ceiling columns, or with no rows, checks
+    # nothing, so it fails
+    for text in (OLD, ORACLE.splitlines()[0] + "\n"):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as stop:
+            main(["--gate", str(path)])
+        assert stop.value.code == 2
+        assert "has no rows with the columns floor and ceiling" in capsys.readouterr().err
+
+
+def test_gate_of_a_written_census(tmp_path, capsys):
+    # the first 6 solves of census 7 hold 3 rows whose users all have one
+    # antenna (K = 1 at P = 1e4 and 1e-3, K = 3 at 1e7); the written file
+    # carries their floor and ceiling, and none lies outside them
+    path = tmp_path / "rows.csv"
+    main(["--seed", "7", "--count", "6", "--out", str(path)])
+    main(["--gate", str(path)])
+    assert capsys.readouterr().out == "rows with a sandwich: 3; converged outside it: 0\n"
