@@ -132,7 +132,8 @@ class CovariancePlan:
 
     @classmethod
     def zero(cls, side: str, ch: ChannelSet) -> "CovariancePlan":
-        return cls(side, [np.zeros((d, d), dtype=complex) for d in _block_sizes(side, ch)])
+        return cls._of_projected(side, [np.zeros((d, d), dtype=complex)
+                                        for d in _block_sizes(side, ch)])
 
 
 def _block_sizes(side: str, ch: ChannelSet) -> list[int]:
