@@ -65,7 +65,8 @@ def duality_map(H, G, given, downlink, preceding):
 def secure_dof(w, n_k, n_t, n_e):
     """The pre-log d of the optimal weighted secrecy sum, which grows like
     d ln P at high SNR, from the antenna counts and the weights ``w`` alone
-    (conjectured and checked numerically, not derived).
+    (conjectured, not derived; ``test_oracles.py`` checks it against solves
+    at K = 2 and 3).
 
     With the users sorted by weight, highest first, and
     cap(S) = max(0, min(n_t, sum_{k in S} n_k + n_e) - n_e), it is
