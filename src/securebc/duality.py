@@ -35,9 +35,9 @@ ladder is the one under which the uplink-side weighted objective
 (``rates.mac_side_objective``) with the effective eavesdropper channels
 equals the downlink weighted secrecy sum of the dual plan, term by term.
 
-Both directions run one ladder sweep.  The ladder of the given plan's side
-is summed up front; the other ladder grows from the covariances mapped so
-far, so positions are visited in its direction, one after another.
+Each map is one ladder walk (``_walk``) on channels and blocks already by
+position, which checks nothing, plus one public wrapper that validates the
+plan against channels and order (``rates.by_position``) and relabels by user.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ import numpy as np
 from .channel import ChannelSet, WeightVector, sample_channel_set
 from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_psd,
                      sqrt_pair, svd_square_diag)
-from .rates import (BC, MAC, CovariancePlan, EncodingOrder, bc_rates,
-                    by_position, by_user, dpc_secrecy_rates, mac_rates,
-                    mac_side_objective, random_plan, weighted_sum)
+from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, by_position,
+                    by_user, dpc_rates_arrays, dpc_secrecy_rates, mac_objective_arrays,
+                    mac_rates_arrays, mac_side_objective, positions, random_plan,
+                    suffix_sums, weighted_sum)
 
 PRECEDING = "preceding"
 FOLLOWING = "following"
@@ -129,38 +130,39 @@ def _d_ladder(H: Sequence[np.ndarray], Hh: Sequence[np.ndarray], S: Sequence[np.
         d = d + Hh[k] @ S[k] @ H[k]
 
 
-def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
-           mac_ladder: str = PRECEDING, context: bool = True):
-    """Map a ``side`` plan to the other side, one position at a time.
+def _walk(H: Sequence[np.ndarray], Hh: Sequence[np.ndarray], given: Sequence[np.ndarray],
+          downlink: bool, mac_ladder: str = PRECEDING):
+    """Map blocks ``given`` (downlink ones if ``downlink``) to the other side;
+    return the mapped blocks, C and D ladders and U factors.  Channels ``H``,
+    their ``herm`` ``Hh``, the blocks and the results are all by position.
 
     The ladder of the given side (C for a downlink plan, D for an uplink
     one) is summed up front.  The other ladder grows from the mapped
     covariances, so the walk follows its direction: D along ``mac_ladder``,
     C from the last position back.  Ladders are not re-symmetrized: every
     consumer reads one triangle or the averaged off-diagonal.
-
-    Returns the context (None unless ``context``) and the other side's plan.
     """
-    idx, H, given = by_position(ch, order, plan, side)
-    Hh = [herm(h) for h in H]
-    K = len(H)
-    mapped: list = [None] * K
-    along = _along(mac_ladder, K)
-    downlink = side == BC
+    mapped, c_list, d_list, u_list = ([None] * len(H) for _ in range(4))
+    along = _along(mac_ladder, len(H))
     if downlink:
         fixed, walk = dict(_c_ladder(H, Hh, given)), _d_ladder(H, Hh, mapped, along)
     else:
         fixed, walk = dict(_d_ladder(H, Hh, given, along)), _c_ladder(H, Hh, mapped)
-    c_list: list = [None] * K
-    d_list: list = [None] * K
-    u_list: list = [None] * K
     for k, grown in walk:
         c_list[k], d_list[k] = (fixed[k], grown) if downlink else (grown, fixed[k])
         mapped[k], u_list[k] = _position_transform(
             H[k], Hh[k], c_list[k], d_list[k], given[k], downlink)
-    ctx = DualityContext(order, mac_ladder, tuple(c_list), tuple(d_list),
-                         tuple(herm(ch.eavesdropper @ u) for u in u_list)) if context else None
-    return ctx, CovariancePlan._of_projected(MAC if downlink else BC, by_user(mapped, idx))
+    return mapped, c_list, d_list, u_list
+
+
+def _sweep(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan, side: str,
+           mac_ladder: str = PRECEDING, context: bool = True):
+    """:func:`_walk` of a validated ``side`` plan: (context or None, other side's plan)."""
+    idx, H, given = by_position(ch, order, plan, side)
+    mapped, c, d, u = _walk(H, [herm(h) for h in H], given, side == BC, mac_ladder)
+    ctx = DualityContext(order, mac_ladder, tuple(c), tuple(d),
+                         tuple(herm(ch.eavesdropper @ x) for x in u)) if context else None
+    return ctx, CovariancePlan._of_projected(MAC if side == BC else BC, by_user(mapped, idx))
 
 
 def bc_to_mac(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
@@ -222,10 +224,14 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     * uplink-objective equivalence with effective eavesdropper channels,
     * ladder eigenvalue floor (C, D are identity plus PSD).
 
-    Raises ValueError for fewer than one instance or a tol not finite and positive.
+    An instance is relabelled by position once; its sweeps and rates run on the
+    kernels the public maps and rates wrap (traces and weights add by user).
+
+    Raises ValueError unless num_instances is an integer (not a bool) >= 1 and tol > 0 finite.
     """
-    if num_instances < 1:
-        raise ValueError(f"num_instances must be at least 1, got {num_instances}")
+    if (isinstance(num_instances, bool) or not isinstance(num_instances, (int, np.integer))
+            or num_instances < 1):
+        raise ValueError(f"num_instances must be an integer of at least 1, got {num_instances!r}")
     if not 0.0 < tol < np.inf:  # a NaN fails too
         raise ValueError(f"tol must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
@@ -235,31 +241,31 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         n_t = int(rng.integers(1, 4))
         n_e = int(rng.integers(1, 3))
         mac_first = bool(rng.random() < 0.5)
-        if mac_first:
-            n_k = [int(rng.integers(1, n_t + 1)) for _ in range(K)]
-        else:
-            n_k = [int(rng.integers(n_t, 4)) for _ in range(K)]
+        lo, hi = (1, n_t + 1) if mac_first else (n_t, 4)
+        n_k = [int(rng.integers(lo, hi)) for _ in range(K)]
         power = float(0.5 + 2.0 * rng.random())
         ch = sample_channel_set(int(rng.integers(2 ** 31)), K, n_t, n_k, n_e, power)
         order = EncodingOrder(rng.permutation(K) + 1)
-        w = WeightVector(rng.random(K) + 0.05)
-
-        if mac_first:
-            plan_mac = random_plan(MAC, n_k, power, rng)
-            plan_bc = mac_to_bc(ch, order, plan_mac)
-        else:
-            plan_bc = random_plan(BC, [n_t] * K, power, rng)
-        ctx, mapped = _sweep(ch, order, plan_bc, BC)
+        weights = WeightVector(rng.random(K) + 0.05).as_array()
+        idx, H = positions(ch, order)
+        Hh = [herm(h) for h in H]
+        drawn = random_plan(MAC if mac_first else BC, n_k if mac_first else [n_t] * K,
+                            power, rng)
+        given = [drawn.matrices[u] for u in idx]
+        bc = _walk(H, Hh, given, False)[0] if mac_first else given
+        mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
         # the round trip comes back to the side the plan was drawn on
-        plan_mac, back = (plan_mac, mapped) if mac_first else (mapped, mac_to_bc(ch, order, mapped))
-        r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
-        r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
-        r_back = np.array((mac_rates if mac_first else bc_rates)(ch, order, back).per_user)
-        obj, wsr = wsr_equivalence_pair(ch, order, plan_mac, w)
-        lows = [min_eigenvalue(m) for m in ctx.c_list + ctx.d_list]
-        rows.append([np.max(np.abs(r_bc - r_mac)),
-                     abs(plan_bc.total_trace - plan_mac.total_trace),
-                     np.max(np.abs(r_bc - r_back)), abs(obj - wsr), np.min(lows)])
+        mac, back = (given, mapped) if mac_first else (mapped, _walk(H, Hh, mapped, False)[0])
+        r_bc = _log_ratios(H, suffix_sums(bc))
+        r_back = mac_rates_arrays(H, back) if mac_first else _log_ratios(H, suffix_sums(back))
+        bc_dual, _, _, u_list = _walk(H, Hh, mac, False, FOLLOWING)
+        eve = [herm(ch.eavesdropper @ u) for u in u_list]
+        secrecy = by_user(dpc_rates_arrays(H, ch.eavesdropper, bc_dual), idx)
+        gap = mac_objective_arrays(H, eve, mac, weights[idx]) - float(weights @ np.array(secrecy))
+        tr_bc, tr_mac = (float(sum(np.trace(m).real for m in by_user(x, idx))) for x in (bc, mac))
+        rows.append([np.max(np.abs(r_bc - mac_rates_arrays(H, mac))), abs(tr_bc - tr_mac),
+                     np.max(np.abs(r_bc - r_back)), abs(gap),
+                     np.min([min_eigenvalue(m) for m in c_list + d_list])])
 
     table = np.array(rows, dtype=float)
     errors, floors = table[:, :4], table[:, 4]
@@ -267,7 +273,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     failures = int(np.sum(~((errors <= tol).all(axis=1) & (floors >= 1 - 1e-10))))
     keys = ("max_rate_error", "max_trace_error", "max_roundtrip_error",
             "max_wsr_equivalence_error")
-    return {"instances": num_instances, "tolerance": tol,
+    return {"instances": int(num_instances), "tolerance": tol,
             **{key: float(v) for key, v in zip(keys, np.max(errors, axis=0))},
             "min_ladder_eigenvalue": float(np.min(floors)),
             "failures": failures, "passed": failures == 0}

@@ -10,8 +10,8 @@ Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` t
 one non-empty square 2-D matrix, else raise ``DimensionMismatch``, as do
 ``min_eigenvalue``, ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` on a 2-D matrix.
 All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a
-non-finite entry of one matrix, before any arithmetic could warn or return NaN.
-Stacks, the solver's own finite products, are not checked.
+non-finite entry of one matrix, before any arithmetic could warn or return NaN;
+a stack with one goes matrix by matrix, so the first such matrix raises.
 
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off:
@@ -185,6 +185,8 @@ def logdet_i_plus(m: np.ndarray) -> float:
     ``NonPositiveDefinite``.
     """
     n = m.shape[-1]
+    if m.ndim > 2 and np.count_nonzero(np.isfinite(m)) < m.size:  # .all() costs twice this
+        return np.array([logdet_i_plus(x) for x in m])
     if m.ndim > 2 and n <= 3:
         return _logdet_i_plus_stack(m)
     if m.shape == (1, 1):
@@ -214,6 +216,8 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
     shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
     one inverse per matrix, bit for bit (the closed forms elementwise, see
     :func:`_inv_i_plus_stack`).  A non-finite matrix raises ``SingularMatrix``."""
+    if m.ndim > 2 and np.count_nonzero(np.isfinite(m)) < m.size:  # .all() costs twice this
+        return np.array([inv_i_plus(x) for x in m])
     if m.ndim > 2 and m.shape[-1] <= 2:
         return _inv_i_plus_stack(m)
     return _inv_shifted(m, 1.0)

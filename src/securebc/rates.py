@@ -17,6 +17,11 @@ Conventions, used consistently across the package:
 Rates are returned raw (possibly slightly negative); clamping to zero
 happens only at reporting boundaries so that optimization code sees
 informative values.
+
+Each rate is one kernel on channels and blocks already by position, which
+checks nothing (``_log_ratios``, ``dpc_rates_arrays``, ``mac_rates_arrays``,
+``mac_objective_arrays``), plus one public wrapper that validates the plan
+against channels and order (``by_position``) and returns rates by user.
 """
 
 from __future__ import annotations
@@ -191,6 +196,27 @@ def dpc_rates_arrays(H: Sequence[np.ndarray], G: np.ndarray,
     return _log_ratios(H, suf) - (eve[:-1] - eve[1:])
 
 
+def mac_rates_arrays(H: Sequence[np.ndarray], s_by_pos: Sequence[np.ndarray]) -> np.ndarray:
+    """Uplink rates by position for position-ordered channels/covariances."""
+    terms = [herm(hk) @ s @ hk for hk, s in zip(H, s_by_pos)]
+    prefix = suffix_sums(terms[::-1])[::-1]  # prefix[k] = sum of terms[:k]
+    return np.diff([0.0] + [logdet_i_plus(p) for p in prefix[1:]])
+
+
+def mac_objective_arrays(H: Sequence[np.ndarray], ge_by_pos: Sequence[np.ndarray],
+                         s_by_pos: Sequence[np.ndarray], w_by_pos: np.ndarray) -> float:
+    """:func:`mac_side_objective` on position-ordered lists, weights too."""
+    total = 0.0
+    tail_h = suffix_sums([herm(h) @ s @ h for h, s in zip(H, s_by_pos)])
+    tail_g = suffix_sums([herm(ge) @ s @ ge for ge, s in zip(ge_by_pos, s_by_pos)])
+    for k in range(len(H)):
+        dw = w_by_pos[k] - (w_by_pos[k - 1] if k > 0 else 0.0)
+        if dw == 0.0:
+            continue
+        total += dw * (logdet_i_plus(tail_h[k]) - logdet_i_plus(tail_g[k]))
+    return float(total)
+
+
 def positions(ch: ChannelSet, order: EncodingOrder) -> tuple[np.ndarray, list[np.ndarray]]:
     """Check that ``order`` covers the channels' users; return the
     position-to-user map and the channels by position."""
@@ -242,9 +268,7 @@ def mac_rates(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan) -> Rat
     """Rates in the dual uplink under the same position ordering; position
     k is interfered by positions < k."""
     idx, H, mats = by_position(ch, order, plan, MAC)
-    terms = [herm(hk) @ s @ hk for hk, s in zip(H, mats)]
-    prefix = suffix_sums(terms[::-1])[::-1]  # prefix[k] = sum of terms[:k]
-    return _rate_point(np.diff([0.0] + [logdet_i_plus(p) for p in prefix[1:]]), idx)
+    return _rate_point(mac_rates_arrays(H, mats), idx)
 
 
 def weighted_sum(rates: RatePoint, w: Union[WeightVector, Sequence[float]]) -> float:
@@ -274,21 +298,12 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
         raise DimensionMismatch(
             f"{len(effective_eve)} effective eavesdropper channels for {K} positions")
     weights = WeightVector.of(w, K).as_array()[idx]
-    n_e = ch.n_e
     for k, ge in enumerate(effective_eve):
-        if ge.shape != (H[k].shape[0], n_e):
+        if ge.shape != (H[k].shape[0], ch.n_e):
             raise DimensionMismatch(
                 f"position {k + 1}: effective eavesdropper is {ge.shape}, "
-                f"expected {(H[k].shape[0], n_e)}")
-    total = 0.0
-    tail_h = suffix_sums([herm(h) @ s @ h for h, s in zip(H, mats)])
-    tail_g = suffix_sums([herm(ge) @ s @ ge for ge, s in zip(effective_eve, mats)])
-    for k in range(K):
-        dw = weights[k] - (weights[k - 1] if k > 0 else 0.0)
-        if dw == 0.0:
-            continue
-        total += dw * (logdet_i_plus(tail_h[k]) - logdet_i_plus(tail_g[k]))
-    return float(total)
+                f"expected {(H[k].shape[0], ch.n_e)}")
+    return mac_objective_arrays(H, effective_eve, mats, weights)
 
 
 def random_plan(side: str, dims: Sequence[int], budget: float,

@@ -1,7 +1,7 @@
 """Closed-form answers and textbook references that run no optimization, from numpy alone.
 
-Nothing here imports the package, so a test built on these trusts nothing
-in ``src/``.
+Nothing here but ``ensemble_row`` imports the package, so a test built on
+the others trusts nothing in ``src/``.
 """
 
 import numpy as np
@@ -85,3 +85,45 @@ def secure_dof(w, n_k, n_t, n_e):
         d += wk * (cap(antennas + nk) - cap(antennas))
         antennas += nk
     return d
+
+
+def ensemble_row(seed):
+    """One instance of ``duality_property_ensemble(1, seed)`` replayed through
+    the package's public maps and rates, plan by plan, as the ensemble ran
+    before it worked on position lists; it draws from
+    ``numpy.random.default_rng(seed)`` in the ensemble's order.
+
+    Returns (K, whether the plan was drawn on the uplink side, [rate error,
+    trace error, round-trip error, objective error, ladder floor])."""
+    from securebc import (BC, MAC, EncodingOrder, WeightVector, bc_rates, bc_to_mac,
+                          build_context_from_bc, mac_rates, mac_to_bc, sample_channel_set,
+                          wsr_equivalence_pair)
+    from securebc.linalg import min_eigenvalue
+    from securebc.rates import random_plan
+
+    rng = np.random.default_rng(seed)
+    K, n_t, n_e = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 4), (1, 3)))
+    mac_first = bool(rng.random() < 0.5)
+    n_k = [int(rng.integers(1, n_t + 1) if mac_first else rng.integers(n_t, 4))
+           for _ in range(K)]
+    power = float(0.5 + 2.0 * rng.random())
+    ch = sample_channel_set(int(rng.integers(2 ** 31)), K, n_t, n_k, n_e, power)
+    order = EncodingOrder(rng.permutation(K) + 1)
+    w = WeightVector(rng.random(K) + 0.05)
+    if mac_first:
+        plan_mac = random_plan(MAC, n_k, power, rng)
+        plan_bc = mac_to_bc(ch, order, plan_mac)
+        back = bc_to_mac(ch, order, plan_bc)
+    else:
+        plan_bc = random_plan(BC, [n_t] * K, power, rng)
+        plan_mac = bc_to_mac(ch, order, plan_bc)
+        back = mac_to_bc(ch, order, plan_mac)
+    ctx = build_context_from_bc(ch, order, plan_bc)
+    r_bc = np.array(bc_rates(ch, order, plan_bc).per_user)
+    r_mac = np.array(mac_rates(ch, order, plan_mac).per_user)
+    r_back = np.array((mac_rates if mac_first else bc_rates)(ch, order, back).per_user)
+    obj, wsr = wsr_equivalence_pair(ch, order, plan_mac, w)
+    row = [np.max(np.abs(r_bc - r_mac)), abs(plan_bc.total_trace - plan_mac.total_trace),
+           np.max(np.abs(r_bc - r_back)), abs(obj - wsr),
+           np.min([min_eigenvalue(m) for m in ctx.c_list + ctx.d_list])]
+    return K, mac_first, [float(x) for x in row]

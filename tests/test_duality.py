@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import herm, rand_bc_plan, rand_complex, rand_instance
-from oracles import duality_map
+from oracles import duality_map, ensemble_row
 from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
-                      EncodingOrder, RatePoint, bc_rates, bc_to_mac,
+                      EncodingOrder, bc_rates, bc_to_mac,
                       build_context_from_bc, build_context_from_mac,
                       duality, duality_property_ensemble,
                       effective_eve_channels, mac_rates, mac_to_bc,
@@ -303,12 +303,12 @@ class TestEnsemble:
             assert report[key] <= 1e-12, (key, report[key])
 
     def test_nan_rate_fails(self, monkeypatch, capsys):
-        real = duality.mac_rates
+        real = duality.mac_rates_arrays
 
         def nan_rates(*args):
-            return RatePoint(tuple(np.nan for _ in real(*args).per_user))
+            return np.full(len(real(*args)), np.nan)
 
-        monkeypatch.setattr(duality, "mac_rates", nan_rates)
+        monkeypatch.setattr(duality, "mac_rates_arrays", nan_rates)
         report = duality_property_ensemble(num_instances=3, seed=0)
         assert not report["passed"]
         assert report["failures"] >= 1
@@ -341,6 +341,59 @@ class TestEnsemble:
         # an empty ensemble checks nothing, so it must not report a pass
         with pytest.raises(ValueError, match="at least 1"):
             duality_property_ensemble(num_instances=count, seed=1)
+
+    @pytest.mark.parametrize("count", [True, 2.5, 2.0, "3"], ids=repr)
+    def test_non_integer_count_is_refused(self, count, monkeypatch):
+        # a float or str raised TypeError and True ran one instance and
+        # reported "instances": True; refused before any work
+        monkeypatch.setattr(duality, "sample_channel_set", None)
+        with pytest.raises(ValueError, match="an integer of at least 1"):
+            duality_property_ensemble(num_instances=count, seed=1)
+
+    def test_numpy_integer_count(self):
+        report = duality_property_ensemble(num_instances=np.int64(2), seed=1)
+        assert type(report["instances"]) is int
+        assert report == duality_property_ensemble(num_instances=2, seed=1)
+
+    def test_relabels_once_per_instance(self, monkeypatch):
+        # a machine-free record of the position-space ensemble: one
+        # relabelling per instance, and no plan check or context built
+        import securebc.rates as rates_mod
+        calls = collections.Counter()
+
+        def counted(name, real):
+            return lambda *a, **kw: calls.update([name]) or real(*a, **kw)
+
+        monkeypatch.setattr(duality, "positions", counted("positions", duality.positions))
+        for mod in (duality, rates_mod):
+            monkeypatch.setattr(mod, "by_position", counted("by_position", mod.by_position))
+        monkeypatch.setattr(CovariancePlan, "validate_for",
+                            counted("validate_for", CovariancePlan.validate_for))
+        monkeypatch.setattr(duality.DualityContext, "__post_init__",
+                            counted("DualityContext", duality.DualityContext.__post_init__))
+        duality_property_ensemble(num_instances=50, seed=0)
+        assert calls == {"positions": 50}, calls
+
+    def test_reports_equal_the_public_pipeline(self, monkeypatch):
+        # each instance's five numbers, bit for bit, against the same draws
+        # run plan by plan through the public maps and rates; seeds 0-299
+        # draw both sides at K = 1-3, and seed 169 maps three positions by SVD
+        svd, seed_now = collections.Counter(), []
+        real = duality.svd_square_diag
+        monkeypatch.setattr(duality, "svd_square_diag",
+                            lambda m: svd.update(seed_now) or real(m))
+        keys = ("max_rate_error", "max_trace_error", "max_roundtrip_error",
+                "max_wsr_equivalence_error", "min_ladder_eigenvalue")
+        drawn = set()
+        for seed in range(300):
+            seed_now[:] = [seed]
+            report = duality_property_ensemble(num_instances=1, seed=seed)
+            seed_now[:] = []
+            K, mac_first, row = ensemble_row(seed)
+            assert [report[k].hex() for k in keys] == [x.hex() for x in row], seed
+            drawn.add((K, mac_first))
+        assert drawn == {(K, side) for K in (1, 2, 3) for side in (False, True)}
+        assert svd == {169: 3}, svd
 
     def test_property_ensemble_passes(self):
         report = duality_property_ensemble(num_instances=60, seed=123, tol=1e-8)

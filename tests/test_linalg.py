@@ -188,6 +188,23 @@ class TestSqrtClosedForms:
         with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
             f(np.ones(shape))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("f, error", [(logdet_i_plus, NonPositiveDefinite),
+                                          (inv_i_plus, SingularMatrix)],
+                             ids=["logdet_i_plus", "inv_i_plus"])
+    def test_non_finite_stack_raises_without_warning(self, f, error, bad, n):
+        # a stack with a non-finite entry, on the diagonal or off it, goes
+        # matrix by matrix, so it raises the single matrix's error where it
+        # returned NaN, inf or 0, warned, or raised numpy's LinAlgError
+        for at in {(0, 0), (n - 1, 0)}:
+            m = np.stack([np.eye(n, dtype=complex)] * 2)
+            m[1][at] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match="non-finite"):
+                    f(m)
+
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
         assert np.array_equal(psd_sqrt(np.zeros((1, 1))), np.zeros((1, 1)))
