@@ -67,8 +67,8 @@ class ChannelSet:
                 f"eavesdropper has {eve.shape[1]} columns, expected {n_t}")
         if not all(np.isfinite(h).all() for h in users + (eve,)):
             raise ParseError("channel entries must be finite (no NaN or Inf)")
-        if not np.isfinite(power) or power <= 0:
-            raise InvalidPower(f"power must be positive, got {power}")
+        if isinstance(power, (bool, np.bool_)) or not 0 < power < np.inf:
+            raise InvalidPower(f"power must be a positive number, got {power!r}")
         object.__setattr__(self, "user_channels", users)
         object.__setattr__(self, "eavesdropper", eve)
         object.__setattr__(self, "power", float(power))
@@ -183,10 +183,9 @@ def load_channel_set(source: Union[str, bytes, os.PathLike, IO]) -> ChannelSet:
         users.append(_matrix_from_json(entry["H"], f"user {idx + 1} H"))
     eve = _matrix_from_json(doc["eavesdropper"], "eavesdropper")
     power = doc["power"]
-    if (not isinstance(power, (int, float)) or isinstance(power, bool)
-            or abs(power) > sys.float_info.max):  # an integer too large for a float
+    if not isinstance(power, (int, float)) or abs(power) > sys.float_info.max:  # a huge int
         raise InvalidPower(f"power must be a number, got {power!r}")
-    return ChannelSet(users, eve, float(power))
+    return ChannelSet(users, eve, power)
 
 
 def save_channel_set(ch: ChannelSet, sink: Union[str, os.PathLike, IO]) -> None:

@@ -10,11 +10,16 @@ Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` t
 one non-empty square 2-D matrix, else raise ``DimensionMismatch``, as do
 ``min_eigenvalue``, ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` on a 2-D matrix.
 All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a
-non-finite entry of one matrix, before any arithmetic could warn or return NaN;
-a stack with one goes matrix by matrix, so the first such matrix raises.
+non-finite entry of one matrix, before any arithmetic could warn or return NaN.
+``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` also take a (B, n, n) stack and give
+each matrix's own result, bit for bit: a stack with any matrix off the closed form's
+domain, or past the closed forms with a non-finite entry, goes matrix by matrix.
 
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
-outweighs the arithmetic; they agree with it to round-off:
+outweighs the arithmetic; they agree with it to round-off.  ``logdet_i_plus`` and
+the inverses have one closed form and one domain test (positive pivots or
+determinant, finite product) per size, run by a matrix in Python floats and by a
+stack in arrays, under ``np.errstate`` as arrays warn on overflow where floats do not:
 
 * 1x1 and 2x2: ``logdet_i_plus``, ``inv_i_plus``, ``inv_hpd``, ``min_eigenvalue``
   (bit for bit at 1x1) and well-conditioned ``inv_geometric_mean``;
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -179,47 +185,42 @@ def logdet_i_plus(m: np.ndarray) -> float:
     structural.  Dimensions 1 to 3 use closed forms (the determinant, then
     the LDL^H pivots); larger matrices go through Cholesky with an eigenvalue
     fallback for inputs that round-off pushed slightly indefinite.  A stack
-    gives one log-det per matrix, bit for bit: by the closed forms of
-    :func:`_logdet_i_plus_stack`, or by one stacked Cholesky, and matrix by
-    matrix if either leaves its domain.  A non-finite matrix raises
-    ``NonPositiveDefinite``.
+    gives one log-det per matrix, bit for bit: by the same closed form or one
+    stacked Cholesky, and matrix by matrix if any matrix leaves its domain.
+    A non-finite matrix raises ``NonPositiveDefinite``.
     """
-    n = m.shape[-1]
-    if m.ndim > 2 and np.count_nonzero(np.isfinite(m)) < m.size:  # .all() costs twice this
+    n, stack = m.shape[-1], m.ndim > 2
+    if n <= 3 and m.shape[-2:] == (n, n):
+        with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
+            if n == 1:
+                x = np.ascontiguousarray(m[:, 0, 0].real) if stack else m.item().real
+                ok, log = (x > -1.0) & (x < math.inf), np.log1p
+            elif n == 2:
+                a, _, _, x = _i_plus_2x2(m, 1.0)
+                ok, log = (a > 0.0) & (x > 0.0) & (x < math.inf), np.log
+            else:  # p[1] > 0 follows; one matrix's pivots stop at the first not > 0
+                p = _pivots_3x3(m, 1.0)
+                x = math.prod(p)
+                ok, log = (p[0] > 0.0) & (p[-1] > 0.0) & (x > 0.0) & (x < math.inf), np.log
+        if (np.count_nonzero(ok) == ok.size) if stack else ok:  # .all() costs twice this
+            return log(x) if stack else float(log(x))
+    if stack and (n <= 3 or np.count_nonzero(np.isfinite(m)) < m.size):
         return np.array([logdet_i_plus(x) for x in m])
-    if m.ndim > 2 and n <= 3:
-        return _logdet_i_plus_stack(m)
-    if m.shape == (1, 1):
-        x = m.item().real
-        if -1.0 < x < math.inf:
-            return float(np.log1p(x))
-    elif m.shape == (2, 2):
-        a, _, _, det = _i_plus_2x2(m, 1.0)
-        if a > 0.0 and 0.0 < det < math.inf:
-            return float(np.log(det))
-    elif m.shape == (3, 3):
-        p = _pivots_3x3(m, 1.0)
-        if p[-1] > 0.0 and p[0] * p[1] * p[2] < math.inf:
-            return float(np.log(p[0] * p[1] * p[2]))
-    a = hermitize(_as_matrix(m, NonPositiveDefinite) if m.ndim == 2 else m) + np.eye(n)
+    a = hermitize(m if stack else _as_matrix(m, NonPositiveDefinite)) + np.eye(n)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return np.array([logdet_i_plus(x) for x in m]) if m.ndim > 2 else logdet_hpd(a)
+        return np.array([logdet_i_plus(x) for x in m]) if stack else logdet_hpd(a)
     ld = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    return ld if m.ndim > 2 else float(ld)
+    return ld if stack else float(ld)
 
 
 def inv_i_plus(m: np.ndarray) -> np.ndarray:
     """Inverse of ``I + m`` for PSD ``m``, the gradient partner of
     :func:`logdet_i_plus`: it reads the same Hermitian part of ``m`` and
     shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
-    one inverse per matrix, bit for bit (the closed forms elementwise, see
-    :func:`_inv_i_plus_stack`).  A non-finite matrix raises ``SingularMatrix``."""
-    if m.ndim > 2 and np.count_nonzero(np.isfinite(m)) < m.size:  # .all() costs twice this
-        return np.array([inv_i_plus(x) for x in m])
-    if m.ndim > 2 and m.shape[-1] <= 2:
-        return _inv_i_plus_stack(m)
+    one inverse per matrix, bit for bit, as :func:`logdet_i_plus` gives its
+    log-dets.  A non-finite matrix raises ``SingularMatrix``."""
     return _inv_shifted(m, 1.0)
 
 
@@ -229,45 +230,26 @@ def inv_hpd(m: np.ndarray) -> np.ndarray:
 
 
 def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
-    """Inverse of shift I + m (of m itself, not its Hermitian part, at shift 0 past 2x2)."""
-    if m.shape == (1, 1):
-        x = shift + m.item().real
-        if 0.0 < x < math.inf:
-            return np.array([[1.0 / x]], dtype=complex)
-    elif m.shape == (2, 2):
-        a, d, b, det = _i_plus_2x2(m, shift)
-        if 0.0 < det < math.inf:
-            return np.array([[d, -b], [-b.conjugate(), a]]) / det
-    m = _as_matrix(m, SingularMatrix) if m.ndim == 2 else m
-    return np.linalg.inv(np.eye(m.shape[-1]) + hermitize(m) if shift else m)
-
-
-def _logdet_i_plus_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`logdet_i_plus`'s closed forms on every matrix of a (B, n, n)
-    stack with n <= 3; if a row leaves their domain, the whole stack goes
-    matrix by matrix, as after a failed stacked Cholesky."""
-    if m.shape[-1] == 1:
-        x = np.ascontiguousarray(m[:, 0, 0].real)
-        ok, log = x > -1.0, np.log1p
-    elif m.shape[-1] == 2:
-        a, _, _, x = _i_plus_2x2(m, 1.0)
-        ok, log = (a > 0.0) & (x > 0.0), np.log
-    else:
-        p = _pivots_3x3(m, 1.0)
-        x = p[0] * p[1] * p[2]
-        ok, log = (np.min(p, axis=0) > 0.0) & (x < math.inf), np.log
-    return log(x) if ok.all() else np.array([logdet_i_plus(r) for r in m])
-
-
-def _inv_i_plus_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`inv_i_plus`'s closed forms on every matrix of a (B, n, n) stack
-    with n <= 2."""
-    if m.shape[-1] == 1:
-        return (1.0 / (1.0 + m[:, :1, :1].real)).astype(complex)
-    a, d, b, det = _i_plus_2x2(m, 1.0)
-    out = np.empty(m.shape, dtype=complex)
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = d, -b, -b.conj(), a
-    return out / det[:, None, None]
+    """Inverse of shift I + m (of m itself, not its Hermitian part, at shift 0 past 2x2),
+    or of each matrix of a stack."""
+    n, stack = m.shape[-1], m.ndim > 2
+    if n <= 2 and m.shape[-2:] == (n, n):
+        with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
+            if n == 1:
+                det = shift + (m[:, :1, :1].real if stack else m.item().real)
+            else:
+                a, d, b, det = _i_plus_2x2(m, shift)
+            ok = (det > 0.0) & (det < math.inf)
+        if (np.count_nonzero(ok) == ok.size) if stack else ok:
+            if n == 1:
+                inv = 1.0 / det
+                return inv.astype(complex) if stack else np.array([[inv]], dtype=complex)
+            inv = np.array([[d, -b], [-b.conjugate(), a]]) / det  # a stack's on the last axis
+            return inv.transpose(2, 0, 1).copy() if stack else inv
+    if stack and (n <= 2 or np.count_nonzero(np.isfinite(m)) < m.size):
+        return np.array([_inv_shifted(x, shift) for x in m])
+    m = m if stack else _as_matrix(m, SingularMatrix)
+    return np.linalg.inv(np.eye(n) + hermitize(m) if shift else m)
 
 
 def inv_geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

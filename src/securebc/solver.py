@@ -71,8 +71,9 @@ class SolverConfig:
     lambda_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0 < self.objective_tol < np.inf and 0 < self.lambda_tol < np.inf):
-            raise ValueError("tolerances must be finite and positive")
+        if any(isinstance(t, (bool, np.bool_)) or not 0 < t < np.inf
+               for t in (self.objective_tol, self.lambda_tol)):
+            raise ValueError("tolerances must be finite and positive numbers")
         cap = self.max_outer_iters
         if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
             raise ValueError(f"max_outer_iters must be an integer >= 1, got {cap!r}")

@@ -49,6 +49,8 @@ class TestChannelSet:
         for p in (0.0, -1.0, float("nan")):
             with pytest.raises(InvalidPower):
                 ChannelSet([np.ones((2, 2))], np.ones((1, 2)), p)
+        with pytest.raises(InvalidPower, match="number"):  # True is not P = 1, as in a file
+            ChannelSet([np.ones((2, 2))], np.ones((1, 2)), True)
 
     def test_non_finite_entries_rejected(self):
         for bad in (float("nan"), float("inf"), complex(0.0, float("-inf"))):

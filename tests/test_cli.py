@@ -248,7 +248,7 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cases = [("max_outer_iters", bad) for bad in (1.5, "5", 0, -3, True)]
         cases += [(tol, bad) for tol in ("objective_tol", "lambda_tol")
-                  for bad in (float("inf"), float("nan"))]
+                  for bad in (float("inf"), float("nan"), True)]
         for key, bad in cases:
             cfg.write_text(json.dumps({key: bad}))
             assert cli_main(["solve", "--channels", example_file,

@@ -205,6 +205,27 @@ class TestSqrtClosedForms:
                 with pytest.raises(error, match="non-finite"):
                     f(m)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_off_the_closed_form_goes_matrix_by_matrix(self, n):
+        # a 2x2 stack whose determinant overflows returned inf and 0 with an
+        # overflow warning, and a singular one inf+nanj, where one matrix
+        # leaves the closed form: for LAPACK, which gives 921.03 and 1e-200 at
+        # 1e200 I, or raises numpy's singular-matrix error
+        big = np.stack([1e200 * np.eye(n, dtype=complex)] * 2)
+        singular = np.stack([np.diag([-1.0] + [1.0] * (n - 1)).astype(complex)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logdet_i_plus(big)
+            assert np.array_equal(got, [logdet_i_plus(x) for x in big])
+            assert got == pytest.approx([n * 460.517018599] * 2, rel=1e-12)
+            got = inv_i_plus(big)
+            assert np.array_equal(got, [inv_i_plus(x) for x in big])
+            assert np.array_equal(got, np.stack([1e-200 * np.eye(n)] * 2))
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                inv_i_plus(singular[0])
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                inv_i_plus(singular)
+
     def test_psd_sqrt_of_singular_input_keeps_clamping(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
         assert np.array_equal(psd_sqrt(np.zeros((1, 1))), np.zeros((1, 1)))
@@ -286,12 +307,22 @@ class TestLogdetIPlus3x3:
         err2 = self._max_error(gen, 2, scale)
         assert err3 <= 2.0 * err2 + 1e-15, (err3, err2)
 
-    def test_stack_equals_single_bit_for_bit(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("f", [logdet_i_plus, inv_i_plus], ids=lambda f: f.__name__)
+    def test_stack_equals_single_bit_for_bit(self, f, n):
+        # one closed form per size serves a matrix and a stack; a stack with one
+        # matrix off its domain, here an indefinite I + m, goes matrix by
+        # matrix: LAPACK inverts that one, and its log-det raises
         gen = np.random.default_rng(8)
-        m = np.array([_rank_psd(gen, 3, 1 + i % 3, 10.0 ** gen.uniform(-3, 7))
-                      + 1e-9 * rand_complex(gen, 3, 3) for i in range(40)])
-        got = logdet_i_plus(m)
-        assert np.array_equal(got, [logdet_i_plus(x) for x in m])
+        m = np.array([_rank_psd(gen, n, 1 + i % n, 10.0 ** gen.uniform(-3, 7))
+                      + 1e-9 * rand_complex(gen, n, n) for i in range(40)])
+        assert np.array_equal(f(m), [f(x) for x in m])
+        m[7] = np.diag([-2.0] + [0.0] * (n - 1))
+        if f is logdet_i_plus:
+            with pytest.raises(NonPositiveDefinite):
+                f(m)
+        else:
+            assert np.array_equal(f(m), [f(x) for x in m])
 
     def test_indefinite_input_leaves_the_closed_form(self):
         m = np.diag([1.0, -2.0, 1.0]).astype(complex)  # I + m is singular

@@ -36,7 +36,7 @@ class TestSolverConfig:
 
     def test_rejects_bad_values(self):
         for tol in ("objective_tol", "lambda_tol"):
-            for bad in (0.0, float("inf"), float("nan")):
+            for bad in (0.0, float("inf"), float("nan"), True):  # True is not the number 1
                 with pytest.raises(ValueError):
                     SolverConfig(**{tol: bad})
         for bad in (0, -3, 1.5, "5", True, None):
