@@ -190,7 +190,7 @@ def logdet_i_plus(m: np.ndarray) -> float:
     A non-finite matrix raises ``NonPositiveDefinite``.
     """
     n, stack = m.shape[-1], m.ndim > 2
-    if n <= 3 and m.shape[-2:] == (n, n):
+    if 0 < n <= 3 and m.shape[-2:] == (n, n):
         with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
             if n == 1:
                 x = np.ascontiguousarray(m[:, 0, 0].real) if stack else m.item().real
@@ -233,7 +233,7 @@ def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
     """Inverse of shift I + m (of m itself, not its Hermitian part, at shift 0 past 2x2),
     or of each matrix of a stack."""
     n, stack = m.shape[-1], m.ndim > 2
-    if n <= 2 and m.shape[-2:] == (n, n):
+    if 0 < n <= 2 and m.shape[-2:] == (n, n):
         with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
             if n == 1:
                 det = shift + (m[:, :1, :1].real if stack else m.item().real)

@@ -177,14 +177,14 @@ class TestSqrtClosedForms:
         with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
             f(m)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (2, 1), (4, 3)],
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (2, 1), (4, 3), (0, 0)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
     @pytest.mark.parametrize("f", [min_eigenvalue, logdet_i_plus, inv_i_plus],
                              ids=lambda f: f.__name__)
     def test_non_square_matrix_raises_dimension_mismatch(self, f, shape):
-        # the closed forms read a matrix by its size: a non-square one must
-        # not reach them, where it raised ValueError or IndexError, or gave
-        # the log-det of its top 3x3 block
+        # the closed forms read a matrix by its size: a non-square or empty
+        # one must not reach them, where it raised ValueError or IndexError,
+        # or gave the log-det of its top 3x3 block
         with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
             f(np.ones(shape))
 
