@@ -210,6 +210,14 @@ def sample_channel_set(seed: int, K: int, n_t: int,
         n_k = [n_k] * K
     if len(n_k) != K:
         raise LengthMismatch(f"n_k has {len(n_k)} entries for K={K}")
+    users, eve = _gaussian_channels(seed, n_t, n_k, n_e)
+    return ChannelSet(users, eve, power)
+
+
+def _gaussian_channels(seed: int, n_t: int, n_k: Sequence[int],
+                       n_e: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The draws of :func:`sample_channel_set` as plain arrays: the user channels,
+    then the eavesdropper's, finite by construction and not checked."""
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
@@ -217,8 +225,7 @@ def sample_channel_set(seed: int, K: int, n_t: int,
                 + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
     users = [draw(nk, n_t) for nk in n_k]
-    eve = draw(n_e, n_t)
-    return ChannelSet(users, eve, power)
+    return users, draw(n_e, n_t)
 
 
 def example_two_user() -> ChannelSet:

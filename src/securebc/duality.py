@@ -47,13 +47,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelSet, WeightVector, sample_channel_set
+from .channel import ChannelSet, WeightVector, _gaussian_channels
 from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_psd,
                      sqrt_pair, svd_square_diag)
-from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, by_position,
-                    by_user, dpc_rates_arrays, dpc_secrecy_rates, mac_objective_arrays,
-                    mac_rates_arrays, mac_side_objective, positions, random_plan,
-                    suffix_sums, weighted_sum)
+from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, _random_blocks,
+                    by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
+                    mac_objective_arrays, mac_rates_arrays, mac_side_objective, suffix_sums,
+                    weighted_sum)
 
 PRECEDING = "preceding"
 FOLLOWING = "following"
@@ -94,29 +94,30 @@ def _position_transform(hk: np.ndarray, hkh: np.ndarray, C: np.ndarray, D: np.nd
                         cov: np.ndarray, downlink: bool):
     """Transform one position's covariance ``cov`` to the other side;
     ``downlink`` says which side it is on, ``hkh`` is ``herm(hk)``.  Returns
-    (other-side covariance, uplink-to-downlink factor U)."""
+    (other-side covariance, uplink-to-downlink factor U); an uplink ``cov``
+    maps by U, so its walk never builds T."""
     wide = hk.shape[0] <= hk.shape[1]  # else the conjugate transpose's T and U are U and T
     h, hh, c, d = (hk, hkh, C, D) if wide else (hkh, hk, D, C)
     w = inv_hpd(d) @ hh
     gam = inv_geometric_mean(c, h @ w)
-    if gam is not None:
-        t, u = gam @ h, w @ gam @ c
-        t, u = (t, u) if wide else (u, t)
+    if gam is not None:  # wide: T = gam h, U = w gam c
+        u = w @ gam @ c if wide else gam @ h
+        f = (gam @ h if wide else w @ gam @ c) if downlink else u
     else:
         dp, dm = sqrt_pair(D)
         cp, cm = sqrt_pair(C)
         svd = svd_square_diag(dm @ hkh @ cm)
         fe = svd.right @ herm(svd.left)
-        t, u = cm @ fe @ dp, dm @ herm(fe) @ cp
-    f = t if downlink else u
+        u = dm @ herm(fe) @ cp
+        f = cm @ fe @ dp if downlink else u
     return project_psd(f @ cov @ herm(f)), u
 
 
 def _c_ladder(H: Sequence[np.ndarray], Hh: Sequence[np.ndarray], Q: Sequence[np.ndarray]):
     """(k, C_k) from the last position back; Q[k] is read after C_k is yielded."""
-    tail = None
+    tail, eyes = None, {n: np.eye(n, dtype=complex) for n in {h.shape[0] for h in H}}
     for k in range(len(H) - 1, -1, -1):
-        eye = np.eye(H[k].shape[0], dtype=complex)
+        eye = eyes[H[k].shape[0]]
         yield k, eye if tail is None else eye + H[k] @ tail @ Hh[k]
         tail = Q[k] if tail is None else tail + Q[k]
 
@@ -224,8 +225,14 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     * uplink-objective equivalence with effective eavesdropper channels,
     * ladder eigenvalue floor (C, D are identity plus PSD).
 
-    An instance is relabelled by position once; its sweeps and rates run on the
-    kernels the public maps and rates wrap (traces and weights add by user).
+    Each instance is drawn as plain arrays, by the same generator calls as
+    ``sample_channel_set``, ``EncodingOrder(rng.permutation(K) + 1)``,
+    ``WeightVector`` and ``random_plan`` in that order: the permutation is the
+    position-to-user map and the weights are divided by their sum, as those
+    constructors would, but nothing is checked again.  Its sweeps and rates run
+    by position on the kernels the public maps and rates wrap (traces and
+    weights add by user); at K = 1, where the two uplink ladders are one, the
+    uplink plan's walk on it serves both.
 
     Raises ValueError unless num_instances is an integer (not a bool) >= 1 and tol > 0 finite.
     """
@@ -244,25 +251,36 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         lo, hi = (1, n_t + 1) if mac_first else (n_t, 4)
         n_k = [int(rng.integers(lo, hi)) for _ in range(K)]
         power = float(0.5 + 2.0 * rng.random())
-        ch = sample_channel_set(int(rng.integers(2 ** 31)), K, n_t, n_k, n_e, power)
-        order = EncodingOrder(rng.permutation(K) + 1)
-        weights = WeightVector(rng.random(K) + 0.05).as_array()
-        idx, H = positions(ch, order)
+        users, G = _gaussian_channels(int(rng.integers(2 ** 31)), n_t, n_k, n_e)
+        idx = rng.permutation(K)  # position to user
+        weights = rng.random(K) + 0.05
+        weights = weights / weights.sum()
+        H = [users[u] for u in idx]
         Hh = [herm(h) for h in H]
-        drawn = random_plan(MAC if mac_first else BC, n_k if mac_first else [n_t] * K,
-                            power, rng)
-        given = [drawn.matrices[u] for u in idx]
-        bc = _walk(H, Hh, given, False)[0] if mac_first else given
-        mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
-        # the round trip comes back to the side the plan was drawn on
-        mac, back = (given, mapped) if mac_first else (mapped, _walk(H, Hh, mapped, False)[0])
+        drawn = _random_blocks(n_k if mac_first else [n_t] * K, power, rng)
+        given = [drawn[u] for u in idx]
+        # the uplink plan walks the preceding ladder once, drawn (to the downlink
+        # plan) or mapped (back to the side the plan was drawn on)
+        if mac_first:
+            mac = given
+            up = _walk(H, Hh, mac, False)
+            bc = up[0]
+            mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
+            back = mapped
+        else:
+            bc = given
+            mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
+            mac = mapped
+            up = _walk(H, Hh, mac, False)
+            back = up[0]
         r_bc = _log_ratios(H, suffix_sums(bc))
         r_back = mac_rates_arrays(H, back) if mac_first else _log_ratios(H, suffix_sums(back))
-        bc_dual, _, _, u_list = _walk(H, Hh, mac, False, FOLLOWING)
-        eve = [herm(ch.eavesdropper @ u) for u in u_list]
-        secrecy = by_user(dpc_rates_arrays(H, ch.eavesdropper, bc_dual), idx)
+        # one position makes one ladder: the following one is the preceding one
+        bc_dual, _, _, u_list = up if K == 1 else _walk(H, Hh, mac, False, FOLLOWING)
+        eve = [herm(G @ u) for u in u_list]
+        secrecy = by_user(dpc_rates_arrays(H, G, bc_dual), idx)
         gap = mac_objective_arrays(H, eve, mac, weights[idx]) - float(weights @ np.array(secrecy))
-        tr_bc, tr_mac = (float(sum(np.trace(m).real for m in by_user(x, idx))) for x in (bc, mac))
+        tr_bc, tr_mac = (float(sum(m.trace().real for m in by_user(x, idx))) for x in (bc, mac))
         rows.append([np.max(np.abs(r_bc - mac_rates_arrays(H, mac))), abs(tr_bc - tr_mac),
                      np.max(np.abs(r_bc - r_back)), abs(gap),
                      np.min([min_eigenvalue(m) for m in c_list + d_list])])

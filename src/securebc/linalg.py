@@ -10,10 +10,12 @@ Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` t
 one non-empty square 2-D matrix, else raise ``DimensionMismatch``, as do
 ``min_eigenvalue``, ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` on a 2-D matrix.
 All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a
-non-finite entry of one matrix, before any arithmetic could warn or return NaN.
+non-finite entry of one matrix, the imaginary part of a diagonal entry included,
+before any arithmetic could warn or return NaN; ``inv_hpd`` raises ``SingularMatrix``
+too where an entry of the inverse would pass the largest float.
 ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` also take a (B, n, n) stack and give
 each matrix's own result, bit for bit: a stack with any matrix off the closed form's
-domain, or past the closed forms with a non-finite entry, goes matrix by matrix.
+domain or with a non-finite entry goes matrix by matrix, so it raises as that matrix does.
 
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off.  ``logdet_i_plus`` and
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -150,9 +151,14 @@ def _i_plus_2x2(m: np.ndarray, shift: float):
 
     A single matrix's entries are Python scalars: numpy's per-element indexing
     and scalar arithmetic dominated this hot path, and the IEEE results are the same.
+    Its first diagonal entry is poisoned as :func:`_pivots_3x3`'s first pivot is.
     """
-    (p, q), (r, s) = m.tolist() if m.ndim == 2 else [[m[:, i, j] for j in (0, 1)] for i in (0, 1)]
-    a = shift + p.real
+    if m.ndim == 2:
+        (p, q), (r, s) = m.tolist()
+        a = shift + p.real + (0.0 * p.imag + 0.0 * s.imag)
+    else:
+        (p, q), (r, s) = [[m[:, i, j] for j in (0, 1)] for i in (0, 1)]
+        a = shift + p.real
     d = shift + s.real
     b = 0.5 * (q + r.conjugate())
     return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
@@ -161,13 +167,20 @@ def _i_plus_2x2(m: np.ndarray, shift: float):
 def _pivots_3x3(m: np.ndarray, shift: float):
     """LDL^H pivots of shift I + the Hermitian part of a 3x3 matrix, or of each
     of a (B, 3, 3) stack, in real arithmetic so that both give the same bits; a
-    single matrix's stop at the first that is not positive (so is the last)."""
+    single matrix's stop at the first that is not positive (so is the last).
+
+    A single matrix's first pivot is poisoned: it adds 0 times the imaginary part of
+    each diagonal entry, a signed zero that keeps its bits if that part is finite
+    (a zero pivot may flip sign, and stops either way), else NaN, which fails every
+    domain test.  A stack's imaginary diagonal is :func:`_stack_ok`'s."""
     single = m.ndim == 2
     e = m.tolist() if single else [[m[:, i, j] for j in range(3)] for i in range(3)]
     b12, b13, b23 = (0.5 * (e[i][j] + e[j][i].conjugate()) for i, j in ((0, 1), (0, 2), (1, 2)))
     d1 = shift + e[0][0].real
-    if single and not d1 > 0.0:
-        return (d1,)
+    if single:
+        d1 += 0.0 * e[0][0].imag + 0.0 * e[1][1].imag + 0.0 * e[2][2].imag
+        if not d1 > 0.0:
+            return (d1,)
     d2 = shift + e[1][1].real - (b12.real * b12.real + b12.imag * b12.imag) / d1
     if single and not d2 > 0.0:
         return d1, d2
@@ -175,6 +188,13 @@ def _pivots_3x3(m: np.ndarray, shift: float):
     u_re = b23.real - (b12.real * b13.real + b12.imag * b13.imag) / d1
     u_im = b23.imag - (b12.real * b13.imag - b12.imag * b13.real) / d1
     return d1, d2, s33 - (u_re * u_re + u_im * u_im) / d2
+
+
+def _stack_ok(ok: np.ndarray, m: np.ndarray) -> bool:
+    """Whether every matrix of stack ``m`` passed its domain test ``ok`` and the sum of
+    the imaginary parts of their diagonals, which no closed form reads, is finite
+    (``ok.all()`` costs twice the count)."""
+    return np.count_nonzero(ok) == ok.size and math.isfinite(m.diagonal(0, -2, -1).imag.sum())
 
 
 def logdet_i_plus(m: np.ndarray) -> float:
@@ -191,19 +211,13 @@ def logdet_i_plus(m: np.ndarray) -> float:
     """
     n, stack = m.shape[-1], m.ndim > 2
     if 0 < n <= 3 and m.shape[-2:] == (n, n):
-        with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
-            if n == 1:
-                x = np.ascontiguousarray(m[:, 0, 0].real) if stack else m.item().real
-                ok, log = (x > -1.0) & (x < math.inf), np.log1p
-            elif n == 2:
-                a, _, _, x = _i_plus_2x2(m, 1.0)
-                ok, log = (a > 0.0) & (x > 0.0) & (x < math.inf), np.log
-            else:  # p[1] > 0 follows; one matrix's pivots stop at the first not > 0
-                p = _pivots_3x3(m, 1.0)
-                x = math.prod(p)
-                ok, log = (p[0] > 0.0) & (p[-1] > 0.0) & (x > 0.0) & (x < math.inf), np.log
-        if (np.count_nonzero(ok) == ok.size) if stack else ok:  # .all() costs twice this
-            return log(x) if stack else float(log(x))
+        if stack:
+            with np.errstate(all="ignore"):  # arrays warn where Python floats do not
+                ld = _logdet_closed(m, n)
+        else:
+            ld = _logdet_closed(m, n)
+        if ld is not None:
+            return ld
     if stack and (n <= 3 or np.count_nonzero(np.isfinite(m)) < m.size):
         return np.array([logdet_i_plus(x) for x in m])
     a = hermitize(m if stack else _as_matrix(m, NonPositiveDefinite)) + np.eye(n)
@@ -213,6 +227,27 @@ def logdet_i_plus(m: np.ndarray) -> float:
         return np.array([logdet_i_plus(x) for x in m]) if stack else logdet_hpd(a)
     ld = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
     return ld if stack else float(ld)
+
+
+def _logdet_closed(m: np.ndarray, n: int):
+    """:func:`logdet_i_plus` of a matrix or stack by its closed form at n <= 3;
+    None off the domain."""
+    stack = m.ndim > 2
+    if n == 1:
+        z = m[:, 0, 0] if stack else m.item()
+        x, log = (np.ascontiguousarray(z.real) if stack else z.real), np.log1p
+        # a matrix's test is poisoned as _pivots_3x3's first pivot is; x keeps a -0.0
+        ok = (x > -1.0) & (x < math.inf) if stack else x + 0.0 * z.imag > -1.0 and x < math.inf
+    elif n == 2:
+        a, _, _, x = _i_plus_2x2(m, 1.0)
+        ok, log = (a > 0.0) & (x > 0.0) & (x < math.inf), np.log
+    else:  # p[1] > 0 follows; one matrix's pivots stop at the first not > 0
+        p = _pivots_3x3(m, 1.0)
+        x = math.prod(p)
+        ok, log = (p[0] > 0.0) & (p[-1] > 0.0) & (x > 0.0) & (x < math.inf), np.log
+    if (_stack_ok(ok, m) if stack else ok):
+        return log(x) if stack else float(log(x))
+    return None
 
 
 def inv_i_plus(m: np.ndarray) -> np.ndarray:
@@ -225,7 +260,8 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
 
 
 def inv_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, :func:`inv_i_plus` at shift 0."""
+    """Inverse of a Hermitian positive definite matrix, :func:`inv_i_plus` at shift 0;
+    ``SingularMatrix`` where the inverse has an entry past the largest float."""
     return _inv_shifted(m, 0.0)
 
 
@@ -234,22 +270,44 @@ def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
     or of each matrix of a stack."""
     n, stack = m.shape[-1], m.ndim > 2
     if 0 < n <= 2 and m.shape[-2:] == (n, n):
-        with np.errstate(all="ignore") if stack else nullcontext():  # arrays warn, floats not
-            if n == 1:
-                det = shift + (m[:, :1, :1].real if stack else m.item().real)
-            else:
-                a, d, b, det = _i_plus_2x2(m, shift)
-            ok = (det > 0.0) & (det < math.inf)
-        if (np.count_nonzero(ok) == ok.size) if stack else ok:
-            if n == 1:
-                inv = 1.0 / det
-                return inv.astype(complex) if stack else np.array([[inv]], dtype=complex)
-            inv = np.array([[d, -b], [-b.conjugate(), a]]) / det  # a stack's on the last axis
-            return inv.transpose(2, 0, 1).copy() if stack else inv
+        if stack:
+            with np.errstate(all="ignore"):  # arrays warn where Python floats do not
+                inv = _inv_closed(m, n, shift)
+        else:
+            inv = _inv_closed(m, n, shift)
+        if inv is not None:
+            return inv
     if stack and (n <= 2 or np.count_nonzero(np.isfinite(m)) < m.size):
         return np.array([_inv_shifted(x, shift) for x in m])
     m = m if stack else _as_matrix(m, SingularMatrix)
-    return np.linalg.inv(np.eye(n) + hermitize(m) if shift else m)
+    inv = np.linalg.inv(np.eye(n) + hermitize(m) if shift else m)
+    if shift or np.count_nonzero(np.isfinite(inv)) == inv.size:
+        return inv
+    raise SingularMatrix("the inverse has an entry past the largest float")
+
+
+def _inv_closed(m: np.ndarray, n: int, shift: float):
+    """:func:`_inv_shifted` of a matrix or stack by its closed form at n <= 2; None off
+    the domain, a determinant in (0, inf) and, at shift 0, where it has no floor, an
+    inverse whose largest entry stays finite times 1 / det, as numpy divides."""
+    stack = m.ndim > 2
+    if n == 1:
+        z = m[:, :1, :1] if stack else m.item()
+        a = d = 1.0
+        det = shift + z.real if stack else shift + z.real + 0.0 * z.imag  # see _pivots_3x3
+    else:
+        a, d, b, det = _i_plus_2x2(m, shift)
+    ok = (det > 0.0) & (det < math.inf)
+    if not shift:
+        ok = (ok & (np.maximum(abs(a), abs(d)) * (1.0 / det) < math.inf) if stack
+              else ok and max(abs(a), abs(d)) * (1.0 / det) < math.inf)
+    if not (_stack_ok(ok, m) if stack else ok):
+        return None
+    if n == 1:
+        inv = 1.0 / det
+        return inv.astype(complex) if stack else np.array([[inv]], dtype=complex)
+    inv = np.array([[d, -b], [-b.conjugate(), a]]) / det  # a stack's on the last axis
+    return inv.transpose(2, 0, 1).copy() if stack else inv
 
 
 def inv_geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

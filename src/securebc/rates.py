@@ -309,8 +309,16 @@ def mac_side_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePla
 def random_plan(side: str, dims: Sequence[int], budget: float,
                 rng: np.random.Generator) -> CovariancePlan:
     """Random PSD plan, one ``dims[u]``-square matrix per user, whose total
-    trace is a uniform 20-100% share of ``budget``."""
+    trace is a uniform 20-100% share of ``budget``: the checked plan of
+    :func:`_random_blocks`."""
+    return CovariancePlan(side, _random_blocks(dims, budget, rng))
+
+
+def _random_blocks(dims: Sequence[int], budget: float,
+                   rng: np.random.Generator) -> list[np.ndarray]:
+    """The draws of :func:`random_plan` as plain arrays: ``random_psd`` blocks
+    times one scale, PSD by construction for a positive ``budget``."""
     mats = [random_psd(d, rng) for d in dims]
-    total = sum(float(np.trace(m).real) for m in mats)
+    total = sum(float(m.trace().real) for m in mats)
     scale = budget * (0.2 + 0.8 * rng.random()) / max(total, 1e-12)
-    return CovariancePlan(side, [m * scale for m in mats])
+    return [m * scale for m in mats]

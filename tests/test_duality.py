@@ -7,7 +7,7 @@ import pytest
 from conftest import herm, rand_bc_plan, rand_complex, rand_instance
 from oracles import duality_map, ensemble_row
 from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
-                      EncodingOrder, bc_rates, bc_to_mac,
+                      EncodingOrder, WeightVector, bc_rates, bc_to_mac,
                       build_context_from_bc, build_context_from_mac,
                       duality, duality_property_ensemble,
                       effective_eve_channels, mac_rates, mac_to_bc,
@@ -298,9 +298,16 @@ class TestEnsemble:
         # toward the 1e-8 acceptance tolerance unnoticed
         report = duality_property_ensemble(num_instances=200, seed=0)
         assert report["passed"], report
-        for key in ("max_rate_error", "max_trace_error", "max_roundtrip_error",
-                    "max_wsr_equivalence_error"):
+        keys = ("max_rate_error", "max_trace_error", "max_roundtrip_error",
+                "max_wsr_equivalence_error")
+        for key in keys:
             assert report[key] <= 1e-12, (key, report[key])
+        # the summary over many instances, bit for bit as the ensemble gave it
+        # when it still built each instance through the public constructors
+        # (numpy 2.4, OpenBLAS, x86-64); the oracle test below checks each instance
+        assert [report[k].hex() for k in keys + ("min_ladder_eigenvalue",)] == [
+            "0x1.4000000000000p-49", "0x1.3000000000000p-46", "0x1.3000000000000p-48",
+            "0x1.0000000000000p-49", "0x1.ffffffffffff6p-1"]
 
     def test_nan_rate_fails(self, monkeypatch, capsys):
         real = duality.mac_rates_arrays
@@ -332,7 +339,7 @@ class TestEnsemble:
     def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch):
         # a NaN, zero or negative tolerance fails every correct instance and
         # an infinite one passes any finite error; refused before any work
-        monkeypatch.setattr(duality, "sample_channel_set", None)
+        monkeypatch.setattr(duality, "_gaussian_channels", None)
         with pytest.raises(ValueError, match="finite and positive"):
             duality_property_ensemble(num_instances=5, seed=1, tol=tol)
 
@@ -346,7 +353,7 @@ class TestEnsemble:
     def test_non_integer_count_is_refused(self, count, monkeypatch):
         # a float or str raised TypeError and True ran one instance and
         # reported "instances": True; refused before any work
-        monkeypatch.setattr(duality, "sample_channel_set", None)
+        monkeypatch.setattr(duality, "_gaussian_channels", None)
         with pytest.raises(ValueError, match="an integer of at least 1"):
             duality_property_ensemble(num_instances=count, seed=1)
 
@@ -356,23 +363,34 @@ class TestEnsemble:
         assert report == duality_property_ensemble(num_instances=2, seed=1)
 
     def test_relabels_once_per_instance(self, monkeypatch):
-        # a machine-free record of the position-space ensemble: one
-        # relabelling per instance, and no plan check or context built
+        # a machine-free record of the plain-array ensemble: each instance is
+        # relabelled by its drawn permutation alone, with no channel set,
+        # order, weight vector or plan built, no plan check or context, and
+        # min_eigenvalue only for the 2K ladder floors (project_psd's own aside)
         import securebc.rates as rates_mod
-        calls = collections.Counter()
+        calls, users = collections.Counter(), []
 
         def counted(name, real):
             return lambda *a, **kw: calls.update([name]) or real(*a, **kw)
 
-        monkeypatch.setattr(duality, "positions", counted("positions", duality.positions))
+        for cls in (ChannelSet, EncodingOrder, WeightVector):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        monkeypatch.setattr(CovariancePlan, "_set", counted("CovariancePlan", CovariancePlan._set))
+        monkeypatch.setattr(rates_mod, "positions", counted("positions", rates_mod.positions))
         for mod in (duality, rates_mod):
             monkeypatch.setattr(mod, "by_position", counted("by_position", mod.by_position))
+            monkeypatch.setattr(mod, "min_eigenvalue",
+                                counted("min_eigenvalue", mod.min_eigenvalue))
         monkeypatch.setattr(CovariancePlan, "validate_for",
                             counted("validate_for", CovariancePlan.validate_for))
         monkeypatch.setattr(duality.DualityContext, "__post_init__",
                             counted("DualityContext", duality.DualityContext.__post_init__))
+        draw = duality._gaussian_channels
+        monkeypatch.setattr(duality, "_gaussian_channels",
+                            lambda *a: users.append(len(a[2])) or draw(*a))
         duality_property_ensemble(num_instances=50, seed=0)
-        assert calls == {"positions": 50}, calls
+        assert len(users) == 50
+        assert calls == {"min_eigenvalue": 2 * sum(users)}, calls
 
     def test_reports_equal_the_public_pipeline(self, monkeypatch):
         # each instance's five numbers, bit for bit, against the same draws
