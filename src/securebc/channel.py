@@ -25,6 +25,7 @@ variance (real and imaginary parts each carry variance 1/2).
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -222,10 +223,9 @@ def _gaussian_channels(seed: int, n_t: int, n_k: Sequence[int],
 
     def draw(rows: int, cols: int) -> np.ndarray:
         return (rng.standard_normal((rows, cols))
-                + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+                + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
 
-    users = [draw(nk, n_t) for nk in n_k]
-    return users, draw(n_e, n_t)
+    return [draw(nk, n_t) for nk in n_k], draw(n_e, n_t)
 
 
 def example_two_user() -> ChannelSet:

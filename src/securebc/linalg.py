@@ -421,7 +421,7 @@ def random_psd(dim: int, rng: np.random.Generator, trace: float | None = None) -
     If ``trace`` is given the matrix is rescaled to that exact trace
     (zero-dimension matrices are returned as-is).
     """
-    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     m = a @ a.conj().T
     if trace is not None and dim > 0:
         t = float(np.trace(m).real)

@@ -454,19 +454,19 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     Every evaluation, loose or tight, takes Anderson steps on creeping
     sweeps (see :func:`_evaluation`).
 
-    A generator: it runs each evaluation by ``yield from``
-    :func:`_evaluation`, so it yields every sweep it needs and is sent back
-    the swept plan, and one tick loop drives a single search or many
-    together (:func:`lockstep`).
+    A generator: it runs each evaluation by ``yield from`` :func:`_evaluation`,
+    so it yields every sweep it needs and is sent back the swept plan, and
+    one tick loop drives a single search or many together (:func:`lockstep`).
     Returns every evaluation in the order it was made; the search stops at
-    the first one that passes the budget rule, or once the bracket is below
-    the gap floor.  Each price after the bottom one starts from a predictor:
-    the plans of the bracket's two end records (at first the bottom record
-    and the zero plan), interpolated at the new price linearly in 1/lam;
-    the tight re-run starts from the loose record at its price.
+    the first one that passes the budget rule, or once the bracket is
+    narrower than the gap floor times its top price; an evaluation stops
+    once its power passes 2P (``power_stop``).  Each price after the bottom
+    one starts from a predictor: the plans of the bracket's two end records
+    (at first the bottom record and the zero plan), interpolated at the new
+    price linearly in 1/lam; the tight re-run starts from the loose record.
     """
     P = prob.P
-    power_stop = max(2.0 * P, P + 1.0)
+    power_stop = 2.0 * P
     zero = _Eval.cold(prob, prob.blocks(None))
     evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop))]
     if evals[-1].passes(P, cfg):
@@ -478,7 +478,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     gap_floor = max(1e-12, 0.01 * cfg.lambda_tol)
     for _ in range(200):
         width = hi.lam - lo.lam
-        if width <= gap_floor * max(1.0, hi.lam):
+        if width <= gap_floor * hi.lam:
             break
         # r_lo > 0 > r_hi, so the secant root lies inside the bracket up to
         # rounding

@@ -19,6 +19,7 @@ def test_census_slice(s, ch, w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = solve(ch, w)
+    assert report.termination == "converged"
     assert np.isfinite(report.rates.per_user).all() and np.isfinite(report.rates.weighted_sum)
     report.plan.validate_for(ch, check_power=True)
     bounds = sandwich(ch, w)

@@ -623,7 +623,7 @@ class TestSolveWsr:
         cases = [(example_two_user(), [0.5, 0.5], permutations([1, 2])),
                  (example_three_user(), [0.15, 0.2, 0.65], permutations([1, 2, 3]))]
         cases += [(sample_channel_set(seed, 2, 4, 2, 2, 1e-3), [0.3, 0.7], [(2, 1)])
-                  for seed in range(1, 6)]
+                  for seed in (1, 2, 3, 4, 5, 1007)]
         for ch, w, orders in cases:
             for order in orders:
                 report = solve_wsr(ch, WeightVector(w), EncodingOrder(list(order)))
@@ -658,19 +658,28 @@ class TestSolveWsr:
 
     def test_channel_scale_invariance(self):
         # (c H, c G, P / c^2) is the same problem as (H, G, P), with every
-        # price scaled by c^2: at c = 100 the budget-tight price is in the
-        # thousands
-        base = sample_channel_set(3, 2, 2, 2, 1, 1.0)
-        w, order = WeightVector([0.3, 0.7]), EncodingOrder([2, 1])
-        sums = []
-        for c, power in ((100.0, 1e-4), (1.0, 1.0)):
-            ch = ChannelSet([c * h for h in base.user_channels],
-                            c * base.eavesdropper, power)
-            report = solve_wsr(ch, w, order)
-            assert report.termination == "converged", (c, report.termination)
-            report.plan.validate_for(ch, check_power=True)
-            sums.append(report.rates.weighted_sum)
-        assert sums[0] == pytest.approx(sums[1], abs=1e-6)
+        # price scaled by c^2: at c = 100 the budget-tight price of the first
+        # instance is in the thousands, and the census row (census 7, row 18:
+        # K = 3, n_t = 4) has its price at 5.6e-5 at P = 1e4 and at 0.56 as
+        # (100 H, 100 G, 1), so no stopping rule of the search may read an
+        # absolute price or power scale
+        from itertools import islice
+
+        from census import cases
+        _, row, row_w = next(islice(cases(7, 40), 18, None))
+        instances = [(sample_channel_set(3, 2, 2, 2, 1, 1.0), WeightVector([0.3, 0.7]),
+                      EncodingOrder([2, 1]), ((100.0, 1e-4), (1.0, 1.0))),
+                     (row, row_w, optimal_order(row_w), ((1.0, 1e4), (100.0, 1.0)))]
+        for base, w, order, scalings in instances:
+            sums = []
+            for c, power in scalings:
+                ch = ChannelSet([c * h for h in base.user_channels],
+                                c * base.eavesdropper, power)
+                report = solve_wsr(ch, w, order)
+                assert report.termination == "converged", (c, power, report.termination)
+                report.plan.validate_for(ch, check_power=True)
+                sums.append(report.rates.weighted_sum)
+            assert sums[0] == pytest.approx(sums[1], abs=1e-6)
 
     def test_single_user_no_eavesdropper_hits_water_filling(self):
         cfg = SolverConfig(objective_tol=1e-12, lambda_tol=1e-9, max_outer_iters=4000)
