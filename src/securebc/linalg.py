@@ -21,7 +21,8 @@ Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off.  ``logdet_i_plus`` and
 the inverses have one closed form and one domain test (positive pivots or
 determinant, finite product) per size, run by a matrix in Python floats and by a
-stack in arrays, under ``np.errstate`` as arrays warn on overflow where floats do not:
+stack in arrays, under ``np.errstate`` as arrays warn on overflow where floats do not;
+one poisoned first pivot (``_pivots_3x3``) tests a matrix's and a stack's imaginary diagonal:
 
 * 1x1 and 2x2: ``logdet_i_plus``, ``inv_i_plus``, ``inv_hpd``, ``min_eigenvalue``
   (bit for bit at 1x1) and well-conditioned ``inv_geometric_mean``;
@@ -151,14 +152,10 @@ def _i_plus_2x2(m: np.ndarray, shift: float):
 
     A single matrix's entries are Python scalars: numpy's per-element indexing
     and scalar arithmetic dominated this hot path, and the IEEE results are the same.
-    Its first diagonal entry is poisoned as :func:`_pivots_3x3`'s first pivot is.
+    The first diagonal entry is poisoned as :func:`_pivots_3x3`'s first pivot is.
     """
-    if m.ndim == 2:
-        (p, q), (r, s) = m.tolist()
-        a = shift + p.real + (0.0 * p.imag + 0.0 * s.imag)
-    else:
-        (p, q), (r, s) = [[m[:, i, j] for j in (0, 1)] for i in (0, 1)]
-        a = shift + p.real
+    (p, q), (r, s) = m.tolist() if m.ndim == 2 else [[m[:, i, j] for j in (0, 1)] for i in (0, 1)]
+    a = shift + p.real + (0.0 * p.imag + 0.0 * s.imag)
     d = shift + s.real
     b = 0.5 * (q + r.conjugate())
     return a, d, b, a * d - (b.real * b.real + b.imag * b.imag)
@@ -169,18 +166,16 @@ def _pivots_3x3(m: np.ndarray, shift: float):
     of a (B, 3, 3) stack, in real arithmetic so that both give the same bits; a
     single matrix's stop at the first that is not positive (so is the last).
 
-    A single matrix's first pivot is poisoned: it adds 0 times the imaginary part of
-    each diagonal entry, a signed zero that keeps its bits if that part is finite
-    (a zero pivot may flip sign, and stops either way), else NaN, which fails every
-    domain test.  A stack's imaginary diagonal is :func:`_stack_ok`'s."""
+    The first pivot, of a matrix or each of a stack's, is poisoned: it adds 0 times the
+    imaginary part of each diagonal entry, a signed zero that keeps its bits if that part
+    is finite (a zero pivot may flip sign, and stops either way), else NaN, which fails
+    every domain test, so a stack goes matrix by matrix and that matrix raises."""
     single = m.ndim == 2
     e = m.tolist() if single else [[m[:, i, j] for j in range(3)] for i in range(3)]
     b12, b13, b23 = (0.5 * (e[i][j] + e[j][i].conjugate()) for i, j in ((0, 1), (0, 2), (1, 2)))
-    d1 = shift + e[0][0].real
-    if single:
-        d1 += 0.0 * e[0][0].imag + 0.0 * e[1][1].imag + 0.0 * e[2][2].imag
-        if not d1 > 0.0:
-            return (d1,)
+    d1 = shift + e[0][0].real + (0.0 * e[0][0].imag + 0.0 * e[1][1].imag + 0.0 * e[2][2].imag)
+    if single and not d1 > 0.0:
+        return (d1,)
     d2 = shift + e[1][1].real - (b12.real * b12.real + b12.imag * b12.imag) / d1
     if single and not d2 > 0.0:
         return d1, d2
@@ -188,13 +183,6 @@ def _pivots_3x3(m: np.ndarray, shift: float):
     u_re = b23.real - (b12.real * b13.real + b12.imag * b13.imag) / d1
     u_im = b23.imag - (b12.real * b13.imag - b12.imag * b13.real) / d1
     return d1, d2, s33 - (u_re * u_re + u_im * u_im) / d2
-
-
-def _stack_ok(ok: np.ndarray, m: np.ndarray) -> bool:
-    """Whether every matrix of stack ``m`` passed its domain test ``ok`` and the sum of
-    the imaginary parts of their diagonals, which no closed form reads, is finite
-    (``ok.all()`` costs twice the count)."""
-    return np.count_nonzero(ok) == ok.size and math.isfinite(m.diagonal(0, -2, -1).imag.sum())
 
 
 def logdet_i_plus(m: np.ndarray) -> float:
@@ -236,8 +224,7 @@ def _logdet_closed(m: np.ndarray, n: int):
     if n == 1:
         z = m[:, 0, 0] if stack else m.item()
         x, log = (np.ascontiguousarray(z.real) if stack else z.real), np.log1p
-        # a matrix's test is poisoned as _pivots_3x3's first pivot is; x keeps a -0.0
-        ok = (x > -1.0) & (x < math.inf) if stack else x + 0.0 * z.imag > -1.0 and x < math.inf
+        ok = (x + 0.0 * z.imag > -1.0) & (x < math.inf)  # poisoned as in _pivots_3x3; x keeps -0.0
     elif n == 2:
         a, _, _, x = _i_plus_2x2(m, 1.0)
         ok, log = (a > 0.0) & (x > 0.0) & (x < math.inf), np.log
@@ -245,7 +232,7 @@ def _logdet_closed(m: np.ndarray, n: int):
         p = _pivots_3x3(m, 1.0)
         x = math.prod(p)
         ok, log = (p[0] > 0.0) & (p[-1] > 0.0) & (x > 0.0) & (x < math.inf), np.log
-    if (_stack_ok(ok, m) if stack else ok):
+    if (np.count_nonzero(ok) == ok.size if stack else ok):  # ok.all() costs twice the count
         return log(x) if stack else float(log(x))
     return None
 
@@ -294,14 +281,14 @@ def _inv_closed(m: np.ndarray, n: int, shift: float):
     if n == 1:
         z = m[:, :1, :1] if stack else m.item()
         a = d = 1.0
-        det = shift + z.real if stack else shift + z.real + 0.0 * z.imag  # see _pivots_3x3
+        det = shift + z.real + 0.0 * z.imag  # poisoned as _pivots_3x3's first pivot is
     else:
         a, d, b, det = _i_plus_2x2(m, shift)
     ok = (det > 0.0) & (det < math.inf)
     if not shift:
         ok = (ok & (np.maximum(abs(a), abs(d)) * (1.0 / det) < math.inf) if stack
               else ok and max(abs(a), abs(d)) * (1.0 / det) < math.inf)
-    if not (_stack_ok(ok, m) if stack else ok):
+    if not (np.count_nonzero(ok) == ok.size if stack else ok):
         return None
     if n == 1:
         inv = 1.0 / det

@@ -467,7 +467,7 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     """
     P = prob.P
     power_stop = 2.0 * P
-    zero = _Eval.cold(prob, prob.blocks(None))
+    zero = _Eval(0.0, prob.blocks(None), 0.0, 0.0, False, (), ())  # log det I is 0.0
     evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop))]
     if evals[-1].passes(P, cfg):
         return evals  # budget slack at the bottom price

@@ -215,8 +215,9 @@ class TestSqrtClosedForms:
     def test_non_finite_imaginary_diagonal_raises(self, f, error, bad, n):
         # the closed forms read only the real part of a diagonal entry, so
         # 1 + nan j gave log 2, an inverse entry of 0.5 or a minimum eigenvalue
-        # of 1 where n = 4 raised; a stack goes matrix by matrix and raises too
-        for at in {0, n - 1}:
+        # of 1 where n = 4 raised; a stack goes matrix by matrix and raises too,
+        # the middle entry of a 3x3 by the first pivot's poison alone
+        for at in range(n):
             m = np.eye(n, dtype=complex)
             m[at, at] = complex(1.0, bad)
             stacked = [] if f is min_eigenvalue else [np.stack([np.eye(n, dtype=complex), m])]
