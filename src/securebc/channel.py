@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPower, LengthMismatch, ParseError
+from .errors import (DimensionMismatch, InvalidPower, LengthMismatch, ParseError,
+                     integer_at_least, positive_number)
 from .linalg import frozen
 
 
@@ -68,11 +68,9 @@ class ChannelSet:
                 f"eavesdropper has {eve.shape[1]} columns, expected {n_t}")
         if not all(np.isfinite(h).all() for h in users + (eve,)):
             raise ParseError("channel entries must be finite (no NaN or Inf)")
-        if isinstance(power, (bool, np.bool_)) or not 0 < power < np.inf:
-            raise InvalidPower(f"power must be a positive number, got {power!r}")
+        object.__setattr__(self, "power", positive_number(power, "power", InvalidPower))
         object.__setattr__(self, "user_channels", users)
         object.__setattr__(self, "eavesdropper", eve)
-        object.__setattr__(self, "power", float(power))
 
     @property
     def num_users(self) -> int:
@@ -183,10 +181,7 @@ def load_channel_set(source: Union[str, bytes, os.PathLike, IO]) -> ChannelSet:
             raise ParseError(f"user {idx + 1}: expected an object with key 'H'")
         users.append(_matrix_from_json(entry["H"], f"user {idx + 1} H"))
     eve = _matrix_from_json(doc["eavesdropper"], "eavesdropper")
-    power = doc["power"]
-    if not isinstance(power, (int, float)) or abs(power) > sys.float_info.max:  # a huge int
-        raise InvalidPower(f"power must be a number, got {power!r}")
-    return ChannelSet(users, eve, power)
+    return ChannelSet(users, eve, doc["power"])
 
 
 def save_channel_set(ch: ChannelSet, sink: Union[str, os.PathLike, IO]) -> None:
@@ -207,8 +202,8 @@ def sample_channel_set(seed: int, K: int, n_t: int,
                        n_k: Union[int, Sequence[int]], n_e: int,
                        power: float) -> ChannelSet:
     """Draw an i.i.d. complex Gaussian instance, deterministic in ``seed``."""
-    if isinstance(n_k, int):
-        n_k = [n_k] * K
+    if np.ndim(n_k) == 0:
+        n_k = [integer_at_least(n_k, 1, "n_k", DimensionMismatch)] * K
     if len(n_k) != K:
         raise LengthMismatch(f"n_k has {len(n_k)} entries for K={K}")
     users, eve = _gaussian_channels(seed, n_t, n_k, n_e)

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import (WeightVector, load_channel_set, matrix_to_json, read_json_object,
                       sample_channel_set, save_channel_set)
 from .duality import duality_property_ensemble
-from .errors import ParseError, SecureBcError
+from .errors import ParseError, SecureBcError, integer_at_least, positive_number
 from .ordering import compare_orders, optimal_order
 from .rates import EncodingOrder
 from .region import BOTH_CORNERS, THEOREM, hull_2d, trace_region
@@ -181,12 +181,9 @@ def _cmd_compare_orders(args) -> int:
 
 
 def _cmd_duality_check(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
-    if not 0 < args.tol < float("inf"):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    integer_at_least(args.seeds, 1, "--seeds", UsageError)
+    positive_number(args.tol, "--tol", UsageError)
+    integer_at_least(args.seed, 0, "--seed", UsageError)
     report = duality_property_ensemble(num_instances=args.seeds, seed=args.seed,
                                        tol=args.tol)
     status = "PASS" if report["passed"] else "FAIL"
@@ -209,10 +206,8 @@ def _cmd_gen_channels(args) -> int:
         raise UsageError("--K, --nt, --ne and every --nk entry must be at least 1")
     if len(nk) not in (1, args.K):
         raise UsageError(f"--nk has {len(nk)} entries for {args.K} users")
-    if not 0 < args.power < float("inf"):
-        raise UsageError(f"--power must be finite and positive, got {args.power}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    positive_number(args.power, "--power", UsageError)
+    integer_at_least(args.seed, 0, "--seed", UsageError)
     if len(nk) == 1:
         nk = nk * args.K
     ch = sample_channel_set(args.seed, args.K, args.nt, nk, args.ne, args.power)

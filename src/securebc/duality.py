@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet, WeightVector, _gaussian_channels
+from .errors import integer_at_least, positive_number
 from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_psd,
                      sqrt_pair, svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, _random_blocks,
@@ -234,13 +235,10 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     weights add by user); at K = 1, where the two uplink ladders are one, the
     uplink plan's walk on it serves both.
 
-    Raises ValueError unless num_instances is an integer (not a bool) >= 1 and tol > 0 finite.
+    Raises ValueError unless num_instances is an integer >= 1 and tol a finite positive number.
     """
-    if (isinstance(num_instances, bool) or not isinstance(num_instances, (int, np.integer))
-            or num_instances < 1):
-        raise ValueError(f"num_instances must be an integer of at least 1, got {num_instances!r}")
-    if not 0.0 < tol < np.inf:  # a NaN fails too
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    num_instances = integer_at_least(num_instances, 1, "num_instances")
+    positive_number(tol, "tol")
     rng = np.random.default_rng(seed)
     rows = []  # per instance: the four errors, then the ladder eigenvalue floor
     for _ in range(num_instances):
@@ -291,7 +289,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     failures = int(np.sum(~((errors <= tol).all(axis=1) & (floors >= 1 - 1e-10))))
     keys = ("max_rate_error", "max_trace_error", "max_roundtrip_error",
             "max_wsr_equivalence_error")
-    return {"instances": int(num_instances), "tolerance": tol,
+    return {"instances": num_instances, "tolerance": tol,
             **{key: float(v) for key, v in zip(keys, np.max(errors, axis=0))},
             "min_ladder_eigenvalue": float(np.min(floors)),
             "failures": failures, "passed": failures == 0}

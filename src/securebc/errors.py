@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the two argument rules."""
+
+import numbers
+import sys
 
 
 class SecureBcError(Exception):
@@ -46,3 +49,20 @@ class InnerNotImproved(SecureBcError):
     This indicates an inconsistency between the objective and its gradient,
     i.e. a bug, not a numerical corner case.
     """
+
+
+def positive_number(value, what: str, error: type = ValueError) -> float:
+    """``value`` as a float if it is a real number, not a bool, in
+    (0, ``sys.float_info.max``]; else ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0 < value <= sys.float_info.max:  # a NaN fails too
+        raise error(f"{what} must be a finite and positive number, got {value!r}")
+    return float(value)
+
+
+def integer_at_least(value, low: int, what: str, error: type = ValueError) -> int:
+    """``value`` as an int if it is an integer, not a bool, of at least ``low``;
+    else ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{what} must be an integer of at least {low}, got {value!r}")
+    return int(value)

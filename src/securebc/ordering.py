@@ -16,7 +16,7 @@ import numpy as np
 
 from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
-from .errors import InnerNotImproved, TooManyUsers
+from .errors import InnerNotImproved, TooManyUsers, integer_at_least
 from .rates import EncodingOrder, RatePoint
 from .solver import SolverConfig, solve_wsr_batch
 
@@ -62,9 +62,7 @@ def optimal_order(w: WeightVector) -> EncodingOrder:
 
 def enumerate_orders(K: int) -> list[EncodingOrder]:
     """All K! encoding orders in lexicographic sequence (K <= 6)."""
-    if K < 1:
-        raise TooManyUsers("need at least one user")
-    if K > MAX_ENUMERATED_USERS:
+    if integer_at_least(K, 1, "the user count K", TooManyUsers) > MAX_ENUMERATED_USERS:
         raise TooManyUsers(
             f"enumerating {K}! orders is out of scope (K <= {MAX_ENUMERATED_USERS})")
     return [EncodingOrder(p) for p in itertools.permutations(range(1, K + 1))]

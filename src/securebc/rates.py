@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channel import ChannelSet, WeightVector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, integer_at_least
 from .linalg import (PSD_TOL, frozen, herm, logdet_i_plus, min_eigenvalue,
                      random_psd)
 
@@ -49,7 +49,7 @@ class EncodingOrder:
     permutation: tuple[int, ...]
 
     def __init__(self, permutation: Sequence[int]):
-        perm = tuple(int(p) for p in permutation)
+        perm = tuple(integer_at_least(p, 1, "an order entry") for p in permutation)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{len(perm)}")
         object.__setattr__(self, "permutation", perm)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._workers import map_ordered
 from .channel import ChannelSet, WeightVector
-from .errors import UnsupportedK
+from .errors import UnsupportedK, positive_number
 from .ordering import enumerate_orders, is_weight_sorted, optimal_order
 from .rates import EncodingOrder, RatePoint
 from .solver import SolverConfig, solve_wsr_batch
@@ -52,8 +52,8 @@ class RegionTrace:
 
 
 def _weight_grid(K: int, step: float) -> list[tuple[float, ...]]:
-    if not 0 < step <= 1:
-        raise UnsupportedK(f"step must be in (0, 1], got {step}")
+    if positive_number(step, "step", UnsupportedK) > 1:
+        raise UnsupportedK(f"step must be at most 1, got {step}")
     if K == 2 and step < 1e-4:
         raise UnsupportedK("two-user sweeps support step >= 1e-4 only")
     if K == 3 and step < 0.05:
@@ -102,9 +102,12 @@ def hull_2d(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
     """Convex hull (counterclockwise, Andrew's algorithm) of 2-D points.
 
     Used to post-process two-user traces: the closed region is the convex
-    closure of the achieved points together with the origin.
+    closure of the achieved points together with the origin.  A NaN or
+    infinite coordinate raises ValueError.
     """
     pts = sorted({(float(x), float(y)) for x, y in points})
+    if not np.isfinite(pts).all():
+        raise ValueError("hull points must be finite")
     if len(pts) <= 2:
         return list(pts)
 

@@ -38,7 +38,7 @@ from typing import Generator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .channel import ChannelSet, WeightVector
-from .errors import DimensionMismatch, InnerNotImproved
+from .errors import DimensionMismatch, InnerNotImproved, integer_at_least, positive_number
 from .linalg import (anderson_psd, herm, hermitize, inv_i_plus, logdet_i_plus,
                      project_psd, real_trace)
 from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
@@ -71,12 +71,9 @@ class SolverConfig:
     lambda_tol: float = 1e-6
 
     def __post_init__(self):
-        if any(isinstance(t, (bool, np.bool_)) or not 0 < t < np.inf
-               for t in (self.objective_tol, self.lambda_tol)):
-            raise ValueError("tolerances must be finite and positive numbers")
-        cap = self.max_outer_iters
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-            raise ValueError(f"max_outer_iters must be an integer >= 1, got {cap!r}")
+        positive_number(self.objective_tol, "objective_tol")
+        positive_number(self.lambda_tol, "lambda_tol")
+        integer_at_least(self.max_outer_iters, 1, "max_outer_iters")
 
 
 @dataclass(frozen=True)
@@ -226,10 +223,9 @@ def _waterfill(h: np.ndarray, w: float | np.ndarray, base: np.ndarray, M: np.nda
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Re <a, b> by ``np.vdot``: of two matrices, or row by row of stacks."""
-    if a.ndim > 2:
-        return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
-    return np.vdot(a, b).real
+    """Re <a, b> of two matrices, or row by row of stacks, as one product."""
+    row, n2 = a.shape[:-2], a.shape[-1] * a.shape[-2]
+    return (a.conj().reshape(*row, 1, n2) @ b.reshape(*row, n2, 1)).real[..., 0, 0]
 
 
 def _block_update(prob: _Problem, Q: list[np.ndarray], lam, k: int) -> np.ndarray:
@@ -633,20 +629,15 @@ def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     return _grad_cvx(prob, suffix_sums(Q), k - 1)[0]
 
 
-def _check_price(lam: float) -> None:
-    """Block updates need a finite positive price: at zero price the
-    position-1 surrogate grows without bound along any direction that the
-    user hears and the eavesdropper does not."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"the power price must be finite and positive, got {lam!r}")
-
-
 def surrogate_update(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                      w: Union[WeightVector, Sequence[float]], lam: float, k: int
                      ) -> np.ndarray:
     """One ascent step on block k's surrogate (see :func:`_block_update`);
-    other blocks stay fixed.  At position 1 it is the exact maximizer."""
-    _check_price(lam)
+    other blocks stay fixed.  At position 1 it is the exact maximizer.  The
+    price must be a finite positive number, else ValueError: at zero price the
+    position-1 surrogate grows without bound along any direction that the
+    user hears and the eavesdropper does not."""
+    positive_number(lam, "the power price")
     prob, Q = _block_args(ch, order, plan, w, k)
     # a step at round-off gives back the plan's own read-only block
     return _block_update(prob, Q, lam, k - 1).copy()
@@ -660,8 +651,8 @@ def maximize_lagrangian(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
     """Fixed-multiplier block-sweep maximization from ``plan0`` (default:
     the zero plan), in plain sweeps with no Anderson or over-relaxed steps;
     returns plan and the penalized-objective trace (per block update when
-    requested)."""
-    _check_price(lam)
+    requested).  The price must be finite and positive; see :func:`surrogate_update`."""
+    positive_number(lam, "the power price")
     prob = _Problem(ch, order, w)
     per_block = [] if per_block_trace else None
     run = _evaluation(prob, lam, _Eval.cold(prob, prob.blocks(plan0)),

@@ -1,22 +1,29 @@
-"""List the lines of ``src/securebc`` that no test runs.
+"""A line-coverage gate: list the lines of ``src/securebc`` that nothing runs.
 
 Runs the test suite in this process under a ``sys.settrace`` tracer that
-records the lines executed in ``src/securebc``, then prints, as
-``path:line``, every executable line (from ``code.co_lines()`` of each code
-object a module compiles to) that no test ran::
+records the lines executed in ``src/securebc``.  Then, under the same
+tracer, it runs the two command-line entry points (``python -m securebc``
+and ``python -m securebc.cli``) in process with ``runpy``, on a usage error
+whose message and exit are swallowed, so the lines that the suite reaches
+only in a subprocess run too.  It prints, as ``path:line``, every
+executable line (from ``code.co_lines()`` of each code object a module
+compiles to) that none of this ran::
 
     python tests/line_trace.py            # extra arguments go to pytest
 
-Standard library and pytest only.  Code that runs only in a subprocess
-(``python -m securebc``, the ``securebc`` script's ``main``) is listed as
-unrun.  The exit status is pytest's.
+Standard library and pytest only.  The exit status is 1 when any line is
+listed, else pytest's.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import runpy
 import sys
 import types
+import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -35,8 +42,26 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+def run_entry_points() -> None:
+    """``python -m securebc`` and ``python -m securebc.cli`` in this process,
+    each on a usage error (no subcommand), with stderr and the exit swallowed."""
+    argv = sys.argv
+    try:
+        for module in ("securebc", "securebc.cli"):
+            sys.argv = [module]
+            with warnings.catch_warnings(), redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)  # the module is already imported
+                try:
+                    runpy.run_module(module, run_name="__main__")
+                except SystemExit:
+                    pass
+    finally:
+        sys.argv = argv
+
+
 def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under the tracer; its exit status and the lines run, by file."""
+    """Run pytest, then the entry points, under the tracer; pytest's exit
+    status and the lines run, by file."""
     prefix = str(PACKAGE) + os.sep
     ran: dict[str, set[int]] = {}
     ours: dict[str, bool] = {}
@@ -60,6 +85,7 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(on_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        run_entry_points()
     finally:
         sys.settrace(None)
     by_file: dict[str, set[int]] = {}
@@ -70,11 +96,13 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 def main() -> int:
     status, ran = trace_suite(sys.argv[1:])
+    unrun = False
     for path in sorted(PACKAGE.glob("*.py")):
         missed = executable_lines(path) - ran.get(str(path.resolve()), set())
         for line in sorted(missed):
             print(f"{path.relative_to(ROOT)}:{line}")
-    return status
+        unrun = unrun or bool(missed)
+    return 1 if unrun else status
 
 
 if __name__ == "__main__":

@@ -46,11 +46,11 @@ class TestChannelSet:
             ChannelSet([], np.ones((1, 2)), 1.0)
 
     def test_bad_power_rejected(self):
-        for p in (0.0, -1.0, float("nan")):
-            with pytest.raises(InvalidPower):
+        # True is not P = 1, as in a file; a non-number and an integer beyond
+        # the float range get the same typed error
+        for p in (0.0, -1.0, float("nan"), True, "1", None, 10 ** 400):
+            with pytest.raises(InvalidPower, match="finite and positive number"):
                 ChannelSet([np.ones((2, 2))], np.ones((1, 2)), p)
-        with pytest.raises(InvalidPower, match="number"):  # True is not P = 1, as in a file
-            ChannelSet([np.ones((2, 2))], np.ones((1, 2)), True)
 
     def test_non_finite_entries_rejected(self):
         for bad in (float("nan"), float("inf"), complex(0.0, float("-inf"))):
@@ -240,6 +240,17 @@ class TestSampling:
     def test_zero_users_rejected(self):
         with pytest.raises(DimensionMismatch):
             sample_channel_set(0, 0, 2, [], 1, 1.0)
+
+    def test_numpy_integer_nk(self):
+        a = sample_channel_set(1, 2, 2, np.int64(2), 1, 1.0)
+        b = sample_channel_set(1, 2, 2, 2, 1, 1.0)
+        for x, y in zip(a.user_channels + (a.eavesdropper,), b.user_channels + (b.eavesdropper,)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n_k", [True, 2.0, 0], ids=repr)
+    def test_scalar_nk_must_be_a_positive_integer(self, n_k):
+        with pytest.raises(DimensionMismatch, match="n_k must be an integer of at least 1"):
+            sample_channel_set(1, 2, 2, n_k, 1, 1.0)
 
     def test_nk_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -335,10 +335,11 @@ class TestEnsemble:
         assert counts["svd"] == 0, counts
         assert sum(counts.values()) <= 2400, counts
 
-    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf, True])
     def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch):
-        # a NaN, zero or negative tolerance fails every correct instance and
-        # an infinite one passes any finite error; refused before any work
+        # a NaN, zero or negative tolerance fails every correct instance,
+        # an infinite one passes any finite error and True ran as 1.0;
+        # refused before any work
         monkeypatch.setattr(duality, "_gaussian_channels", None)
         with pytest.raises(ValueError, match="finite and positive"):
             duality_property_ensemble(num_instances=5, seed=1, tol=tol)

@@ -66,6 +66,8 @@ class TestEnumerateOrders:
             enumerate_orders(7)
         with pytest.raises(TooManyUsers):
             enumerate_orders(0)
+        with pytest.raises(TooManyUsers, match="an integer of at least 1"):  # True is not 1
+            enumerate_orders(True)
 
 
 class TestCompareOrders:

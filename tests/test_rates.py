@@ -23,6 +23,10 @@ class TestEncodingOrder:
             EncodingOrder([1, 1, 2])
         with pytest.raises(ValueError):
             EncodingOrder([0, 1])
+        for entries in ([1.5, 2], [True, 2], ["1", "2"]):  # none of these is the order (1, 2)
+            with pytest.raises(ValueError, match="an order entry must be an integer"):
+                EncodingOrder(entries)
+        assert EncodingOrder(np.array([2, 1])).permutation == (2, 1)
 
     def test_helpers(self):
         order = EncodingOrder([3, 1, 2])

@@ -30,6 +30,10 @@ class TestWeightGrid:
             _weight_grid(3, 0.01)
         with pytest.raises(UnsupportedK):
             _weight_grid(2, 0.0)
+        with pytest.raises(UnsupportedK, match="at most 1"):
+            _weight_grid(2, 1.5)
+        with pytest.raises(UnsupportedK, match="finite and positive number"):  # True is not 1
+            _weight_grid(2, True)
 
     def test_two_user_smallest_step(self):
         # 1e-4 is the finest two-user grid; a finer step is refused before
@@ -139,6 +143,12 @@ class TestHull:
         assert hull_2d([]) == []
         assert hull_2d([(1, 2), (1, 2)]) == [(1.0, 2.0)]
         assert hull_2d([(1, 2), (0, 0), (1, 2)]) == [(0.0, 0.0), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_refused(self, bad):
+        # a NaN point gave a NaN vertex and a repeated vertex
+        with pytest.raises(ValueError, match="finite"):
+            hull_2d([(0, 0), (1, bad), (0, 1), (1, 0)])
 
     def test_duplicates_removed(self):
         hull = hull_2d([(0, 0), (0, 0), (1, 0), (0, 1), (1, 0)])

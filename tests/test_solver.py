@@ -170,6 +170,22 @@ class TestGradient:
             assert f_trial >= tangent - 1e-9
 
 
+def test_inner_matches_vdot_bit_for_bit():
+    # the one-product inner product against np.vdot, its loop reference,
+    # on real and complex matrices and stacks; its own generator keeps the
+    # module's draws
+    gen = np.random.default_rng(3)
+    for n in range(1, 9):
+        for shape in ((n, n), (5, n, n)):
+            for a, b in ((gen.standard_normal(shape), gen.standard_normal(shape)),
+                         (gen.standard_normal(shape) + 1j * gen.standard_normal(shape),
+                          gen.standard_normal(shape) + 1j * gen.standard_normal(shape))):
+                got = solver_mod._inner(a, b)
+                ref = (np.vdot(a, b).real if a.ndim == 2
+                       else np.array([np.vdot(x, y).real for x, y in zip(a, b)]))
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 class TestSurrogateUpdate:
     def test_huge_price_drives_block_to_zero(self):
         ch, order, w, plan = _rand_setup(K=2)
@@ -330,12 +346,12 @@ class TestSurrogateUpdate:
 
     def test_rejects_nonpositive_price(self):
         # at zero price the position-1 surrogate is unbounded along the
-        # directions the eavesdropper cannot see
+        # directions the eavesdropper cannot see; True is not the price 1
         ch, order, w, plan = _rand_setup(K=2)
-        for lam in (0.0, -0.5, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
+        for lam in (0.0, -0.5, float("inf"), float("nan"), True):
+            with pytest.raises(ValueError, match="the power price"):
                 surrogate_update(ch, order, plan, w, lam, 1)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="the power price"):
                 maximize_lagrangian(ch, w, order, lam, FAST)
 
 
