@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -103,8 +104,9 @@ class WeightVector:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise LengthMismatch("weights must be a nonempty 1-D sequence")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError(f"weights must be finite and nonnegative, got {weights}")
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in weights) \
+                or np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError(f"weights must be finite nonnegative numbers, got {weights}")
         with np.errstate(over="ignore"):  # a sum past the largest float: scale first
             w = w if np.isfinite(w.sum()) else w / w.max()
         total = float(w.sum())
@@ -202,8 +204,10 @@ def sample_channel_set(seed: int, K: int, n_t: int,
                        n_k: Union[int, Sequence[int]], n_e: int,
                        power: float) -> ChannelSet:
     """Draw an i.i.d. complex Gaussian instance, deterministic in ``seed``."""
-    if np.ndim(n_k) == 0:
-        n_k = [integer_at_least(n_k, 1, "n_k", DimensionMismatch)] * K
+    K, n_t, n_e = (integer_at_least(v, 1, name, DimensionMismatch)
+                   for v, name in ((K, "K"), (n_t, "n_t"), (n_e, "n_e")))
+    n_k = [integer_at_least(v, 1, "n_k", DimensionMismatch)
+           for v in ([n_k] * K if np.ndim(n_k) == 0 else n_k)]
     if len(n_k) != K:
         raise LengthMismatch(f"n_k has {len(n_k)} entries for K={K}")
     users, eve = _gaussian_channels(seed, n_t, n_k, n_e)

@@ -54,7 +54,7 @@ from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, _random_blocks,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
                     mac_objective_arrays, mac_rates_arrays, mac_side_objective, suffix_sums,
-                    weighted_sum)
+                    total_trace, weighted_sum)
 
 PRECEDING = "preceding"
 FOLLOWING = "following"
@@ -278,7 +278,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         eve = [herm(G @ u) for u in u_list]
         secrecy = by_user(dpc_rates_arrays(H, G, bc_dual), idx)
         gap = mac_objective_arrays(H, eve, mac, weights[idx]) - float(weights @ np.array(secrecy))
-        tr_bc, tr_mac = (float(sum(m.trace().real for m in by_user(x, idx))) for x in (bc, mac))
+        tr_bc, tr_mac = (float(total_trace(by_user(x, idx))) for x in (bc, mac))
         rows.append([np.max(np.abs(r_bc - mac_rates_arrays(H, mac))), abs(tr_bc - tr_mac),
                      np.max(np.abs(r_bc - r_back)), abs(gap),
                      np.min([min_eigenvalue(m) for m in c_list + d_list])])

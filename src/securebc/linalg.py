@@ -71,7 +71,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def real_trace(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of a matrix, or of every matrix in a stack."""
-    return np.trace(m, axis1=-2, axis2=-1).real
+    return m.trace(axis1=-2, axis2=-1).real
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -411,6 +411,6 @@ def random_psd(dim: int, rng: np.random.Generator, trace: float | None = None) -
     a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     m = a @ a.conj().T
     if trace is not None and dim > 0:
-        t = float(np.trace(m).real)
+        t = float(real_trace(m))
         m = m * (trace / t) if t > 0 else m
     return hermitize(m)

@@ -14,8 +14,8 @@ Layers, outermost first; each function's docstring describes its layer:
 * one sweep: :func:`_sweep`,
 * one block update: :func:`_block_update`.
 
-The budget rule: a record passes when its power is at most
-``(1 + BUDGET_SLACK) P`` and either within ``lambda_tol * P`` of the budget
+The budget rule: a record passes when its power is within the slack
+(``rates.within_budget``) and either within ``lambda_tol * P`` of the budget
 or reached at the bottom price ``LAMBDA_LO``, where the budget is slack.
 The solve returns the highest-WSR record within the slack (the lowest-power
 one if none is) and labels that record: ``max_iters`` if its sweeps hit the
@@ -41,9 +41,9 @@ from .channel import ChannelSet, WeightVector
 from .errors import DimensionMismatch, InnerNotImproved, integer_at_least, positive_number
 from .linalg import (anderson_psd, herm, hermitize, inv_i_plus, logdet_i_plus,
                      project_psd, real_trace)
-from .rates import (BC, BUDGET_SLACK, CovariancePlan, EncodingOrder, RatePoint,
-                    by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
-                    positions, suffix_sums, weighted_sum)
+from .rates import (BC, CovariancePlan, EncodingOrder, RatePoint, by_position, by_user,
+                    dpc_rates_arrays, dpc_secrecy_rates, positions, suffix_sums,
+                    total_trace, weighted_sum, within_budget)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -51,6 +51,8 @@ STALLED = "stalled"
 
 # bottom of the price bracket
 LAMBDA_LO = 1e-6
+# the power cap in budgets: evaluations stop above it, unbounded water-fills at it
+POWER_CAP = 2.0
 # the price search switches to tight sweeps within NEAR * P of the budget
 NEAR = 1e-3
 # an Anderson step draws on this many (start, swept) plan pairs
@@ -113,14 +115,10 @@ class _Problem:
         return CovariancePlan._of_projected(BC, by_user([project_psd(q) for q in Q], self.idx))
 
 
-# From _total_trace to _block_update, the functions that a sweep calls take
+# From _wsr to _block_update, the functions that a sweep calls take
 # one problem and plan, or problems of one shape stacked along a leading
 # row axis (a Stack) with their plans stacked the same
 # way and one price per row; then they give one value per row.
-
-
-def _total_trace(Q: Sequence[np.ndarray]) -> float | np.ndarray:
-    return sum(real_trace(q) for q in Q)
 
 
 def _wsr(prob: _Problem, Q: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -129,8 +127,13 @@ def _wsr(prob: _Problem, Q: Sequence[np.ndarray]) -> float | np.ndarray:
     return (prob.w[..., None, :] @ rates[..., :, None])[..., 0, 0]
 
 
+def _penalized(prob: _Problem, lam: float, wsr: float, power: float) -> float:
+    """The penalized objective: weighted sum minus ``lam`` times the power excess."""
+    return wsr - lam * (power - prob.P)
+
+
 def _lagrangian(prob: _Problem, Q: Sequence[np.ndarray], lam: float) -> float:
-    return float(_wsr(prob, Q) - lam * (_total_trace(Q) - prob.P))
+    return float(_penalized(prob, lam, _wsr(prob, Q), total_trace(Q)))
 
 
 def _concave_value(w: np.ndarray, lam: float, k: int, user: np.ndarray,
@@ -192,8 +195,8 @@ def _waterfill(h: np.ndarray, w: float | np.ndarray, base: np.ndarray, M: np.nda
     For positive definite M: water-filling on the eigenvalues s of
     T = M^{-1/2} h^H (I + base)^{-1} h M^{-1/2}, with powers (w - 1/s)^+ along
     T's eigenvectors, mapped back through M^{-1/2} (:func:`_fill`, every row
-    at once); a zero weight pours nothing.  Otherwise the maximum is
-    unbounded, and the maximizer under tr(x) <= cap = max(2P, ``power``) is
+    at once); a zero weight pours nothing.  Otherwise the maximum is unbounded,
+    and the maximizer under tr(x) <= cap = max(``POWER_CAP`` P, ``power``) is
     returned instead: the water-fill of M + mu I at the least shift mu that
     meets the cap, found by bisection (with a zero weight, the whole cap
     along M's lowest eigenvector); a stack then goes row by row.
@@ -203,7 +206,7 @@ def _waterfill(h: np.ndarray, w: float | np.ndarray, base: np.ndarray, M: np.nda
         return _fill(h, w if M.ndim == 2 else w[:, None], inv_i_plus(base), m_val, m_vec)
     if M.ndim > 2:
         return np.stack([_waterfill(*row) for row in zip(h, w, base, M, P, power)])
-    cap = np.fmax(2.0 * P, power)
+    cap = np.fmax(POWER_CAP * P, power)
     if w == 0.0:
         return cap * np.outer(m_vec[:, 0], m_vec[:, 0].conj())
     # bisect on nu, the least eigenvalue of the shifted M: each of the n
@@ -215,7 +218,7 @@ def _waterfill(h: np.ndarray, w: float | np.ndarray, base: np.ndarray, M: np.nda
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if np.trace(_fill(h, w, b_inv, m_val + mid, m_vec)).real > cap:
+        if real_trace(_fill(h, w, b_inv, m_val + mid, m_vec)) > cap:
             lo = mid
         else:
             hi = mid
@@ -236,13 +239,13 @@ def _block_update(prob: _Problem, Q: list[np.ndarray], lam, k: int) -> np.ndarra
     at x as well, leaving w_k logdet(I + H_k (S_{k+1} + y) H_k^H) - tr(M y)
     with M = lam I - A - E, A the convex part's gradient and E that of the
     eavesdropper logs.  Its maximizer y (:func:`_waterfill`, capped at trace
-    max(2P, tr x) when M is not positive definite) gives the direction
-    d = y - x, whose ascent gap <grad, d> is nonnegative and zero only at a
-    block stationary point.  An Armijo search on t = 1, 1/2, ... along the
-    segment x + t d, which stays PSD, picks the step.  At position 1 there
-    are no eavesdropper logs, so t = 1 is the exact block maximizer.  Each
-    trial evaluates every row of a stack, at a point of its own segment,
-    and a row takes the first step that passes its own test.
+    max(``POWER_CAP`` P, tr x) when M is not positive definite) gives the
+    direction d = y - x, whose ascent gap <grad, d> is nonnegative and zero
+    only at a block stationary point.  An Armijo search on t = 1, 1/2, ...
+    along the segment x + t d, which stays PSD, picks the step.  At position
+    1 there are no eavesdropper logs, so t = 1 is the exact block maximizer.
+    Each trial evaluates every row of a stack, at a point of its own
+    segment, and a row takes the first step that passes its own test.
 
     Returns Q[k] itself when the gap is at round-off level (on every row),
     and raises :class:`InnerNotImproved` when a larger gap admits no step.
@@ -300,16 +303,12 @@ class _Eval:
     @classmethod
     def cold(cls, prob: _Problem, Q: list) -> "_Eval":
         """A start record for plan ``Q``: no price and no sweeps yet."""
-        return cls(0.0, Q, float(_total_trace(Q)), float(_wsr(prob, Q)), False, (), ())
-
-    def feasible(self, P: float) -> bool:
-        """Power at most ``(1 + BUDGET_SLACK) P``."""
-        return self.power - P <= BUDGET_SLACK * P
+        return cls(0.0, Q, float(total_trace(Q)), float(_wsr(prob, Q)), False, (), ())
 
     def passes(self, P: float, cfg: SolverConfig) -> bool:
         """The budget rule (see the module docstring)."""
-        return self.feasible(P) and (abs(self.power - P) <= cfg.lambda_tol * P
-                                     or self.lam == LAMBDA_LO)
+        return within_budget(self.power, P) and (abs(self.power - P) <= cfg.lambda_tol * P
+                                                 or self.lam == LAMBDA_LO)
 
 
 def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
@@ -333,11 +332,11 @@ def _evaluation(prob: _Problem, lam: float, start: _Eval, cfg: SolverConfig,
     ``ANDERSON_MEMORY`` (start, swept) plan pairs, or, where that step is
     refused, by over-relaxing the sweep.  The stop test reads each sweep's
     own gain, before the step, and the traces record the plan kept."""
-    Q, lag = start.Q, start.wsr - lam * (start.power - prob.P)
+    Q, lag = start.Q, _penalized(prob, lam, start.wsr, start.power)
     lag_trace, wsr_trace, prev_gain, pairs = [lag], [], np.inf, []
     while True:
         new, wsr, power = yield lam, Q
-        new_lag = wsr - lam * (power - prob.P)
+        new_lag = _penalized(prob, lam, wsr, power)
         gain = new_lag - lag
         done = ((power_stop is not None and power > power_stop)
                 or abs(gain) <= cfg.objective_tol * (1.0 + abs(lag)))
@@ -374,10 +373,10 @@ def _anderson(prob: _Problem, lam: float, pairs: list, wsr: float, power: float,
     beta > power_stop / mu.  (Random solves from P = 1e-2 to 1e7 kept
     beta = 2^14 at most.)"""
     def scored(cand, floor):
-        c_power = float(_total_trace(cand))
+        c_power = float(total_trace(cand))
         if c_power <= power_stop:
             c_wsr = float(_wsr(prob, cand))
-            c_lag = c_wsr - lam * (c_power - prob.P)
+            c_lag = _penalized(prob, lam, c_wsr, c_power)
             if c_lag > floor:
                 return cand, c_wsr, c_power, c_lag
         return None
@@ -410,7 +409,7 @@ def _sweep(prob: _Problem, lam, Q: list, trace: Optional[list] = None) -> tuple:
         Q[k] = _block_update(prob, Q, lam, k)
         if trace is not None:
             trace.append(_lagrangian(prob, Q, lam))
-    return Q, _wsr(prob, Q).tolist(), _total_trace(Q).tolist()
+    return Q, _wsr(prob, Q).tolist(), total_trace(Q).tolist()
 
 
 def _top_price(prob: _Problem) -> float:
@@ -456,13 +455,13 @@ def _price_search(prob: _Problem, cfg: SolverConfig
     Returns every evaluation in the order it was made; the search stops at
     the first one that passes the budget rule, or once the bracket is
     narrower than the gap floor times its top price; an evaluation stops
-    once its power passes 2P (``power_stop``).  Each price after the bottom
+    once its power passes ``POWER_CAP * P``.  Each price after the bottom
     one starts from a predictor: the plans of the bracket's two end records
     (at first the bottom record and the zero plan), interpolated at the new
     price linearly in 1/lam; the tight re-run starts from the loose record.
     """
     P = prob.P
-    power_stop = 2.0 * P
+    power_stop = POWER_CAP * P
     zero = _Eval(0.0, prob.blocks(None), 0.0, 0.0, False, (), ())  # log det I is 0.0
     evals = [(yield from _evaluation(prob, LAMBDA_LO, zero, cfg, power_stop))]
     if evals[-1].passes(P, cfg):
@@ -617,7 +616,7 @@ def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
     hkh, gh = herm(hk), herm(G)
     ccv = (_concave_value(prob.w, lam, k, hk @ suf[k] @ hkh,
                           [G @ suf[j + 1] @ gh for j in range(k)],
-                          float(np.trace(Q[k]).real))
+                          float(real_trace(Q[k])))
            - prob.w[k] * logdet_i_plus(hk @ suf[k + 1] @ hkh))
     return float(ccv), float(_lagrangian(prob, Q, lam) - ccv)
 
@@ -687,7 +686,7 @@ def solve_wsr(ch: ChannelSet, w: Union[WeightVector, Sequence[float]],
         evals = lockstep([(0, prob)], cfg)[0]
     if isinstance(evals, Exception):
         raise evals
-    feasible = ([ev for ev in evals if ev.feasible(prob.P)]
+    feasible = ([ev for ev in evals if within_budget(ev.power, prob.P)]
                 or [min(evals, key=lambda ev: ev.power)])
     best = max(feasible, key=lambda ev: ev.wsr)
     termination = (MAX_ITERS if best.hit_cap

@@ -252,6 +252,13 @@ class TestSampling:
         with pytest.raises(DimensionMismatch, match="n_k must be an integer of at least 1"):
             sample_channel_set(1, 2, 2, n_k, 1, 1.0)
 
+    @pytest.mark.parametrize("K, n_t, n_k, n_e, what", [
+        (True, 2, 1, 1, "K"), (2, True, 1, 1, "n_t"), (2, 2, 1, True, "n_e"),
+        (2, 2, [True, 1], 1, "n_k"), (2, 2, [1.5, 1], 1, "n_k")], ids=repr)
+    def test_dimensions_must_be_positive_integers(self, K, n_t, n_k, n_e, what):
+        with pytest.raises(DimensionMismatch, match=f"{what} must be an integer of at least 1"):
+            sample_channel_set(1, K, n_t, n_k, n_e, 1.0)
+
     def test_nk_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             sample_channel_set(0, 2, 2, [2], 1, 1.0)
@@ -279,3 +286,14 @@ class TestWeightVector:
     def test_rejects_empty(self):
         with pytest.raises(LengthMismatch):
             WeightVector([])
+
+    @pytest.mark.parametrize("weights", [["1", "2"], [True, False], [True, 2],
+                                         np.array([True, False]), [1.0, None]], ids=repr)
+    def test_rejects_non_numbers(self, weights):
+        with pytest.raises(ValueError, match="finite nonnegative numbers"):
+            WeightVector(weights)
+
+    def test_numpy_numbers(self):
+        for weights in (np.array([1, 3]), np.array([0.5, 1.5], dtype=np.float32),
+                        [np.int64(1), np.float64(3.0)]):
+            assert WeightVector(weights).weights == (0.25, 0.75)

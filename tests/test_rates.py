@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from securebc import (BC, MAC, ChannelSet, CovariancePlan, DimensionMismatch,
 from securebc.duality import FOLLOWING
 from securebc import rates as rates_mod
 from securebc.linalg import logdet_i_plus, random_psd
-from securebc.rates import _log_ratios, dpc_rates_arrays, suffix_sums
+from securebc.rates import (BUDGET_SLACK, _log_ratios, dpc_rates_arrays, suffix_sums,
+                            within_budget)
 
 rng = np.random.default_rng(7)
 
@@ -78,18 +82,30 @@ class TestCovariancePlan:
         ch = sample_channel_set(0, 2, 2, [2, 1], 1, 3.0)
         plan = CovariancePlan(BC, [np.eye(2), 0.5 * np.eye(2)])
         assert plan.total_trace == pytest.approx(3.0)
-        plan.validate_for(ch, check_power=True)
+        plan.validate_for(ch)
+        assert within_budget(plan.total_trace, ch.power)
         mac_plan = CovariancePlan(MAC, [np.eye(2), np.eye(1)])
         mac_plan.validate_for(ch)
         with pytest.raises(DimensionMismatch):
             CovariancePlan(MAC, [np.eye(1), np.eye(1)]).validate_for(ch)
 
-    def test_power_budget_opt_in(self):
+    def test_budget_slack_boundary(self):
         ch = sample_channel_set(0, 1, 2, [2], 1, 0.5)
-        plan = CovariancePlan(BC, [np.eye(2)])
-        plan.validate_for(ch)  # shape check only
-        with pytest.raises(ValueError):
-            plan.validate_for(ch, check_power=True)
+        CovariancePlan(BC, [np.eye(2)]).validate_for(ch)  # shapes only: a plan at 4 P passes
+        edge = (1 + BUDGET_SLACK) * ch.power
+        assert within_budget(edge, ch.power)
+        assert not within_budget(np.nextafter(edge, np.inf), ch.power)
+        assert within_budget(1e6 + 1.0, 1e6)  # an excess of exactly BUDGET_SLACK * 1e6
+
+    def test_bench_slack_is_the_package_slack(self):
+        # the benchmark's snr-sweep check keeps a literal copy of the slack,
+        # which must not drift from the package's; a file that no longer
+        # assigns a literal passes
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and any(getattr(t, "id", None) == "BUDGET_SLACK" for t in node.targets)):
+                assert node.value.value == BUDGET_SLACK
 
     def test_zero_plan(self):
         ch = sample_channel_set(0, 2, 3, [1, 2], 1, 1.0)
