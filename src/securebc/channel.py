@@ -101,12 +101,18 @@ class WeightVector:
     weights: tuple[float, ...] = field(default=())
 
     def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
+        w = np.asarray(weights)  # no dtype yet: a complex entry's conversion raises or warns
         if w.ndim != 1 or w.size < 1:
             raise LengthMismatch("weights must be a nonempty 1-D sequence")
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in weights) \
-                or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError(f"weights must be finite nonnegative numbers, got {weights}")
+        bad = ValueError(f"weights must be finite nonnegative numbers, got {weights}")
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in weights):
+            raise bad
+        try:
+            w = w.astype(float)
+        except OverflowError:  # an integer past the largest float
+            raise bad from None
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise bad
         with np.errstate(over="ignore"):  # a sum past the largest float: scale first
             w = w if np.isfinite(w.sum()) else w / w.max()
         total = float(w.sum())

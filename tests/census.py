@@ -20,10 +20,12 @@ as no user's secrecy rate beats its capacity at the largest power a plan
 may use.  At K = 1 both are the capacity.  Other rows leave them empty.
 
 Each row at the top power ``POWERS[-1]`` also gets ``dof``, the pre-log
-``oracles.secure_dof`` of its weights and antenna counts, and ``slope`` =
-(WSR(P) - WSR(P / 10)) / ln 10, from one companion solve of the same
-channels at P / 10 under the same order (NaN if either solve raises).
-Other rows leave both empty.
+``oracles.secure_dof`` of its weights and antenna counts, and ``price`` =
+``lambda_final * P`` from the row's own solve (NaN if it raises).  By the
+envelope theorem dOPT/dP is the budget's price, and at high SNR OPT grows
+as dof * ln P, so a solve that meets its budget has price -> dof as P
+grows (Khisti and Wornell, IEEE Trans. IT 56(11), 2010).  Other
+rows leave both empty, and every row costs one solve.
 
 ``--diff OLD.csv NEW.csv`` compares two such files, row by row, with the
 standard library alone: it prints the sweep and price-evaluation totals by
@@ -34,10 +36,11 @@ power, every label flip and every row whose weighted sum moved by more than
 
 ``--gate FILE`` reads a census, with the standard library alone, and lists
 every ``converged`` row more than ``WSR_MOVE * (1 + floor)`` below its floor
-or more than ``CEILING_TOL`` above its ceiling, and, in a file with a ``slope``
-column, every ``converged`` row whose slope is more than ``SLOPE_TOL`` off its
+or more than ``CEILING_TOL`` above its ceiling, and, in a file with a ``price``
+column, every ``converged`` row whose price is more than ``DOF_TOL`` off its
 ``dof`` (or NaN); it exits 1 if it lists any, and 2 if the file has no rows
-or no ``floor`` and ``ceiling`` columns::
+or no ``floor`` and ``ceiling`` columns.  A file without a ``price`` column
+gets the sandwich check alone::
 
     python tests/census.py --gate rows.csv
 """
@@ -52,14 +55,14 @@ import sys
 POWERS = (1e-3, 1.0, 1e2, 1e4, 1e7)
 ORACLE_FIELDS = ("floor", "ceiling")
 FIELDS = ("seed", "K", "n_t", "n_k", "n_e", "P", "label", "wsr", "tr_over_P", "sweeps",
-          "evals") + ORACLE_FIELDS + ("dof", "slope")
+          "evals") + ORACLE_FIELDS + ("dof", "price")
 # a weighted sum that moves by more than this times 1 + |old WSR| is listed,
 # and so is a converged one this far below its floor (times 1 + floor)
 WSR_MOVE = 1e-6
 # a weighted sum more than this above its ceiling is listed
 CEILING_TOL = 1e-12
-# a converged top-power slope more than this off its dof is listed
-SLOPE_TOL = 0.01
+# a converged top-power price more than this off its dof is listed
+DOF_TOL = 0.01
 
 
 def cases(seed: int, count: int):
@@ -115,24 +118,12 @@ def outside(label: str, wsr: float, floor: float, ceiling: float):
     return None
 
 
-def off_slope(label: str, slope: float, dof: float):
-    """How a top-power solve's slope leaves its dof, or None if it does not:
-    a ``converged`` one more than ``SLOPE_TOL`` off it, or NaN."""
-    if label != "converged" or abs(slope - dof) <= SLOPE_TOL:
+def off_price(label: str, price: float, dof: float):
+    """How a top-power solve's price leaves its dof, or None if it does not:
+    a ``converged`` one more than ``DOF_TOL`` off it, or NaN."""
+    if label != "converged" or abs(price - dof) <= DOF_TOL:
         return None
-    return f"slope {slope:.6g} off dof {dof:.6g} ({slope - dof:+.3g})"
-
-
-def companion_slope(ch, w, wsr: float) -> float:
-    """(wsr - WSR(P / 10)) / ln 10, from a companion solve of ``ch``'s
-    channels at P / 10; NaN if it raises."""
-    from securebc import ChannelSet
-
-    try:
-        low = solve(ChannelSet(ch.user_channels, ch.eavesdropper, ch.power / 10), w)
-    except Exception:
-        return math.nan
-    return (wsr - low.rates.weighted_sum) / math.log(10)
+    return f"price {price:.6g} off dof {dof:.6g} ({price - dof:+.3g})"
 
 
 def row(s: int, ch, w) -> dict:
@@ -148,11 +139,11 @@ def row(s: int, ch, w) -> dict:
         report = solve(ch, w)
     except Exception as exc:
         return dict(out, label=type(exc).__name__, wsr=math.nan, tr_over_P=math.nan,
-                    sweeps=0, evals=0, slope=math.nan if top else "")
-    wsr = report.rates.weighted_sum
-    return dict(out, label=report.termination, wsr=wsr,
+                    sweeps=0, evals=0, price=math.nan if top else "")
+    return dict(out, label=report.termination, wsr=report.rates.weighted_sum,
                 tr_over_P=report.plan.total_trace / ch.power, sweeps=report.outer_iters,
-                evals=len(report.lambda_trace), slope=companion_slope(ch, w, wsr) if top else "")
+                evals=len(report.lambda_trace),
+                price=report.lambda_final * ch.power if top else "")
 
 
 def diff(old: list[dict], new: list[dict]) -> list[str]:
@@ -187,19 +178,19 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
 def gate(rows: list[dict]) -> tuple[list[str], int]:
     """The report lines of ``--gate`` on a census's rows, and how many rows
     they list: a count, then every row outside its sandwich; in a file with a
-    ``slope`` column, a second count, then every row off its dof."""
+    ``price`` column, a second count, then every row off its dof."""
     checked = [(i, r) for i, r in enumerate(rows) if r.get("floor")]
     out = [f"  {_tag(i, r)}: {why}" for i, r in checked
            if (why := outside(r["label"], float(r["wsr"]), float(r["floor"]),
                               float(r["ceiling"])))]
     lines = [f"rows with a sandwich: {len(checked)}; converged outside it: {len(out)}"] + out
-    if "slope" not in rows[0]:
+    if "price" not in rows[0]:
         return lines, len(out)
-    sloped = [(i, r) for i, r in enumerate(rows) if r["slope"]]
-    off = [f"  {_tag(i, r)}: {why}" for i, r in sloped
-           if (why := off_slope(r["label"], float(r["slope"]), float(r["dof"])))]
-    return lines + [f"rows with a slope: {len(sloped)}; converged off their dof by more "
-                    f"than {SLOPE_TOL:g}: {len(off)}"] + off, len(out) + len(off)
+    priced = [(i, r) for i, r in enumerate(rows) if r["price"]]
+    off = [f"  {_tag(i, r)}: {why}" for i, r in priced
+           if (why := off_price(r["label"], float(r["price"]), float(r["dof"])))]
+    return lines + [f"rows with a price: {len(priced)}; converged off their dof by more "
+                    f"than {DOF_TOL:g}: {len(off)}"] + off, len(out) + len(off)
 
 
 def _tag(i: int, r: dict) -> str:

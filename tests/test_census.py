@@ -99,56 +99,73 @@ def test_gate_lists_converged_rows_outside_their_sandwich(tmp_path, capsys):
         assert "has no rows with the columns floor and ceiling" in capsys.readouterr().err
 
 
-def test_gate_of_a_written_census(tmp_path, capsys):
+def test_gate_of_a_written_census(tmp_path, capsys, monkeypatch):
     # the first 6 solves of census 7 hold 3 rows whose users all have one
     # antenna (K = 1 at P = 1e4 and 1e-3, K = 3 at 1e7); the written file
     # carries their floor and ceiling, and none lies outside them.  The 1e7
-    # row alone carries dof and slope: it and its companion at 1e6 both stop
-    # at the bottom price with the same plan, so its slope is 0 against a dof
-    # of 1, and the gate lists it
+    # row alone carries dof and price, lambda_final * P of its own solve: it
+    # stops at the bottom price, so its price is 1e-6 * 1e7 = 10 against a
+    # dof of 1, and the gate lists it.  Each row costs exactly one solve
+    import securebc
+
+    solve_wsr, reports = securebc.solve_wsr, []
+
+    def counted(*args, **kwargs):
+        reports.append(solve_wsr(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(securebc, "solve_wsr", counted)
     path = tmp_path / "rows.csv"
     main(["--seed", "7", "--count", "6", "--out", str(path)])
+    assert len(reports) == 6
     rows = list(csv.DictReader(path.open()))
-    assert [bool(r["dof"]) for r in rows] == [bool(r["slope"]) for r in rows] == [
+    assert [bool(r["dof"]) for r in rows] == [bool(r["price"]) for r in rows] == [
         False, False, False, False, True, False]
     _, ch, w = SLICE[4]
     assert float(rows[4]["dof"]) == secure_dof(w.weights, ch.n_k, ch.n_t, ch.n_e)
+    assert float(rows[4]["price"]) == reports[4].lambda_final * ch.power
     with pytest.raises(SystemExit) as stop:
         main(["--gate", str(path)])
     assert stop.value.code == 1
     assert capsys.readouterr().out.splitlines() == [
         "rows with a sandwich: 3; converged outside it: 0",
-        "rows with a slope: 1; converged off their dof by more than 0.01: 1",
-        "  row 4 (seed 2132991553, K 3, n_t 5, P 10000000.0): slope 0 off dof 1 (-1)"]
+        "rows with a price: 1; converged off their dof by more than 0.01: 1",
+        "  row 4 (seed 2132991553, K 3, n_t 5, P 10000000.0): price 10 off dof 1 (+9)"]
 
 
-SLOPED = ORACLE.splitlines()[0] + """,dof,slope
+PRICED = ORACLE.splitlines()[0] + """,dof,price
 31,2,4,1 1,1,1e7,converged,9.5,0.1,3,1,9.0,16.0,1.0,0.995
-32,2,4,1 1,1,1e7,converged,9.5,0.1,3,1,9.0,16.0,1.0,0.5
-33,2,4,1 1,1,1e7,stalled,9.5,0.1,3,1,9.0,16.0,1.0,0.5
+32,2,4,1 1,1,1e7,converged,9.5,0.1,3,1,9.0,16.0,1.0,10.0
+33,2,4,1 1,1,1e7,stalled,9.5,0.1,3,1,9.0,16.0,1.0,10.0
 34,2,4,2 2,1,1e7,converged,9.5,0.1,3,1,,,1.5,nan
 35,2,4,2 2,1,100.0,converged,3.0,1.0,20,6,,,,
 """
 
 
 def test_gate_lists_converged_rows_off_their_dof(tmp_path, capsys):
-    # row 0 is within 0.01 of its dof, row 1 0.5 off it, row 2 as far off but
-    # stalled, row 3's companion solve raised (NaN) and row 4 has no slope;
-    # no row leaves its sandwich, so the slope rule alone fails the file
+    # row 0 is within 0.01 of its dof, row 1 9 off it, row 2 as far off but
+    # stalled, row 3's price is NaN and row 4 has no price; no row leaves
+    # its sandwich, so the price rule alone fails the file
     path = tmp_path / "rows.csv"
-    path.write_text(SLOPED)
+    path.write_text(PRICED)
     with pytest.raises(SystemExit) as stop:
         main(["--gate", str(path)])
     assert stop.value.code == 1
     assert capsys.readouterr().out.splitlines() == [
         "rows with a sandwich: 3; converged outside it: 0",
-        "rows with a slope: 4; converged off their dof by more than 0.01: 2",
-        "  row 1 (seed 32, K 2, n_t 4, P 1e7): slope 0.5 off dof 1 (-0.5)",
-        "  row 3 (seed 34, K 2, n_t 4, P 1e7): slope nan off dof 1.5 (+nan)"]
+        "rows with a price: 4; converged off their dof by more than 0.01: 2",
+        "  row 1 (seed 32, K 2, n_t 4, P 1e7): price 10 off dof 1 (+9)",
+        "  row 3 (seed 34, K 2, n_t 4, P 1e7): price nan off dof 1.5 (+nan)"]
+    # a file without the price column, such as one with the slope column it
+    # replaced, gets the sandwich check alone
+    path.write_text(PRICED.replace(",price", ",slope"))
+    main(["--gate", str(path)])
+    assert capsys.readouterr().out == "rows with a sandwich: 3; converged outside it: 0\n"
     # --diff reads a file with the two columns against one without them
     old = tmp_path / "old.csv"
     old.write_text(ORACLE.splitlines()[0] + "\n" + "\n".join(
-        ",".join(line.split(",")[:-2]) for line in SLOPED.splitlines()[1:]) + "\n")
+        ",".join(line.split(",")[:-2]) for line in PRICED.splitlines()[1:]) + "\n")
+    path.write_text(PRICED)
     main(["--diff", str(old), str(path)])
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "label flips: 0", "weighted sums moved by more than 1e-06 (1 + |WSR|): 0"]

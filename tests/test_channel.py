@@ -284,11 +284,17 @@ class TestWeightVector:
             WeightVector([0.0, 0.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(LengthMismatch):
-            WeightVector([])
+        # and a 2-D input, whose entries are not numbers either
+        for weights in ([], [[1.0, 2.0]], np.ones((2, 2))):
+            with pytest.raises(LengthMismatch):
+                WeightVector(weights)
 
-    @pytest.mark.parametrize("weights", [["1", "2"], [True, False], [True, 2],
-                                         np.array([True, False]), [1.0, None]], ids=repr)
+    # a complex entry, an integer past the largest float and a complex array
+    # (whose float conversion warns) get the same ValueError as the rest
+    @pytest.mark.parametrize("weights", [
+        ["1", "2"], [True, False], [True, 2], np.array([True, False]), [1.0, None],
+        [1 + 0j, 1], pytest.param([10**400, 1], id="[10**400, 1]"), np.array([1 + 0j, 1])],
+        ids=repr)
     def test_rejects_non_numbers(self, weights):
         with pytest.raises(ValueError, match="finite nonnegative numbers"):
             WeightVector(weights)
