@@ -209,14 +209,14 @@ def save_channel_set(ch: ChannelSet, sink: Union[str, os.PathLike, IO]) -> None:
 def sample_channel_set(seed: int, K: int, n_t: int,
                        n_k: Union[int, Sequence[int]], n_e: int,
                        power: float) -> ChannelSet:
-    """Draw an i.i.d. complex Gaussian instance, deterministic in ``seed``."""
+    """Draw an i.i.d. complex Gaussian instance, deterministic in ``seed`` (an integer >= 0)."""
     K, n_t, n_e = (integer_at_least(v, 1, name, DimensionMismatch)
                    for v, name in ((K, "K"), (n_t, "n_t"), (n_e, "n_e")))
     n_k = [integer_at_least(v, 1, "n_k", DimensionMismatch)
            for v in ([n_k] * K if np.ndim(n_k) == 0 else n_k)]
     if len(n_k) != K:
         raise LengthMismatch(f"n_k has {len(n_k)} entries for K={K}")
-    users, eve = _gaussian_channels(seed, n_t, n_k, n_e)
+    users, eve = _gaussian_channels(integer_at_least(seed, 0, "seed"), n_t, n_k, n_e)
     return ChannelSet(users, eve, power)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import ChannelSet, WeightVector, _gaussian_channels
 from .errors import integer_at_least, positive_number
-from .linalg import (herm, inv_geometric_mean, inv_hpd, min_eigenvalue, project_psd,
+from .linalg import (herm, inv_geometric_mean, inv_i_plus, min_eigenvalue, project_psd,
                      sqrt_pair, svd_square_diag)
 from .rates import (BC, MAC, CovariancePlan, EncodingOrder, _log_ratios, _random_blocks,
                     by_position, by_user, dpc_rates_arrays, dpc_secrecy_rates,
@@ -99,7 +99,7 @@ def _position_transform(hk: np.ndarray, hkh: np.ndarray, C: np.ndarray, D: np.nd
     maps by U, so its walk never builds T."""
     wide = hk.shape[0] <= hk.shape[1]  # else the conjugate transpose's T and U are U and T
     h, hh, c, d = (hk, hkh, C, D) if wide else (hkh, hk, D, C)
-    w = inv_hpd(d) @ hh
+    w = inv_i_plus(d - np.eye(len(d))) @ hh  # a ladder is I plus PSD terms
     gam = inv_geometric_mean(c, h @ w)
     if gam is not None:  # wide: T = gam h, U = w gam c
         u = w @ gam @ c if wide else gam @ h
@@ -235,11 +235,11 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     weights add by user); at K = 1, where the two uplink ladders are one, the
     uplink plan's walk on it serves both.
 
-    Raises ValueError unless num_instances is an integer >= 1 and tol a finite positive number.
+    Raises ValueError unless num_instances is an integer >= 1, seed one >= 0, tol finite and > 0.
     """
     num_instances = integer_at_least(num_instances, 1, "num_instances")
     positive_number(tol, "tol")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_at_least(seed, 0, "seed"))
     rows = []  # per instance: the four errors, then the ladder eigenvalue floor
     for _ in range(num_instances):
         K = int(rng.integers(1, 4))

@@ -8,23 +8,22 @@ and is either clamped (projection contexts) or raised (validation contexts).
 
 Input rule: ``logdet_hpd``, ``psd_sqrt``, ``psd_inv_sqrt`` and ``project_psd`` take
 one non-empty square 2-D matrix, else raise ``DimensionMismatch``, as do
-``min_eigenvalue``, ``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` on a 2-D matrix.
-All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for an inverse) on a
+``min_eigenvalue``, ``logdet_i_plus`` and ``inv_i_plus`` on a 2-D matrix.
+All of these raise ``NonPositiveDefinite`` (``SingularMatrix`` for the inverse) on a
 non-finite entry of one matrix, the imaginary part of a diagonal entry included,
-before any arithmetic could warn or return NaN; ``inv_hpd`` raises ``SingularMatrix``
-too where an entry of the inverse would pass the largest float.
-``logdet_i_plus``, ``inv_i_plus`` and ``inv_hpd`` also take a (B, n, n) stack and give
-each matrix's own result, bit for bit: a stack with any matrix off the closed form's
-domain or with a non-finite entry goes matrix by matrix, so it raises as that matrix does.
+before any arithmetic could warn or return NaN.  ``logdet_i_plus`` and ``inv_i_plus``
+also take a (B, n, n) stack and give each matrix's own result, bit for bit: a stack
+with any matrix off the closed form's domain or with a non-finite entry goes matrix
+by matrix, so it raises as that matrix does.
 
 Closed forms replace LAPACK on small input, where numpy's per-call dispatch
 outweighs the arithmetic; they agree with it to round-off.  ``logdet_i_plus`` and
-the inverses have one closed form and one domain test (positive pivots or
+``inv_i_plus`` have one closed form and one domain test (positive pivots or
 determinant, finite product) per size, run by a matrix in Python floats and by a
 stack in arrays, under ``np.errstate`` as arrays warn on overflow where floats do not;
 one poisoned first pivot (``_pivots_3x3``) tests a matrix's and a stack's imaginary diagonal:
 
-* 1x1 and 2x2: ``logdet_i_plus``, ``inv_i_plus``, ``inv_hpd``, ``min_eigenvalue``
+* 1x1 and 2x2: ``logdet_i_plus``, ``inv_i_plus``, ``min_eigenvalue``
   (bit for bit at 1x1) and well-conditioned ``inv_geometric_mean``;
 * 3x3: ``logdet_i_plus``, from LDL^H pivots (a cofactor determinant lost 0.3 nats);
 * up to 3x3: bit for bit ``project_psd`` of a PSD 1x1 or certified-PD input.
@@ -243,51 +242,30 @@ def inv_i_plus(m: np.ndarray) -> np.ndarray:
     shares its closed forms at dimensions 1 and 2.  A stack of matrices gives
     one inverse per matrix, bit for bit, as :func:`logdet_i_plus` gives its
     log-dets.  A non-finite matrix raises ``SingularMatrix``."""
-    return _inv_shifted(m, 1.0)
-
-
-def inv_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, :func:`inv_i_plus` at shift 0;
-    ``SingularMatrix`` where the inverse has an entry past the largest float."""
-    return _inv_shifted(m, 0.0)
-
-
-def _inv_shifted(m: np.ndarray, shift: float) -> np.ndarray:
-    """Inverse of shift I + m (of m itself, not its Hermitian part, at shift 0 past 2x2),
-    or of each matrix of a stack."""
     n, stack = m.shape[-1], m.ndim > 2
     if 0 < n <= 2 and m.shape[-2:] == (n, n):
         if stack:
             with np.errstate(all="ignore"):  # arrays warn where Python floats do not
-                inv = _inv_closed(m, n, shift)
+                inv = _inv_closed(m, n)
         else:
-            inv = _inv_closed(m, n, shift)
+            inv = _inv_closed(m, n)
         if inv is not None:
             return inv
     if stack and (n <= 2 or np.count_nonzero(np.isfinite(m)) < m.size):
-        return np.array([_inv_shifted(x, shift) for x in m])
-    m = m if stack else _as_matrix(m, SingularMatrix)
-    inv = np.linalg.inv(np.eye(n) + hermitize(m) if shift else m)
-    if shift or np.count_nonzero(np.isfinite(inv)) == inv.size:
-        return inv
-    raise SingularMatrix("the inverse has an entry past the largest float")
+        return np.array([inv_i_plus(x) for x in m])
+    return np.linalg.inv(np.eye(n) + hermitize(m if stack else _as_matrix(m, SingularMatrix)))
 
 
-def _inv_closed(m: np.ndarray, n: int, shift: float):
-    """:func:`_inv_shifted` of a matrix or stack by its closed form at n <= 2; None off
-    the domain, a determinant in (0, inf) and, at shift 0, where it has no floor, an
-    inverse whose largest entry stays finite times 1 / det, as numpy divides."""
+def _inv_closed(m: np.ndarray, n: int):
+    """:func:`inv_i_plus` of a matrix or stack by its closed form at n <= 2; None off
+    the domain, a determinant in (0, inf)."""
     stack = m.ndim > 2
     if n == 1:
         z = m[:, :1, :1] if stack else m.item()
-        a = d = 1.0
-        det = shift + z.real + 0.0 * z.imag  # poisoned as _pivots_3x3's first pivot is
+        det = 1.0 + z.real + 0.0 * z.imag  # poisoned as _pivots_3x3's first pivot is
     else:
-        a, d, b, det = _i_plus_2x2(m, shift)
+        a, d, b, det = _i_plus_2x2(m, 1.0)
     ok = (det > 0.0) & (det < math.inf)
-    if not shift:
-        ok = (ok & (np.maximum(abs(a), abs(d)) * (1.0 / det) < math.inf) if stack
-              else ok and max(abs(a), abs(d)) * (1.0 / det) < math.inf)
     if not (np.count_nonzero(ok) == ok.size if stack else ok):
         return None
     if n == 1:

@@ -598,7 +598,7 @@ def _block_args(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                 w: Union[WeightVector, Sequence[float]], k: int):
     """Problem and covariances by position for a 1-based block index."""
     prob = _Problem(ch, order, w)
-    if not 1 <= k <= len(prob.H):
+    if integer_at_least(k, 1, "block index", DimensionMismatch) > len(prob.H):
         raise DimensionMismatch(f"block index {k} out of range 1..{len(prob.H)}")
     return prob, prob.blocks(plan)
 
@@ -623,7 +623,8 @@ def split_objective(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
 
 def gradient_cvx(ch: ChannelSet, order: EncodingOrder, plan: CovariancePlan,
                  w: Union[WeightVector, Sequence[float]], lam: float, k: int) -> np.ndarray:
-    """Analytic gradient of the convex block part at the current plan."""
+    """Analytic gradient of the convex block part at the current plan; ``lam`` is not
+    read, as block k's price term -lam tr(Q_k) sits in the concave part."""
     prob, Q = _block_args(ch, order, plan, w, k)
     return _grad_cvx(prob, suffix_sums(Q), k - 1)[0]
 

@@ -222,7 +222,7 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
 class TestSampling:
     def test_deterministic_in_seed(self):
         a = sample_channel_set(7, 2, 3, [2, 1], 2, 1.5)
-        b = sample_channel_set(7, 2, 3, [2, 1], 2, 1.5)
+        b = sample_channel_set(np.int64(7), 2, 3, [2, 1], 2, 1.5)
         for x, y in zip(a.user_channels, b.user_channels):
             assert np.array_equal(x, y)
         assert np.array_equal(a.eavesdropper, b.eavesdropper)
@@ -258,6 +258,13 @@ class TestSampling:
     def test_dimensions_must_be_positive_integers(self, K, n_t, n_k, n_e, what):
         with pytest.raises(DimensionMismatch, match=f"{what} must be an integer of at least 1"):
             sample_channel_set(1, K, n_t, n_k, n_e, 1.0)
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # None drew from fresh OS entropy, so each call gave another instance,
+        # True ran as seed 1, and -1, 1.5 and "3" raised numpy's own errors
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            sample_channel_set(seed, 2, 2, 2, 1, 1.0)
 
     def test_nk_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -302,12 +302,11 @@ class TestEnsemble:
                 "max_wsr_equivalence_error")
         for key in keys:
             assert report[key] <= 1e-12, (key, report[key])
-        # the summary over many instances, bit for bit as the ensemble gave it
-        # when it still built each instance through the public constructors
-        # (numpy 2.4, OpenBLAS, x86-64); the oracle test below checks each instance
+        # the summary over many instances, bit for bit (numpy 2.4, OpenBLAS, x86-64);
+        # the oracle test below checks each instance
         assert [report[k].hex() for k in keys + ("min_ladder_eigenvalue",)] == [
-            "0x1.4000000000000p-49", "0x1.3000000000000p-46", "0x1.3000000000000p-48",
-            "0x1.0000000000000p-49", "0x1.ffffffffffff6p-1"]
+            "0x1.4000000000000p-49", "0x1.2000000000000p-45", "0x1.4000000000000p-48",
+            "0x1.0000000000000p-49", "0x1.ffffffffffff3p-1"]
 
     def test_nan_rate_fails(self, monkeypatch, capsys):
         real = duality.mac_rates_arrays
@@ -358,8 +357,15 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="an integer of at least 1"):
             duality_property_ensemble(num_instances=count, seed=1)
 
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed, monkeypatch):
+        # None drew from fresh OS entropy and True ran as seed 1; refused before any work
+        monkeypatch.setattr(duality, "_gaussian_channels", None)
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            duality_property_ensemble(num_instances=2, seed=seed)
+
     def test_numpy_integer_count(self):
-        report = duality_property_ensemble(num_instances=np.int64(2), seed=1)
+        report = duality_property_ensemble(num_instances=np.int64(2), seed=np.int64(1))
         assert type(report["instances"]) is int
         assert report == duality_property_ensemble(num_instances=2, seed=1)
 

@@ -7,7 +7,7 @@ from conftest import herm, rand_complex, rand_hermitian, rand_hpd
 from securebc import (BC, CovariancePlan, DimensionMismatch, NonPositiveDefinite,
                       SingularMatrix, logdet_hpd, project_psd, psd_inv_sqrt, psd_sqrt,
                       random_psd, svd_square_diag)
-from securebc.linalg import (anderson_psd, inv_geometric_mean, inv_hpd, inv_i_plus,
+from securebc.linalg import (anderson_psd, inv_geometric_mean, inv_i_plus,
                              logdet_i_plus, min_eigenvalue, sqrt_pair)
 
 rng = np.random.default_rng(42)
@@ -209,9 +209,8 @@ class TestSqrtClosedForms:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("f, error", [(logdet_i_plus, NonPositiveDefinite),
                                           (inv_i_plus, SingularMatrix),
-                                          (inv_hpd, SingularMatrix),
                                           (min_eigenvalue, NonPositiveDefinite)],
-                             ids=["logdet_i_plus", "inv_i_plus", "inv_hpd", "min_eigenvalue"])
+                             ids=["logdet_i_plus", "inv_i_plus", "min_eigenvalue"])
     def test_non_finite_imaginary_diagonal_raises(self, f, error, bad, n):
         # the closed forms read only the real part of a diagonal entry, so
         # 1 + nan j gave log 2, an inverse entry of 0.5 or a minimum eigenvalue
@@ -226,28 +225,6 @@ class TestSqrtClosedForms:
                     warnings.simplefilter("error")
                     with pytest.raises(error, match="non-finite"):
                         f(x)
-
-    def test_inv_hpd_refuses_an_inverse_past_the_largest_float(self):
-        # a positive determinant does not bound the inverse: [[5e-324]] gave
-        # [[inf]], diag(1, 5e-324) inf and NaN entries with overflow and
-        # invalid-value warnings, and a stack of them an overflow warning;
-        # diag(1e10, 1e-310) overflows with a normal determinant, 1e-300
-        cases = [[5e-324], [1.0, 5e-324], [1e10, 1e-310], [1.0, 1.0, 5e-324]]
-        for diag in cases:
-            m = np.diag(diag).astype(complex)
-            for x in (m, np.stack([np.eye(len(diag), dtype=complex), m])):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(SingularMatrix, match="largest float"):
-                        inv_hpd(x)
-        # finite inverses are still given, without a warning; numpy's division
-        # through 1 / det would overflow on diag(0.5, 1e-308), so LAPACK gives it
-        for diag in ([1e-300], [1e10, 1e-290], [0.5, 1e-308]):
-            m = np.diag(diag).astype(complex)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = inv_hpd(m)
-            assert np.allclose(got, np.diag(1.0 / np.array(diag)), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stack_off_the_closed_form_goes_matrix_by_matrix(self, n):
@@ -435,7 +412,7 @@ class TestInvGeometricMean:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             # the mean is symmetric in its arguments, and the inverse of a # a is a^-1
             assert np.allclose(inv_geometric_mean(b, a), got, rtol=1e-12, atol=0.0)
-            assert np.allclose(inv_geometric_mean(a, a), inv_hpd(a), rtol=1e-12, atol=0.0)
+            assert np.allclose(inv_geometric_mean(a, a), np.linalg.inv(a), rtol=1e-12, atol=0.0)
 
     def test_singular_argument_is_none(self):
         for n in (1, 2, 3, 4):

@@ -97,10 +97,14 @@ class TestSplitObjective:
         assert ccv + cvx == pytest.approx(lam * ch.power, abs=1e-12)
 
     def test_block_index_out_of_range(self):
+        # 1.5 and "1" raised TypeError from indexing or from <=, and True ran as block 1
         ch, order, w, plan = _rand_setup(K=2)
         from securebc import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            split_objective(ch, order, plan, w, 0.1, 3)
+        for f in (split_objective, gradient_cvx, surrogate_update):
+            for k in (0, 3, 1.5, "1", True):
+                match = "out of range 1..2" if k == 3 else "an integer of at least 1"
+                with pytest.raises(DimensionMismatch, match=match):
+                    f(ch, order, plan, w, 0.1, k)
 
 
 class TestGradient:
