@@ -19,13 +19,13 @@ floats are serialized with shortest round-trip decimal text.
 Random ensembles use numpy's seeded PCG64 generator
 (``numpy.random.default_rng``), so a seed reproduces the same instance on any
 platform.  Entries are circularly-symmetric complex Gaussian with unit total
-variance (real and imaginary parts each carry variance 1/2).
+variance (real and imaginary parts each carry variance 1/2), drawn by the
+complex Gaussian that ``linalg.random_psd`` shares (``linalg._complex_gaussian``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 from contextlib import nullcontext
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidPower, LengthMismatch, ParseError,
                      integer_at_least, positive_number)
-from .linalg import frozen
+from .linalg import _complex_gaussian, frozen
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,7 @@ def _gaussian_channels(seed: int, n_t: int, n_k: Sequence[int],
     """The draws of :func:`sample_channel_set` as plain arrays: the user channels,
     then the eavesdropper's, finite by construction and not checked."""
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        return (rng.standard_normal((rows, cols))
-                + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
-
-    return [draw(nk, n_t) for nk in n_k], draw(n_e, n_t)
+    return [_complex_gaussian(rng, nk, n_t) for nk in n_k], _complex_gaussian(rng, n_e, n_t)
 
 
 def example_two_user() -> ChannelSet:

@@ -55,7 +55,7 @@ def _parse_weights(text: str) -> WeightVector:
 
 
 def _parse_order(text: str, K: int) -> Optional[EncodingOrder]:
-    if text == "theorem":
+    if text == THEOREM:
         return None
     try:
         perm = [int(v) for v in text.split(",")]
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[instance], help="solve one weighted instance")
     p.add_argument("--weights", required=True, help="comma-separated, e.g. 0.5,0.5")
-    p.add_argument("--order", default="theorem", help="'theorem' or e.g. 2,1")
+    p.add_argument("--order", default=THEOREM, help="'theorem' or e.g. 2,1")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("region", parents=[instance],

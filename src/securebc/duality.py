@@ -232,8 +232,10 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
     position-to-user map and the weights are divided by their sum, as those
     constructors would, but nothing is checked again.  Its sweeps and rates run
     by position on the kernels the public maps and rates wrap (traces and
-    weights add by user); at K = 1, where the two uplink ladders are one, the
-    uplink plan's walk on it serves both.
+    weights add by user).  The drawn plan walks to the other side and its image
+    walks back; the draw side only names which walk is the uplink plan's (on the
+    preceding ladder) and which the downlink plan's (whose C and D give the floor).
+    At K = 1, where the two uplink ladders are one, that walk serves both.
 
     Raises ValueError unless num_instances is an integer >= 1, seed one >= 0, tol finite and > 0.
     """
@@ -257,22 +259,14 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         Hh = [herm(h) for h in H]
         drawn = _random_blocks(n_k if mac_first else [n_t] * K, power, rng)
         given = [drawn[u] for u in idx]
-        # the uplink plan walks the preceding ladder once, drawn (to the downlink
-        # plan) or mapped (back to the side the plan was drawn on)
-        if mac_first:
-            mac = given
-            up = _walk(H, Hh, mac, False)
-            bc = up[0]
-            mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
-            back = mapped
-        else:
-            bc = given
-            mapped, c_list, d_list, _ = _walk(H, Hh, bc, True)
-            mac = mapped
-            up = _walk(H, Hh, mac, False)
-            back = up[0]
+        # the drawn plan walks to the other side and its image walks back: the uplink
+        # plan's walk (on the preceding ladder), the downlink walk, and the round trip
+        there = _walk(H, Hh, given, not mac_first)
+        home = _walk(H, Hh, there[0], mac_first)
+        mac, bc, up, down, r_back = (
+            (given, there[0], there, home, mac_rates_arrays(H, home[0])) if mac_first
+            else (there[0], given, home, there, _log_ratios(H, suffix_sums(home[0]))))
         r_bc = _log_ratios(H, suffix_sums(bc))
-        r_back = mac_rates_arrays(H, back) if mac_first else _log_ratios(H, suffix_sums(back))
         # one position makes one ladder: the following one is the preceding one
         bc_dual, _, _, u_list = up if K == 1 else _walk(H, Hh, mac, False, FOLLOWING)
         eve = [herm(G @ u) for u in u_list]
@@ -281,7 +275,7 @@ def duality_property_ensemble(num_instances: int = 200, seed: int = 0,
         tr_bc, tr_mac = (float(total_trace(by_user(x, idx))) for x in (bc, mac))
         rows.append([np.max(np.abs(r_bc - mac_rates_arrays(H, mac))), abs(tr_bc - tr_mac),
                      np.max(np.abs(r_bc - r_back)), abs(gap),
-                     np.min([min_eigenvalue(m) for m in c_list + d_list])])
+                     np.min([min_eigenvalue(m) for m in down[1] + down[2]])])
 
     table = np.array(rows, dtype=float)
     errors, floors = table[:, :4], table[:, 4]

@@ -28,7 +28,8 @@ one poisoned first pivot (``_pivots_3x3``) tests a matrix's and a stack's imagin
 * 3x3: ``logdet_i_plus``, from LDL^H pivots (a cofactor determinant lost 0.3 nats);
 * up to 3x3: bit for bit ``project_psd`` of a PSD 1x1 or certified-PD input.
 
-Other input, singular or ill-conditioned included, goes to LAPACK.
+Other input, singular or ill-conditioned included, goes to LAPACK.  ``random_psd``
+and ``channel``'s sampling share one complex Gaussian draw, ``_complex_gaussian``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def herm(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average a nominally Hermitian matrix (or each one in a stack) with its
     conjugate transpose."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return (m + herm(m)) / 2
 
 
 def real_trace(m: np.ndarray) -> np.ndarray:
@@ -106,7 +107,7 @@ class SvdTriple(NamedTuple):
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular) @ self.right.conj().T
+        return (self.left * self.singular) @ herm(self.right)
 
 
 def logdet_hpd(m: np.ndarray) -> float:
@@ -309,7 +310,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(hermitize(_as_matrix(m, NonPositiveDefinite)))
     w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    return hermitize((v * np.sqrt(w)) @ herm(v))
 
 
 def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -331,7 +332,7 @@ def sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularMatrix(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] cannot be inverted")
     r = np.sqrt(w)
-    return hermitize((v * r) @ v.conj().T), hermitize((v / r) @ v.conj().T)
+    return hermitize((v * r) @ herm(v)), hermitize((v / r) @ herm(v))
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -350,7 +351,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     if w[0] >= 0.0:
         return h
     w = np.clip(w, 0.0, None)
-    return hermitize((v * w) @ v.conj().T)
+    return hermitize((v * w) @ herm(v))
 
 
 def anderson_psd(pairs: list) -> list[np.ndarray]:
@@ -377,7 +378,14 @@ def anderson_psd(pairs: list) -> list[np.ndarray]:
 def svd_square_diag(m: np.ndarray) -> SvdTriple:
     """Economy SVD with the square-diagonal convention (see SvdTriple)."""
     u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
-    return SvdTriple(left=u, singular=s, right=vh.conj().T)
+    return SvdTriple(left=u, singular=s, right=herm(vh))
+
+
+def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix of i.i.d. circularly-symmetric complex Gaussian entries
+    of unit variance: ``rng``'s real parts, then its imaginary parts, over sqrt(2)."""
+    return (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
 
 
 def random_psd(dim: int, rng: np.random.Generator, trace: float | None = None) -> np.ndarray:
@@ -386,8 +394,8 @@ def random_psd(dim: int, rng: np.random.Generator, trace: float | None = None) -
     If ``trace`` is given the matrix is rescaled to that exact trace
     (zero-dimension matrices are returned as-is).
     """
-    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    m = a @ a.conj().T
+    a = _complex_gaussian(rng, dim, dim)
+    m = a @ herm(a)
     if trace is not None and dim > 0:
         t = float(real_trace(m))
         m = m * (trace / t) if t > 0 else m

@@ -41,22 +41,24 @@ class OrderComparison:
     best_order: EncodingOrder
     theorem_order: EncodingOrder
 
-    def matches_rule(self, w: WeightVector) -> bool:
+    def matches_rule(self, w: Union[WeightVector, Sequence[float]]) -> bool:
         """True when the empirically best order is weight-sorted."""
         return is_weight_sorted(self.best_order, w)
 
 
-def is_weight_sorted(order: EncodingOrder, w: WeightVector) -> bool:
+def is_weight_sorted(order: EncodingOrder, w: Union[WeightVector, Sequence[float]]) -> bool:
     """True when the weights are nonincreasing along the order's positions
-    (tied users may come in either order)."""
-    seq = [w.weights[u - 1] for u in order.permutation]
+    (tied users may come in either order); LengthMismatch unless ``w`` holds
+    one weight per user of the order."""
+    weights = WeightVector.of(w, len(order)).weights
+    seq = [weights[u - 1] for u in order.permutation]
     return all(a >= b for a, b in zip(seq, seq[1:]))
 
 
-def optimal_order(w: WeightVector) -> EncodingOrder:
+def optimal_order(w: Union[WeightVector, Sequence[float]]) -> EncodingOrder:
     """Users sorted by nonincreasing weight; ties by ascending user index."""
-    weights = w.as_array()
-    users = sorted(range(1, len(w) + 1), key=lambda u: (-weights[u - 1], u))
+    weights = WeightVector.of(w, len(w)).weights
+    users = sorted(range(1, len(weights) + 1), key=lambda u: (-weights[u - 1], u))
     return EncodingOrder(users)
 
 

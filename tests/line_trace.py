@@ -12,7 +12,9 @@ compiles to) that none of this ran::
     python tests/line_trace.py            # extra arguments go to pytest
 
 Standard library and pytest only.  The exit status is 1 when any line is
-listed, else pytest's.
+listed, else pytest's.  ``trace_lines`` runs any callable under the same
+tracer and ``unrun_lines`` lists what it left out; ``tests/traffic.py`` uses
+them on the benchmark's workloads.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ import types
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "securebc"
+T = TypeVar("T")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -59,9 +63,9 @@ def run_entry_points() -> None:
         sys.argv = argv
 
 
-def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest, then the entry points, under the tracer; pytest's exit
-    status and the lines run, by file."""
+def trace_lines(run: Callable[[], T]) -> tuple[T, dict[str, set[int]]]:
+    """Call ``run`` under the tracer; its result and the lines of
+    ``src/securebc`` that it ran, by resolved file path."""
     prefix = str(PACKAGE) + os.sep
     ran: dict[str, set[int]] = {}
     ours: dict[str, bool] = {}
@@ -81,28 +85,43 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return local
 
-    os.chdir(ROOT)
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
-        run_entry_points()
+        result = run()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     by_file: dict[str, set[int]] = {}
     for name, lines in ran.items():
         by_file.setdefault(os.path.realpath(name), set()).update(lines)
-    return int(status), by_file
+    return result, by_file
+
+
+def unrun_lines(ran: dict[str, set[int]]) -> list[str]:
+    """``path:line`` of every executable line of ``src/securebc`` not in ``ran``."""
+    return [f"{path.relative_to(ROOT)}:{line}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line in sorted(executable_lines(path) - ran.get(str(path.resolve()), set()))]
+
+
+def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest, then the entry points, under the tracer; pytest's exit
+    status and the lines run, by file."""
+    def suite() -> int:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        run_entry_points()
+        return int(status)
+
+    os.chdir(ROOT)
+    return trace_lines(suite)
 
 
 def main() -> int:
     status, ran = trace_suite(sys.argv[1:])
-    unrun = False
-    for path in sorted(PACKAGE.glob("*.py")):
-        missed = executable_lines(path) - ran.get(str(path.resolve()), set())
-        for line in sorted(missed):
-            print(f"{path.relative_to(ROOT)}:{line}")
-        unrun = unrun or bool(missed)
-    return 1 if unrun else status
+    missed = unrun_lines(ran)
+    for line in missed:
+        print(line)
+    return 1 if missed else status
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import securebc.ordering as ordering_mod
-from securebc import (InnerNotImproved, SolverConfig, TooManyUsers,
-                      WeightVector, compare_orders, enumerate_orders,
+from securebc import (EncodingOrder, InnerNotImproved, LengthMismatch, SolverConfig,
+                      TooManyUsers, WeightVector, compare_orders, enumerate_orders,
                       example_three_user, optimal_order, sample_channel_set)
 
 rng = np.random.default_rng(31)
@@ -51,6 +51,43 @@ class TestOptimalOrder:
             order = optimal_order(WeightVector(rng.random(k) + 1e-3))
             assert sorted(order.permutation) == list(range(1, k + 1))
 
+
+
+RAW_KINDS = (list, tuple, np.array)
+
+
+class TestRawWeights:
+    """The order rule reads a raw weight sequence as its WeightVector, and a
+    weight count that is not the order's raises LengthMismatch."""
+
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    def test_optimal_order(self, kind):
+        for raw in ([0.2, 0.3, 0.5], [0.3, 0.7], [0.4, 0.1, 0.4, 0.1]):
+            assert optimal_order(kind(raw)) == optimal_order(WeightVector(raw))
+
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    def test_is_weight_sorted(self, kind):
+        raw = [0.2, 0.3, 0.5]
+        for order in enumerate_orders(3):
+            assert (ordering_mod.is_weight_sorted(order, kind(raw))
+                    == ordering_mod.is_weight_sorted(order, WeightVector(raw)))
+        assert ordering_mod.is_weight_sorted(EncodingOrder([3, 2, 1]), kind(raw))
+
+    @pytest.mark.parametrize("kind", RAW_KINDS)
+    def test_matches_rule(self, kind):
+        for best, verdict in (((3, 2, 1), True), ((1, 2, 3), False)):
+            cmp = ordering_mod.OrderComparison((), EncodingOrder(best), EncodingOrder([3, 2, 1]))
+            assert cmp.matches_rule(kind([0.2, 0.3, 0.5])) is verdict
+
+    @pytest.mark.parametrize("kind", RAW_KINDS + (WeightVector,))
+    @pytest.mark.parametrize("users, raw", ((3, [1, 1]), (2, [1, 2, 3])))
+    def test_count_mismatch(self, kind, users, raw):
+        order = EncodingOrder(range(1, users + 1))
+        cmp = ordering_mod.OrderComparison((), order, order)
+        with pytest.raises(LengthMismatch, match=f"{len(raw)} weights for {users} users"):
+            ordering_mod.is_weight_sorted(order, kind(raw))
+        with pytest.raises(LengthMismatch):
+            cmp.matches_rule(kind(raw))
 
 class TestEnumerateOrders:
     def test_single_user(self):
